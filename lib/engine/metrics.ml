@@ -13,6 +13,8 @@ type t = {
   steps : int Atomic.t;
   messages : int Atomic.t;
   peak_frontier : int Atomic.t;
+  fair_splits : int Atomic.t;
+  fair_edges_scanned : int Atomic.t;
   domains : int Atomic.t;
   mu : Mutex.t;
   mutable phases : (string * float) list; (* reverse order of completion *)
@@ -31,6 +33,8 @@ let create () =
     steps = Atomic.make 0;
     messages = Atomic.make 0;
     peak_frontier = Atomic.make 0;
+    fair_splits = Atomic.make 0;
+    fair_edges_scanned = Atomic.make 0;
     domains = Atomic.make 1;
     mu = Mutex.create ();
     phases = [];
@@ -55,6 +59,8 @@ let add_canonicalized t n = add t.canonicalized n
 let incr_steps t = add t.steps 1
 let add_steps t n = add t.steps n
 let add_messages t n = add t.messages n
+let add_fair_splits t n = add t.fair_splits n
+let add_fair_edges_scanned t n = add t.fair_edges_scanned n
 let set_domains t n = Atomic.set t.domains n
 
 let set_downgrade t reason =
@@ -85,6 +91,8 @@ let canonicalized t = Atomic.get t.canonicalized
 let steps t = Atomic.get t.steps
 let messages t = Atomic.get t.messages
 let peak_frontier t = Atomic.get t.peak_frontier
+let fair_splits t = Atomic.get t.fair_splits
+let fair_edges_scanned t = Atomic.get t.fair_edges_scanned
 let domains t = Atomic.get t.domains
 
 let add_phase t name secs =
@@ -348,6 +356,8 @@ let to_json t =
       ("steps", Json.Num (float_of_int (steps t)));
       ("messages", Json.Num (float_of_int (messages t)));
       ("peak_frontier", Json.Num (float_of_int (peak_frontier t)));
+      ("fair_splits", Json.Num (float_of_int (fair_splits t)));
+      ("fair_edges_scanned", Json.Num (float_of_int (fair_edges_scanned t)));
       ("states_per_sec", Json.Num (states_per_sec t));
       ( "phases",
         Json.Obj (List.map (fun (name, secs) -> (name, Json.Num secs)) (phases t)) );

@@ -59,6 +59,12 @@ val downgrade : t -> string option
 val observe_frontier : t -> int -> unit
 (** Record the current frontier size; keeps the maximum seen. *)
 
+val add_fair_splits : t -> int -> unit
+(** Component splits (one Tarjan run each) made by a fair-cycle search. *)
+
+val add_fair_edges_scanned : t -> int -> unit
+(** Edges fed to those splits, summed over splits. *)
+
 val set_domains : t -> int -> unit
 
 (** {2 Readers} *)
@@ -73,6 +79,8 @@ val canonicalized : t -> int
 val steps : t -> int
 val messages : t -> int
 val peak_frontier : t -> int
+val fair_splits : t -> int
+val fair_edges_scanned : t -> int
 val domains : t -> int
 
 val dedup_rate : t -> float

@@ -5,7 +5,7 @@
    breadth-first exploration of the reachable state graph under a
    communication model (one canonical activation entry per observational
    class, via {!Enumerate.successors_core}), channel-bound pruning and
-   state-count truncation exactly as in the SPP explorer, and the fair-cycle
+   state-count truncation exactly as in the SPP explorer, and the {!Fair}
    divergence search over drop-stable strongly connected edge sets.
 
    Differences from the SPP pair, all driven by the protocol hooks:
@@ -132,8 +132,8 @@ module Make (P : Engine.Protocol.S) = struct
     explore_with ?config inst ~model_of:(fun _ -> model)
 
   (* ---------------------------------------------------------------- *)
-  (* Divergence analysis: the {!Oscillation} fair-cycle search, with the
-     observable-change / doomed-cycle criterion in place of "pi changes". *)
+  (* Divergence analysis: the {!Fair} kernel, with the observable-change /
+     doomed-cycle criterion in place of {!Oscillation}'s "pi changes". *)
 
   type witness = {
     prefix : Engine.Activation.t list;
@@ -171,212 +171,7 @@ module Make (P : Engine.Protocol.S) = struct
     let compare = Engine.Channel.compare_id
   end)
 
-  (* Check one drop-stable strongly connected edge set; on success build
-     the witness cycle: a closed walk from [start] covering every
-     obligation.  [stuck_ok i] holds when a cycle at [i] with no observable
-     change still counts as divergence (doomed + [P.stuck_is_divergent]). *)
-  let evaluate inst graph ~tracked ~stuck_ok nodes edges =
-    let reads =
-      List.fold_left
-        (fun acc (_, (e : edge)) ->
-          List.fold_left (fun acc c -> CS.add c acc) acc e.label.Enumerate.reads)
-        CS.empty edges
-    in
-    let all_read = List.for_all (fun c -> CS.mem c reads) tracked in
-    let obs_changes =
-      match nodes with
-      | [] -> false
-      | first :: rest ->
-        List.exists
-          (fun other ->
-            observable_differs inst graph.states.(first) graph.states.(other))
-          rest
-    in
-    let stuck = (not obs_changes) && List.for_all stuck_ok nodes in
-    if not (all_read && (obs_changes || stuck)) then None
-    else begin
-      let n = Array.length graph.states in
-      let adj = Array.make n [] in
-      List.iter
-        (fun (src, (e : edge)) -> adj.(src) <- (e.dst, e) :: adj.(src))
-        edges;
-      let path_entries path =
-        List.map (fun (e : edge) -> e.label.Enumerate.entry) path
-      in
-      let bfs ~src ~dst =
-        let prev = Array.make n None in
-        let seen = Array.make n false in
-        let q = Queue.create () in
-        seen.(src) <- true;
-        Queue.add src q;
-        while (not seen.(dst)) && not (Queue.is_empty q) do
-          let v = Queue.pop q in
-          List.iter
-            (fun ((w, e) : int * edge) ->
-              if not seen.(w) then begin
-                seen.(w) <- true;
-                prev.(w) <- Some (v, e);
-                Queue.add w q
-              end)
-            adj.(v)
-        done;
-        if not seen.(dst) then None
-        else begin
-          let rec build acc v =
-            match prev.(v) with None -> acc | Some (u, e) -> build (e :: acc) u
-          in
-          Some (build [] dst)
-        end
-      in
-      let start = List.hd nodes in
-      let loop_via (src, (e : edge)) =
-        match (bfs ~src:start ~dst:src, bfs ~src:e.dst ~dst:start) with
-        | Some p1, Some p2 -> Some (p1 @ [ e ] @ p2)
-        | _ -> None
-      in
-      let walk = ref [] in
-      let ok = ref true in
-      let append_loop edge =
-        match loop_via edge with
-        | Some l -> walk := !walk @ l
-        | None -> ok := false
-      in
-      (* (a) an observable-changing loop — or, for a stuck cycle, any loop
-         at all (so the walk is non-empty even with no tracked channels). *)
-      (if obs_changes then
-         match
-           List.find_opt
-             (fun other ->
-               observable_differs inst graph.states.(start) graph.states.(other))
-             nodes
-         with
-         | Some s2 -> (
-           match (bfs ~src:start ~dst:s2, bfs ~src:s2 ~dst:start) with
-           | Some p1, Some p2 -> walk := p1 @ p2
-           | _ -> ok := false)
-         | None -> ok := false
-       else
-         match List.find_opt (fun (src, _) -> src = start) edges with
-         | Some edge -> append_loop edge
-         | None -> ok := false);
-      (* (b) cover every tracked channel *)
-      let covered () =
-        List.fold_left
-          (fun acc (e : edge) ->
-            List.fold_left (fun acc c -> CS.add c acc) acc e.label.Enumerate.reads)
-          CS.empty !walk
-      in
-      List.iter
-        (fun c ->
-          if !ok && not (CS.mem c (covered ())) then begin
-            let reader =
-              List.find_opt
-                (fun (_, (e : edge)) ->
-                  List.exists (Engine.Channel.equal_id c) e.label.Enumerate.reads)
-                edges
-            in
-            match reader with Some edge -> append_loop edge | None -> ok := false
-          end)
-        tracked;
-      (* (c) clean every dropped channel; appended loops may add drops, so
-         iterate (bounded by the number of channels). *)
-      let rec fix_drops budget =
-        if !ok && budget > 0 then begin
-          let drops, cleans =
-            List.fold_left
-              (fun (d, k) (e : edge) ->
-                ( List.fold_left (fun d c -> CS.add c d) d e.label.Enumerate.drops,
-                  List.fold_left (fun k c -> CS.add c k) k e.label.Enumerate.cleans
-                ))
-              (CS.empty, CS.empty) !walk
-          in
-          let missing = CS.diff drops cleans in
-          if not (CS.is_empty missing) then begin
-            CS.iter
-              (fun c ->
-                let cleaner =
-                  List.find_opt
-                    (fun (_, (e : edge)) ->
-                      List.exists (Engine.Channel.equal_id c)
-                        e.label.Enumerate.cleans)
-                    edges
-                in
-                match cleaner with
-                | Some edge -> append_loop edge
-                | None -> ok := false)
-              missing;
-            fix_drops (budget - 1)
-          end
-        end
-      in
-      fix_drops (List.length tracked + 1);
-      let final_drops, final_cleans, final_reads =
-        List.fold_left
-          (fun (d, k, r) (e : edge) ->
-            ( List.fold_left (fun d c -> CS.add c d) d e.label.Enumerate.drops,
-              List.fold_left (fun k c -> CS.add c k) k e.label.Enumerate.cleans,
-              List.fold_left (fun r c -> CS.add c r) r e.label.Enumerate.reads ))
-          (CS.empty, CS.empty, CS.empty) !walk
-      in
-      if
-        !ok && !walk <> []
-        && CS.subset final_drops final_cleans
-        && List.for_all (fun c -> CS.mem c final_reads) tracked
-      then Some (start, path_entries !walk)
-      else None
-    end
-
-  (* Fixpoint: drop edges whose drops are not covered by clean reads in the
-     current edge set, then re-split into SCCs and recurse. *)
-  let rec search inst graph ~tracked ~stuck_ok edges =
-    let cleans =
-      List.fold_left
-        (fun acc (_, (e : edge)) ->
-          List.fold_left (fun acc c -> CS.add c acc) acc e.label.Enumerate.cleans)
-        CS.empty edges
-    in
-    let keep (_, (e : edge)) =
-      List.for_all (fun c -> CS.mem c cleans) e.label.Enumerate.drops
-    in
-    let kept = List.filter keep edges in
-    if List.length kept = List.length edges then
-      split_sccs inst graph ~tracked ~stuck_ok kept ~recurse:false
-    else split_sccs inst graph ~tracked ~stuck_ok kept ~recurse:true
-
-  and split_sccs inst graph ~tracked ~stuck_ok edges ~recurse =
-    if edges = [] then None
-    else begin
-      let n = Array.length graph.states in
-      let adj = Array.make n [] in
-      List.iter (fun (src, (e : edge)) -> adj.(src) <- e.dst :: adj.(src)) edges;
-      let comp, _ = Scc.tarjan n (fun i -> adj.(i)) in
-      let by_comp = Hashtbl.create 17 in
-      List.iter
-        (fun ((src, (e : edge)) as edge) ->
-          if comp.(src) = comp.(e.dst) then begin
-            let k = comp.(src) in
-            Hashtbl.replace by_comp k
-              (edge :: Option.value ~default:[] (Hashtbl.find_opt by_comp k))
-          end)
-        edges;
-      Hashtbl.fold
-        (fun _ comp_edges acc ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-            let nodes =
-              List.sort_uniq compare
-                (List.concat_map
-                   (fun (src, (e : edge)) -> [ src; e.dst ])
-                   comp_edges)
-            in
-            if recurse then search inst graph ~tracked ~stuck_ok comp_edges
-            else evaluate inst graph ~tracked ~stuck_ok nodes comp_edges)
-        by_comp None
-    end
-
   let analyze_graph inst graph =
-    let tracked = tracked_channels inst in
     let n = Array.length graph.states in
     let converged = Array.map (E.State.converged inst) graph.states in
     (* [can_converge.(i)]: some converged state is reachable from i over
@@ -398,60 +193,32 @@ module Make (P : Engine.Protocol.S) = struct
           end)
         radj.(v)
     done;
-    (* A fair cycle through a converged state is not divergence: restrict
-       the search to edges between non-converged states. *)
-    let all_edges =
-      List.concat
-        (List.init n (fun i ->
-             if converged.(i) then []
-             else
-               List.filter_map
-                 (fun (e : edge) ->
-                   if converged.(e.dst) then None else Some (i, e))
-                 graph.adjacency.(i)))
+    let fair =
+      Fair.make ~n ~tracked:(tracked_channels inst) ~out:(fun i f ->
+          List.iter (fun (e : edge) -> f e.dst e.label) graph.adjacency.(i))
     in
-    (* The doomed clause certifies "no converged state is reachable", which
-       a pruned or truncated graph cannot: a dropped edge might be the
-       escape route. *)
-    let stuck_ok i =
-      P.stuck_is_divergent
-      && (not graph.pruned)
-      && (not graph.truncated)
-      && not can_converge.(i)
+    let goal =
+      {
+        Fair.differs =
+          (fun a b -> observable_differs inst graph.states.(a) graph.states.(b));
+        (* The doomed clause certifies "no converged state is reachable",
+           which a pruned or truncated graph cannot: a dropped edge might
+           be the escape route. *)
+        stuck_ok =
+          (fun i ->
+            P.stuck_is_divergent
+            && (not graph.pruned)
+            && (not graph.truncated)
+            && not can_converge.(i));
+      }
     in
-    match split_sccs inst graph ~tracked ~stuck_ok all_edges ~recurse:true with
-    | Some (start, cycle) ->
-      let full_adj = Array.make n [] in
-      Array.iteri
-        (fun i es ->
-          full_adj.(i) <-
-            List.map (fun (e : edge) -> (e.dst, e.label.Enumerate.entry)) es)
-        graph.adjacency;
-      let prev = Array.make n None in
-      let seen = Array.make n false in
-      let bq = Queue.create () in
-      seen.(0) <- true;
-      Queue.add 0 bq;
-      while (not seen.(start)) && not (Queue.is_empty bq) do
-        let v = Queue.pop bq in
-        List.iter
-          (fun (w, entry) ->
-            if not seen.(w) then begin
-              seen.(w) <- true;
-              prev.(w) <- Some (v, entry);
-              Queue.add w bq
-            end)
-          full_adj.(v)
-      done;
-      if not seen.(start) then Unknown "cycle start unreachable (internal error)"
-      else begin
-        let rec build acc v =
-          match prev.(v) with
-          | None -> acc
-          | Some (u, entry) -> build (entry :: acc) u
-        in
-        Diverges { prefix = build [] start; cycle }
-      end
+    (* A fair cycle through a converged state is not divergence: search
+       only the edges between non-converged states. *)
+    match Fair.find ~live:(fun i -> not converged.(i)) fair goal with
+    | Some (start, cycle) -> (
+      match Fair.prefix fair start with
+      | Some prefix -> Diverges { prefix; cycle }
+      | None -> Unknown "cycle start unreachable (internal error)")
     | None ->
       if graph.pruned then Unknown "channel bound pruned some writes"
       else if graph.truncated then Unknown "state limit reached"

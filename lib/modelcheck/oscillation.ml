@@ -29,277 +29,24 @@ let pi_differs inst a b =
     (fun v -> not (Spp.Arena.equal (State.pi_id a v) (State.pi_id b v)))
     (Instance.nodes inst)
 
-(* BFS path in a restricted edge set; returns the entries along a path from
-   [src] to [dst] ([] if src = dst). *)
-let bfs_path adj ~src ~dst =
-  let n = Array.length adj in
-  let prev = Array.make n None in
-  let seen = Array.make n false in
-  let q = Queue.create () in
-  seen.(src) <- true;
-  Queue.add src q;
-  let found = ref (src = dst) in
-  while (not !found) && not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    List.iter
-      (fun ((w, entry) : int * Activation.t) ->
-        if not seen.(w) then begin
-          seen.(w) <- true;
-          prev.(w) <- Some (v, entry);
-          if w = dst then found := true;
-          Queue.add w q
-        end)
-      adj.(v)
-  done;
-  if not seen.(dst) then None
-  else begin
-    let rec build acc v =
-      match prev.(v) with
-      | None -> acc
-      | Some (u, entry) -> build (entry :: acc) u
-    in
-    Some (build [] dst)
-  end
-
-(* Check one strongly connected edge set; on success build the witness
-   cycle: a closed walk from [start] covering every edge. *)
-let evaluate inst graph ~tracked nodes edges =
-  let module CS = Set.Make (struct
-    type t = Channel.id
-
-    let compare = Channel.compare_id
-  end) in
-  let union f =
-    List.fold_left
-      (fun acc (_, (e : Explore.edge)) ->
-        List.fold_left (fun acc c -> CS.add c acc) acc (f e.Explore.label))
-      CS.empty edges
-  in
-  let reads = union (fun l -> l.Enumerate.reads) in
-  let all_read = List.for_all (fun c -> CS.mem c reads) tracked in
-  let pi_changes =
-    match nodes with
-    | [] -> false
-    | first :: rest ->
-      List.exists
-        (fun other ->
-          pi_differs inst graph.Explore.states.(first) graph.Explore.states.(other))
-        rest
-  in
-  if not (all_read && pi_changes) then None
-  else begin
-    (* Build a SMALL closed walk from a start node that (a) passes through
-       two states with different path assignments, (b) reads every tracked
-       channel, and (c) cleans every channel it drops on.  The walk is
-       assembled from loops anchored at the start node; each loop visits one
-       required edge. *)
-    let n = Array.length graph.Explore.states in
-    let adj = Array.make n [] in
-    List.iter
-      (fun (src, (e : Explore.edge)) -> adj.(src) <- (e.Explore.dst, e) :: adj.(src))
-      edges;
-    let entry_of (e : Explore.edge) = e.Explore.label.Enumerate.entry in
-    let path_entries path = List.map (fun (e : Explore.edge) -> entry_of e) path in
-    (* BFS returning the edges along a path. *)
-    let bfs ~src ~dst =
-      let prev = Array.make n None in
-      let seen = Array.make n false in
-      let q = Queue.create () in
-      seen.(src) <- true;
-      Queue.add src q;
-      while (not seen.(dst)) && not (Queue.is_empty q) do
-        let v = Queue.pop q in
+let analyze_graph ?metrics inst graph =
+  let states = graph.Explore.states in
+  let fair =
+    Fair.make ~n:(Array.length states) ~tracked:(tracked_channels inst)
+      ~out:(fun i f ->
         List.iter
-          (fun ((w, e) : int * Explore.edge) ->
-            if not seen.(w) then begin
-              seen.(w) <- true;
-              prev.(w) <- Some (v, e);
-              Queue.add w q
-            end)
-          adj.(v)
-      done;
-      if not seen.(dst) then None
-      else begin
-        let rec build acc v =
-          match prev.(v) with None -> acc | Some (u, e) -> build (e :: acc) u
-        in
-        Some (build [] dst)
-      end
-    in
-    let start = List.hd nodes in
-    (* A loop from start visiting a given edge. *)
-    let loop_via (src, (e : Explore.edge)) =
-      match (bfs ~src:start ~dst:src, bfs ~src:e.Explore.dst ~dst:start) with
-      | Some p1, Some p2 -> Some (p1 @ [ e ] @ p2)
-      | _ -> None
-    in
-    let module CS = Set.Make (struct
-      type t = Channel.id
-
-      let compare = Channel.compare_id
-    end) in
-    let walk = ref [] in
-    let ok = ref true in
-    let append_loop edge =
-      match loop_via edge with
-      | Some l -> walk := !walk @ l
-      | None -> ok := false
-    in
-    (* (a) a pi-changing loop *)
-    (match
-       List.find_opt
-         (fun other -> pi_differs inst graph.Explore.states.(start) graph.Explore.states.(other))
-         nodes
-     with
-    | Some s2 ->
-      (match (bfs ~src:start ~dst:s2, bfs ~src:s2 ~dst:start) with
-      | Some p1, Some p2 -> walk := p1 @ p2
-      | _ -> ok := false)
-    | None -> ok := false);
-    (* (b) cover every tracked channel *)
-    let covered () =
-      List.fold_left
-        (fun acc (e : Explore.edge) ->
-          List.fold_left (fun acc c -> CS.add c acc) acc e.Explore.label.Enumerate.reads)
-        CS.empty !walk
-    in
-    List.iter
-      (fun c ->
-        if !ok && not (CS.mem c (covered ())) then begin
-          let reader =
-            List.find_opt
-              (fun (_, (e : Explore.edge)) ->
-                List.exists (Channel.equal_id c) e.Explore.label.Enumerate.reads)
-              edges
-          in
-          match reader with Some edge -> append_loop edge | None -> ok := false
-        end)
-      tracked;
-    (* (c) clean every dropped channel; appended loops may add drops, so
-       iterate (bounded by the number of channels). *)
-    let rec fix_drops budget =
-      if !ok && budget > 0 then begin
-        let drops, cleans =
-          List.fold_left
-            (fun (d, k) (e : Explore.edge) ->
-              ( List.fold_left (fun d c -> CS.add c d) d e.Explore.label.Enumerate.drops,
-                List.fold_left (fun k c -> CS.add c k) k e.Explore.label.Enumerate.cleans ))
-            (CS.empty, CS.empty) !walk
-        in
-        let missing = CS.diff drops cleans in
-        if not (CS.is_empty missing) then begin
-          CS.iter
-            (fun c ->
-              let cleaner =
-                List.find_opt
-                  (fun (_, (e : Explore.edge)) ->
-                    List.exists (Channel.equal_id c) e.Explore.label.Enumerate.cleans)
-                  edges
-              in
-              match cleaner with Some edge -> append_loop edge | None -> ok := false)
-            missing;
-          fix_drops (budget - 1)
-        end
-      end
-    in
-    fix_drops (List.length tracked + 1);
-    (* Safety: the walk must be self-consistent before it is returned. *)
-    let final_drops, final_cleans, final_reads =
-      List.fold_left
-        (fun (d, k, r) (e : Explore.edge) ->
-          ( List.fold_left (fun d c -> CS.add c d) d e.Explore.label.Enumerate.drops,
-            List.fold_left (fun k c -> CS.add c k) k e.Explore.label.Enumerate.cleans,
-            List.fold_left (fun r c -> CS.add c r) r e.Explore.label.Enumerate.reads ))
-        (CS.empty, CS.empty, CS.empty) !walk
-    in
-    if
-      !ok
-      && CS.subset final_drops final_cleans
-      && List.for_all (fun c -> CS.mem c final_reads) tracked
-    then Some (start, path_entries !walk)
-    else None
-  end
-
-(* Fixpoint: drop edges whose drops are not covered by clean reads in the
-   current edge set, then re-split into SCCs and recurse. *)
-let rec search inst graph ~tracked edges =
-  let module CS = Set.Make (struct
-    type t = Channel.id
-
-    let compare = Channel.compare_id
-  end) in
-  let cleans =
-    List.fold_left
-      (fun acc (_, (e : Explore.edge)) ->
-        List.fold_left (fun acc c -> CS.add c acc) acc e.Explore.label.Enumerate.cleans)
-      CS.empty edges
+          (fun (e : Explore.edge) -> f e.Explore.dst e.Explore.label)
+          graph.Explore.adjacency.(i))
   in
-  let keep (_, (e : Explore.edge)) =
-    List.for_all (fun c -> CS.mem c cleans) e.Explore.label.Enumerate.drops
+  let goal =
+    {
+      Fair.differs = (fun a b -> pi_differs inst states.(a) states.(b));
+      stuck_ok = (fun _ -> false);
+    }
   in
-  let kept = List.filter keep edges in
-  if List.length kept = List.length edges then
-    (* Stable: re-check strong connectivity then evaluate. *)
-    split_sccs inst graph ~tracked kept ~recurse:false
-  else split_sccs inst graph ~tracked kept ~recurse:true
-
-and split_sccs inst graph ~tracked edges ~recurse =
-  (* Restrict to the nodes touched by [edges], split into SCCs, and process
-     each SCC's internal edges. *)
-  if edges = [] then None
-  else begin
-    let n = Array.length graph.Explore.states in
-    let adj = Array.make n [] in
-    List.iter (fun (src, (e : Explore.edge)) -> adj.(src) <- e.Explore.dst :: adj.(src)) edges;
-    let comp, _ = Scc.tarjan n (fun i -> adj.(i)) in
-    (* Group internal edges by component. *)
-    let by_comp = Hashtbl.create 17 in
-    List.iter
-      (fun ((src, (e : Explore.edge)) as edge) ->
-        if comp.(src) = comp.(e.Explore.dst) then begin
-          let k = comp.(src) in
-          Hashtbl.replace by_comp k
-            (edge :: Option.value ~default:[] (Hashtbl.find_opt by_comp k))
-        end)
-      edges;
-    Hashtbl.fold
-      (fun _ comp_edges acc ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          let nodes =
-            List.sort_uniq compare
-              (List.concat_map
-                 (fun (src, (e : Explore.edge)) -> [ src; e.Explore.dst ])
-                 comp_edges)
-          in
-          if recurse then search inst graph ~tracked comp_edges
-          else
-            (* The edge set is drop-stable; evaluate, and if evaluation
-               fails there is nothing smaller to try for this component. *)
-            evaluate inst graph ~tracked nodes comp_edges)
-      by_comp None
-  end
-
-let analyze_graph inst graph =
-  let tracked = tracked_channels inst in
-  let all_edges =
-    List.concat
-      (List.init (Array.length graph.Explore.adjacency) (fun i ->
-           List.map (fun e -> (i, e)) graph.Explore.adjacency.(i)))
-  in
-  match split_sccs inst graph ~tracked all_edges ~recurse:true with
-  | Some (start, cycle) ->
-    let n = Array.length graph.Explore.states in
-    let full_adj = Array.make n [] in
-    Array.iteri
-      (fun i es ->
-        full_adj.(i) <-
-          List.map
-            (fun (e : Explore.edge) -> (e.Explore.dst, e.Explore.label.Enumerate.entry))
-            es)
-      graph.Explore.adjacency;
-    (match bfs_path full_adj ~src:0 ~dst:start with
+  match Fair.find ?metrics fair goal with
+  | Some (start, cycle) -> (
+    match Fair.prefix fair start with
     | Some prefix -> Oscillates { prefix; cycle }
     | None -> Unknown "cycle start unreachable (internal error)")
   | None ->
@@ -347,7 +94,7 @@ let cycle_fair_from inst state cycle =
 
 let analyze ?config ?reduction ?domains ?metrics inst model =
   let graph = Explore.explore ?config ?reduction ?domains ?metrics inst model in
-  Metrics.timed ?m:metrics "analyze" (fun () -> analyze_graph inst graph)
+  Metrics.timed ?m:metrics "analyze" (fun () -> analyze_graph ?metrics inst graph)
 
 let analyze_hetero ?config ?reduction ?domains ?metrics inst hetero =
   (* The symmetry quotient requires one model everywhere: an automorphism
@@ -371,7 +118,7 @@ let analyze_hetero ?config ?reduction ?domains ?metrics inst hetero =
           Explore.collapse_state (Model.make Model.Reliable Model.N_every Model.M_all) st
         else st)
   in
-  Metrics.timed ?m:metrics "analyze" (fun () -> analyze_graph inst graph)
+  Metrics.timed ?m:metrics "analyze" (fun () -> analyze_graph ?metrics inst graph)
 
 let verify_witness_generic ?max_steps ~valid inst w =
   let max_steps =

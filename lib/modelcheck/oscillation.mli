@@ -21,10 +21,15 @@ type verdict =
 val pp_verdict : Format.formatter -> verdict -> unit
 val verdict_name : verdict -> string
 
-val analyze_graph : Spp.Instance.t -> Explore.graph -> verdict
+val tracked_channels : Spp.Instance.t -> Engine.Channel.id list
+(** The channels a fair execution must read: every channel except those
+    into the destination, in instance order. *)
+
+val analyze_graph : ?metrics:Engine.Metrics.t -> Spp.Instance.t -> Explore.graph -> verdict
 (** The verdict of an already-explored bounded state graph; lets callers
     reuse one exploration for several analyses (and benchmark the phases
-    separately). *)
+    separately).  The search is {!Fair.find}; with [metrics] its split
+    and edge counters are recorded. *)
 
 val analyze :
   ?config:Explore.config ->
@@ -36,7 +41,7 @@ val analyze :
   verdict
 (** [reduction]/[domains]/[metrics] are forwarded to {!Explore.explore};
     with [metrics] the graph analysis is additionally timed as an
-    "analyze" phase.  Both reductions preserve the verdict of a clean
+    "analyze" phase and counted ({!Engine.Metrics.fair_splits}).  Both reductions preserve the verdict of a clean
     (unpruned, untruncated) exploration; when the exact run prunes at the
     channel bound, a reduced run may additionally reach a definitive
     verdict, because POR's representative executions drain messages

@@ -29,33 +29,21 @@ end)
 
 type termination = Prefix | Forever
 
-let tracked_channels inst =
-  List.filter_map
-    (fun (src, dst) ->
-      if dst = Instance.dest inst then None else Some (Channel.id ~src ~dst))
-    (Instance.channels inst)
-
 (* Is there a fair infinite continuation from [start] along which the path
    assignment never changes?  Explore the subgraph of states sharing the
    assignment and look for a strongly connected edge set that reads every
-   tracked channel and cleans every channel it drops on (as in
-   {!Oscillation}, but with constant instead of changing assignments). *)
+   tracked channel and cleans every channel it drops on ({!Fair.find}, as
+   in {!Oscillation}, but with constant instead of changing assignments). *)
 let fair_constant_continuation config inst model start =
   let assignment = State.assignment inst start in
-  let module CS = Set.Make (struct
-    type t = Channel.id
-
-    let compare = Channel.compare_id
-  end) in
   let index = StateTbl.create 64 in
-  let states = ref [] and n_states = ref 0 in
+  let n_states = ref 0 in
   let intern st =
     match StateTbl.find_opt index st with
     | Some i -> (i, false)
     | None ->
       let i = !n_states in
       StateTbl.add index st i;
-      states := st :: !states;
       incr n_states;
       (i, true)
   in
@@ -85,57 +73,18 @@ let fair_constant_continuation config inst model start =
         end)
       (Enumerate.successors inst model st)
   done;
-  if !quiescent_found then true
-  else begin
-  let tracked = tracked_channels inst in
-  (* Fixpoint: drop edges with uncovered drops, split into SCCs, test. *)
-  let rec satisfiable edges =
-    if edges = [] then false
-    else begin
-      let cleans =
-        List.fold_left
-          (fun acc (_, _, (l : Enumerate.labeled)) ->
-            List.fold_left (fun acc c -> CS.add c acc) acc l.Enumerate.cleans)
-          CS.empty edges
-      in
-      let kept =
-        List.filter
-          (fun (_, _, (l : Enumerate.labeled)) ->
-            List.for_all (fun c -> CS.mem c cleans) l.Enumerate.drops)
-          edges
-      in
-      let stable = List.length kept = List.length edges in
-      let n = !n_states in
-      let adj = Array.make n [] in
-      List.iter (fun (i, j, _) -> adj.(i) <- j :: adj.(i)) kept;
-      let comp, _ = Scc.tarjan n (fun i -> adj.(i)) in
-      let internal = List.filter (fun (i, j, _) -> comp.(i) = comp.(j)) kept in
-      let by_comp = Hashtbl.create 7 in
-      List.iter
-        (fun ((i, _, _) as e) ->
-          Hashtbl.replace by_comp comp.(i)
-            (e :: Option.value ~default:[] (Hashtbl.find_opt by_comp comp.(i))))
-        internal;
-      Hashtbl.fold
-        (fun _ comp_edges found ->
-          found
-          ||
-          if stable && List.length comp_edges = List.length edges then begin
-            (* Single stable component: evaluate the fairness conditions. *)
-            let reads =
-              List.fold_left
-                (fun acc (_, _, (l : Enumerate.labeled)) ->
-                  List.fold_left (fun acc c -> CS.add c acc) acc l.Enumerate.reads)
-                CS.empty comp_edges
-            in
-            List.for_all (fun c -> CS.mem c reads) tracked
-          end
-          else satisfiable comp_edges)
-        by_comp false
-    end
+  !quiescent_found
+  ||
+  let adj = Array.make !n_states [] in
+  List.iter (fun (i, j, l) -> adj.(i) <- (j, l) :: adj.(i)) !edges;
+  let fair =
+    Fair.make ~n:!n_states ~tracked:(Oscillation.tracked_channels inst) ~out:(fun i f ->
+        List.iter (fun (j, l) -> f j l) adj.(i))
   in
-  satisfiable !edges
-  end
+  (* Every state shares the assignment, so no cycle changes it: accept any
+     drop-stable component that reads every tracked channel. *)
+  Option.is_some
+    (Fair.find fair { Fair.differs = (fun _ _ -> false); stuck_ok = (fun _ -> true) })
 
 let realizable ?(config = Explore.default_config) ?(termination = Prefix) inst model level
     ~target =

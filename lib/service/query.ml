@@ -37,7 +37,10 @@ let compute_check ?metrics ?checkpoint ?resume inst model
   let graph =
     Modelcheck.Explore.explore ~config ?metrics ?checkpoint ?resume inst model
   in
-  let verdict = Modelcheck.Oscillation.analyze_graph inst graph in
+  let verdict =
+    Engine.Metrics.timed ?m:metrics "analyze" (fun () ->
+        Modelcheck.Oscillation.analyze_graph ?metrics inst graph)
+  in
   let edges =
     Array.fold_left (fun n es -> n + List.length es) 0 graph.adjacency
   in
@@ -55,7 +58,9 @@ let compute_check ?metrics ?checkpoint ?resume inst model
               ("prefix", num (List.length w.prefix));
               ("cycle", num (List.length w.cycle));
               ( "replays",
-                Json.Bool (Modelcheck.Oscillation.verify_witness inst model w) );
+                Json.Bool
+                  (Engine.Metrics.timed ?m:metrics "witness" (fun () ->
+                       Modelcheck.Oscillation.verify_witness inst model w)) );
             ] );
       ]
   in

@@ -44,7 +44,10 @@ val compute_check :
     (verdict, witness shape and replay check, state/edge counts,
     pruned/truncated flags).  Deterministic: domain counts, resume and
     checkpoints do not change the result.  The uncached reference the
-    bench and the smoke gate compare daemon responses against. *)
+    bench and the smoke gate compare daemon responses against.  With
+    [metrics], the phases "explore", "analyze" and "witness" (replay of an
+    oscillation witness) are timed and the fair-cycle counters filled;
+    the result does not depend on it. *)
 
 val check :
   t ->

@@ -443,6 +443,15 @@ let test_query_memoized () =
   in
   Alcotest.(check string) "matches compute_check reference" cold
     (Json.to_string (Query.compute_check inst (model "R1O") config));
+  (* With metrics: the same bytes, and the analysis and witness replay
+     show up as phases beside exploration. *)
+  let metrics = Engine.Metrics.create () in
+  Alcotest.(check string) "metrics leave the result unchanged" cold
+    (Json.to_string (Query.compute_check ~metrics inst (model "R1O") config));
+  Alcotest.(check (list string)) "phases" [ "explore"; "analyze"; "witness" ]
+    (List.map fst (Engine.Metrics.phases metrics));
+  Alcotest.(check bool) "fair-cycle counters filled" true
+    (Engine.Metrics.fair_splits metrics > 0);
   (* Unknown job id surfaces as a typed error end to end. *)
   let jobs =
     match Jobs.create ~store:s with
