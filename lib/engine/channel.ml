@@ -2,8 +2,13 @@ type id = { src : Spp.Path.node; dst : Spp.Path.node }
 
 let id ~src ~dst = { src; dst }
 let reverse c = { src = c.dst; dst = c.src }
-let compare_id (a : id) b = compare a b
-let equal_id (a : id) b = a = b
+(* Field by field with [Int.compare]: the order of polymorphic [compare]
+   on the record, without a [caml_compare] call per [Map] step. *)
+let compare_id (a : id) b =
+  let c = Int.compare a.src b.src in
+  if c <> 0 then c else Int.compare a.dst b.dst
+
+let equal_id (a : id) b = Int.equal a.src b.src && Int.equal a.dst b.dst
 
 let pp_id inst ppf c =
   Fmt.pf ppf "(%s,%s)" (Spp.Instance.name inst c.src) (Spp.Instance.name inst c.dst)
@@ -18,7 +23,7 @@ type contents = Spp.Arena.id list
 type t = contents Map.t
 
 let empty = Map.empty
-let get t c = match Map.find_opt c t with Some l -> l | None -> []
+let get t c = match Map.find c t with l -> l | exception Not_found -> []
 let get_paths t c = List.map Spp.Arena.path (get t c)
 let length t c = List.length (get t c)
 

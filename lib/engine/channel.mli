@@ -15,6 +15,9 @@ type id = { src : Spp.Path.node; dst : Spp.Path.node }
 val id : src:Spp.Path.node -> dst:Spp.Path.node -> id
 val reverse : id -> id
 val compare_id : id -> id -> int
+(** Lexicographic by [src], then [dst]: the order [Stdlib.compare] gives,
+    computed with integer comparisons only. *)
+
 val equal_id : id -> id -> bool
 val pp_id : Spp.Instance.t -> Format.formatter -> id -> unit
 

@@ -6,6 +6,7 @@ type t = {
   states_interned : int Atomic.t;
   dedup_hits : int Atomic.t;
   edges : int Atomic.t;
+  enumerations : int Atomic.t;
   pruned_writes : int Atomic.t;
   truncated_interns : int Atomic.t;
   ample_states : int Atomic.t;
@@ -26,6 +27,7 @@ let create () =
     states_interned = Atomic.make 0;
     dedup_hits = Atomic.make 0;
     edges = Atomic.make 0;
+    enumerations = Atomic.make 0;
     pruned_writes = Atomic.make 0;
     truncated_interns = Atomic.make 0;
     ample_states = Atomic.make 0;
@@ -45,6 +47,7 @@ let add counter n = ignore (Atomic.fetch_and_add counter n)
 let incr_interned t = add t.states_interned 1
 let incr_dedup t = add t.dedup_hits 1
 let add_edges t n = add t.edges n
+let add_enumerations t n = add t.enumerations n
 let incr_pruned t = add t.pruned_writes 1
 let incr_truncated t = add t.truncated_interns 1
 
@@ -84,6 +87,7 @@ let observe_frontier t n =
 let states_interned t = Atomic.get t.states_interned
 let dedup_hits t = Atomic.get t.dedup_hits
 let edges t = Atomic.get t.edges
+let enumerations t = Atomic.get t.enumerations
 let pruned_writes t = Atomic.get t.pruned_writes
 let truncated_interns t = Atomic.get t.truncated_interns
 let ample_states t = Atomic.get t.ample_states
@@ -347,6 +351,7 @@ let to_json t =
       ("dedup_hits", Json.Num (float_of_int (dedup_hits t)));
       ("dedup_rate", Json.Num (dedup_rate t));
       ("edges", Json.Num (float_of_int (edges t)));
+      ("enumerations", Json.Num (float_of_int (enumerations t)));
       ("pruned_writes", Json.Num (float_of_int (pruned_writes t)));
       ("truncated_interns", Json.Num (float_of_int (truncated_interns t)));
       ("ample_states", Json.Num (float_of_int (ample_states t)));

@@ -19,6 +19,12 @@ val incr_dedup : t -> unit
 (** A successor state was already interned (dedup hit). *)
 
 val add_edges : t -> int -> unit
+
+val add_enumerations : t -> int -> unit
+(** Entry lists computed by the successor enumerator's memo (misses); a
+    hit costs nothing here.  Deterministic for a given exploration, so
+    tests can pin it. *)
+
 val incr_pruned : t -> unit
 (** A successor was discarded because a channel exceeded the bound. *)
 
@@ -72,6 +78,7 @@ val set_domains : t -> int -> unit
 val states_interned : t -> int
 val dedup_hits : t -> int
 val edges : t -> int
+val enumerations : t -> int
 val pruned_writes : t -> int
 val truncated_interns : t -> int
 val ample_states : t -> int

@@ -59,13 +59,15 @@ let initial inst =
     max_occ = 0;
   }
 
-let find_i k m = match IMap.find_opt k m with Some p -> p | None -> Arena.epsilon
+(* [find] with a handler rather than [find_opt]: a hit allocates no
+   [Some], and these lookups run several times per explored edge. *)
+let find_i k m = match IMap.find k m with p -> p | exception Not_found -> Arena.epsilon
 
 let pi_id t v = find_i v t.pi
 let announced_id t v = find_i v t.ann
 
 let rho_id t c =
-  match Channel.Map.find_opt c t.rho with Some p -> p | None -> Arena.epsilon
+  match Channel.Map.find c t.rho with p -> p | exception Not_found -> Arena.epsilon
 
 let pi t v = Arena.path (pi_id t v)
 let announced t v = Arena.path (announced_id t v)
@@ -73,6 +75,7 @@ let rho t c = Arena.path (rho_id t c)
 
 let channels t = t.chans
 let rho_bindings_id t = Channel.Map.bindings t.rho
+let fold_rho_id f t acc = Channel.Map.fold f t.rho acc
 let rho_bindings t = List.map (fun (c, p) -> (c, Arena.path p)) (rho_bindings_id t)
 
 let assignment inst t = Assignment.make inst (fun v -> pi t v)
@@ -128,7 +131,7 @@ let push_channel t c msg =
   in
   {
     t with
-    chans = Channel.push t.chans c msg;
+    chans = Channel.Map.add c (old @ [ msg ]) t.chans;
     dig_chans;
     max_occ = max t.max_occ (List.length old + 1);
   }
@@ -140,8 +143,11 @@ let drop_first_channel t c i =
     | [] -> t
     | old ->
       let old_len = List.length old in
-      let chans = Channel.drop_first t.chans c i in
-      let kept = Channel.get chans c in
+      let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: l -> drop (n - 1) l in
+      let kept = drop i old in
+      let chans =
+        match kept with [] -> Channel.Map.remove c t.chans | _ -> Channel.Map.add c kept t.chans
+      in
       let dig_chans =
         t.dig_chans lxor h_chan c old
         lxor (match kept with [] -> 0 | _ -> h_chan c kept)
@@ -163,22 +169,22 @@ let debug_occupancy_ok t = t.max_occ = Channel.max_occupancy t.chans
 let best_choice_id inst t v =
   if v = Instance.dest inst then Instance.trivial_id inst
   else
-    let best =
-      List.fold_left
-        (fun acc u ->
-          let r = rho_id t (Channel.id ~src:u ~dst:v) in
-          if Arena.is_epsilon r then acc
-          else
-            match Instance.permitted_extension inst v r with
-            | None -> acc
-            | Some (pid, rank) ->
-              (match acc with
-              | Some (_, s, _) when s < rank -> acc
-              | Some (_, s, w) when s = rank && w < u -> acc
-              | _ -> Some (pid, rank, u)))
-        None (Instance.neighbors inst v)
+    (* The best candidate so far is carried unboxed ([best] is epsilon
+       while there is none): lowest rank first, then lowest neighbor. *)
+    let rec go best best_rank best_u = function
+      | [] -> best
+      | u :: rest -> (
+        let r = rho_id t (Channel.id ~src:u ~dst:v) in
+        if Arena.is_epsilon r then go best best_rank best_u rest
+        else
+          match Instance.permitted_extension inst v r with
+          | Some (pid, rank)
+            when Arena.is_epsilon best || rank < best_rank
+                 || (rank = best_rank && u <= best_u) ->
+            go pid rank u rest
+          | _ -> go best best_rank best_u rest)
     in
-    match best with None -> Arena.epsilon | Some (pid, _, _) -> pid
+    go Arena.epsilon 0 0 (Instance.neighbors inst v)
 
 let best_choice inst t v = Arena.path (best_choice_id inst t v)
 
@@ -190,13 +196,33 @@ let is_quiescent inst t =
          Arena.equal p (pi_id t v) && Arena.equal p (announced_id t v))
        (Instance.nodes inst)
 
+(* Map equality without [Map.equal]: its enumerators allocate a cell per
+   visited node, and [equal] runs on every dedup hit of the explorers'
+   intern tables.  Equal cardinality plus "every binding of [a] is bound
+   equally in [b]" is the same relation and allocates only the closure. *)
+let imap_equal eq a b =
+  a == b
+  || IMap.cardinal a = IMap.cardinal b
+     && IMap.for_all
+          (fun k v -> match IMap.find k b with w -> eq v w | exception Not_found -> false)
+          a
+
+let cmap_equal eq a b =
+  a == b
+  || Channel.Map.cardinal a = Channel.Map.cardinal b
+     && Channel.Map.for_all
+          (fun k v ->
+            match Channel.Map.find k b with w -> eq v w | exception Not_found -> false)
+          a
+
 let equal (a : t) b =
-  a.dig_core = b.dig_core
-  && a.dig_chans = b.dig_chans
-  && IMap.equal Arena.equal a.pi b.pi
-  && Channel.Map.equal Arena.equal a.rho b.rho
-  && IMap.equal Arena.equal a.ann b.ann
-  && Channel.Map.equal (List.equal Arena.equal) a.chans b.chans
+  a == b
+  || a.dig_core = b.dig_core
+     && a.dig_chans = b.dig_chans
+     && imap_equal Arena.equal a.pi b.pi
+     && cmap_equal Arena.equal a.rho b.rho
+     && imap_equal Arena.equal a.ann b.ann
+     && cmap_equal (fun v w -> v == w || List.equal Arena.equal v w) a.chans b.chans
 
 let compare (a : t) b =
   let c = IMap.compare Arena.compare a.pi b.pi in

@@ -32,6 +32,10 @@ val rho_bindings : t -> (Channel.id * Spp.Path.t) list
 
 val rho_bindings_id : t -> (Channel.id * Spp.Arena.id) list
 
+val fold_rho_id : (Channel.id -> Spp.Arena.id -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the non-epsilon known routes in channel order, without
+    building {!rho_bindings_id}'s list. *)
+
 val assignment : Spp.Instance.t -> t -> Spp.Assignment.t
 (** The π component as an assignment. *)
 

@@ -38,31 +38,22 @@ let apply ?(check = true) ?(export = export_all) inst state (entry : Activation.
         in
         if i = 0 then st
         else begin
-          let kept =
-            (* Largest index j in 1..i with j not dropped; messages are
-               1-based, [contents] is oldest-first. *)
-            let rec scan best j = function
-              | [] -> best
-              | msg :: rest ->
-                if j > i then best
-                else
-                  let best =
-                    if Activation.IntSet.mem j r.drops then best else Some msg
-                  in
-                  scan best (j + 1) rest
-            in
-            scan None 1 contents
+          (* One scan over the processed messages 1..i (1-based, [contents]
+             is oldest-first) finds the largest undropped index's message
+             and counts the dropped ones; [i <= m], so the list never runs
+             out first. *)
+          let rec scan kept n_dropped j = function
+            | msg :: rest when j <= i ->
+              if Activation.IntSet.mem j r.drops then scan kept (n_dropped + 1) (j + 1) rest
+              else scan msg n_dropped (j + 1) rest
+            | _ -> (kept, n_dropped)
           in
-          let n_dropped =
-            Activation.IntSet.cardinal
-              (Activation.IntSet.filter (fun j -> j >= 1 && j <= i) r.drops)
-          in
+          let kept, n_dropped = scan Arena.epsilon 0 1 contents in
           processed := (c, i) :: !processed;
           if n_dropped > 0 then dropped := (c, n_dropped) :: !dropped;
           let st =
-            match kept with
-            | Some msg -> State.with_rho_id st c msg
-            | None -> st (* all processed messages dropped: rho unchanged *)
+            if n_dropped = i then st (* all processed messages dropped: rho unchanged *)
+            else State.with_rho_id st c kept
           in
           State.drop_first_channel st c i
         end)

@@ -70,6 +70,27 @@ let rec product = function
     let tails = product rest in
     List.concat_map (fun o -> List.map (fun t -> o :: t) tails) opts
 
+(* One node's entries.  They depend on the node, its model and the
+   lengths of its required channels only: nothing else of the state is
+   read. *)
+let node_entries v (model : Model.t) required length =
+  let options_for c = read_options model c ~m:(length c) in
+  if required = [] then
+    (* The destination: activating it reads nothing.  Only one entry. *)
+    [ label v [] ]
+  else
+    match model.Model.nbr with
+    | Model.N_one ->
+      List.concat_map (fun c -> List.map (fun o -> label v [ o ]) (options_for c)) required
+    | Model.N_every -> List.map (label v) (product (List.map options_for required))
+    | Model.N_multi ->
+      (* Per channel: absent or one of its options.  The all-absent
+         combination is kept: it is a legal no-op activation. *)
+      let per_channel =
+        List.map (fun c -> None :: List.map Option.some (options_for c)) required
+      in
+      List.map (fun combo -> label v (List.filter_map Fun.id combo)) (product per_channel)
+
 (* The model-driven entry enumeration, parametric in where nodes, required
    channel sets and queue lengths come from: the SPP explorer instantiates
    it from an [Spp.Instance.t] and [Engine.State.t] (below); the generic
@@ -78,33 +99,80 @@ let rec product = function
    behavior (state numbering, checkpoint compatibility), so this extraction
    preserves it exactly. *)
 let successors_core ~nodes ~required ~length ~(model_of : int -> Model.t) =
-  List.concat_map
-    (fun v ->
-      let model = model_of v in
-      let options_for c = read_options model c ~m:(length c) in
-      let required = required v in
-      if required = [] then
-        (* The destination: activating it reads nothing.  Only one entry. *)
-        [ label v [] ]
-      else
-        match model.Model.nbr with
-        | Model.N_one ->
-          List.concat_map (fun c -> List.map (fun o -> label v [ o ]) (options_for c)) required
-        | Model.N_every ->
-          List.map (label v) (product (List.map options_for required))
-        | Model.N_multi ->
-          (* Per channel: absent or one of its options.  The all-absent
-             combination is kept: it is a legal no-op activation. *)
-          let per_channel =
-            List.map (fun c -> None :: List.map Option.some (options_for c)) required
-          in
-          List.map (fun combo -> label v (List.filter_map Fun.id combo)) (product per_channel))
-    nodes
+  List.concat_map (fun v -> node_entries v (model_of v) (required v) length) nodes
 
-let successors_with inst (model_of : Spp.Path.node -> Model.t) state =
-  let chans = Engine.State.channels state in
-  successors_core ~nodes:(Instance.nodes inst)
-    ~required:(Model.required_channels inst)
-    ~length:(Channel.length chans) ~model_of
+(* The memoised enumeration.  Since a node's entries are a function of its
+   in-channel lengths, each node keeps a map from the exact length vector
+   (in [required] order) to its entry list, and every state with that
+   vector shares one list — and so one [labeled] value per edge label.
 
-let successors inst (model : Model.t) state = successors_with inst (fun _ -> model) state
+   The map sits in an [Atomic] and grows by compare-and-set, so explorer
+   workers on several domains can share one memo: readers never lock, and
+   a writer that loses a race retries against the new map.  Two workers
+   may both compute a missing entry list; either result is the same
+   function of the key, so whichever lands is correct. *)
+module Lengths = Map.Make (struct
+  type t = int array
+
+  let compare (a : int array) b =
+    let n = Array.length a in
+    let c = Int.compare n (Array.length b) in
+    if c <> 0 then c
+    else
+      let rec go i =
+        if i = n then 0
+        else
+          let c = Int.compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
+          if c <> 0 then c else go (i + 1)
+      in
+      go 0
+end)
+
+type node_memo = {
+  v : int;
+  model : Model.t;
+  required : Channel.id array;
+  required_l : Channel.id list;
+  table : labeled list Lengths.t Atomic.t;
+}
+
+let memo ?metrics ~nodes ~required ~(model_of : int -> Model.t) () =
+  let memos =
+    List.map
+      (fun v ->
+        let required_l = required v in
+        {
+          v;
+          model = model_of v;
+          required = Array.of_list required_l;
+          required_l;
+          table = Atomic.make Lengths.empty;
+        })
+      nodes
+  in
+  let entries length m =
+    let key = Array.map length m.required in
+    let rec find () =
+      let table = Atomic.get m.table in
+      match Lengths.find key table with
+      | l -> l
+      | exception Not_found ->
+        let l = node_entries m.v m.model m.required_l length in
+        if Atomic.compare_and_set m.table table (Lengths.add key l table) then begin
+          (match metrics with Some t -> Metrics.add_enumerations t 1 | None -> ());
+          l
+        end
+        else find ()
+    in
+    find ()
+  in
+  fun length -> List.concat_map (entries length) memos
+
+let successors_with ?metrics inst (model_of : Spp.Path.node -> Model.t) =
+  let entries =
+    memo ?metrics ~nodes:(Instance.nodes inst) ~required:(Model.required_channels inst)
+      ~model_of ()
+  in
+  fun state -> entries (Channel.length (Engine.State.channels state))
+
+let successors ?metrics inst (model : Model.t) = successors_with ?metrics inst (fun _ -> model)

@@ -72,34 +72,33 @@ let collapse_state model st =
    (Instance.permitted_extension), so the projection is O(1) per route.  A
    cheap dirtiness pre-pass keeps the common all-relevant case free of the
    channel-map rebuild (and of the digest refold it would trigger). *)
+let relevant inst v (r : Spp.Arena.id) =
+  (not (Spp.Arena.is_epsilon r))
+  && Option.is_some (Spp.Instance.permitted_extension inst v r)
+
+let rec has_irrelevant inst v = function
+  | [] -> false
+  | r :: rest ->
+    ((not (Spp.Arena.is_epsilon r)) && not (relevant inst v r))
+    || has_irrelevant inst v rest
+
 let project_state inst st =
-  let relevant v (r : Spp.Arena.id) =
-    (not (Spp.Arena.is_epsilon r))
-    && Spp.Instance.permitted_extension inst v r <> None
-  in
   let st =
-    List.fold_left
-      (fun acc ((c : Channel.id), r) ->
-        if relevant c.Channel.dst r then acc
+    State.fold_rho_id
+      (fun (c : Channel.id) r acc ->
+        if relevant inst c.Channel.dst r then acc
         else State.with_rho_id acc c Spp.Arena.epsilon)
-      st (State.rho_bindings_id st)
+      st st
   in
   let chans = State.channels st in
-  let dirty =
-    Channel.Map.exists
-      (fun (c : Channel.id) msgs ->
-        List.exists
-          (fun r -> (not (Spp.Arena.is_epsilon r)) && not (relevant c.Channel.dst r))
-          msgs)
-      chans
-  in
-  if not dirty then st
+  let dirty (c : Channel.id) msgs = has_irrelevant inst c.Channel.dst msgs in
+  if not (Channel.Map.exists dirty chans) then st
   else
     State.with_channels st
       (Channel.Map.mapi
          (fun (c : Channel.id) msgs ->
            List.map
-             (fun r -> if relevant c.Channel.dst r then r else Spp.Arena.epsilon)
+             (fun r -> if relevant inst c.Channel.dst r then r else Spp.Arena.epsilon)
              msgs)
          chans)
 
@@ -130,7 +129,7 @@ module Spool = struct
     inst : Spp.Instance.t;
     head : (int * State.t) Queue.t;
     tail : (int * State.t) Queue.t;
-    mutable chunks : string list; (* oldest first *)
+    chunks : string Queue.t; (* spilled chunk files, oldest first *)
     mutable next_chunk : int;
     mutable count : int;
   }
@@ -158,7 +157,7 @@ module Spool = struct
       inst;
       head = Queue.create ();
       tail = Queue.create ();
-      chunks = [];
+      chunks = Queue.create ();
       next_chunk = 0;
       count = 0;
     }
@@ -177,14 +176,13 @@ module Spool = struct
       Snapshot.save_chunk ~path t.inst
         (List.rev (Queue.fold (fun acc x -> x :: acc) [] t.tail));
       Queue.clear t.tail;
-      t.chunks <- t.chunks @ [ path ]
+      Queue.add path t.chunks
     end
 
   let pop t =
     if Queue.is_empty t.head then begin
-      match t.chunks with
-      | path :: rest -> (
-        t.chunks <- rest;
+      match Queue.take_opt t.chunks with
+      | Some path -> (
         match Snapshot.load_chunk ~path t.inst with
         | Ok items ->
           Sys.remove path;
@@ -192,7 +190,7 @@ module Spool = struct
         | Error e ->
           failwith
             ("Explore: corrupt frontier chunk: " ^ Snapshot.error_to_string e))
-      | [] -> ()
+      | None -> ()
     end;
     let q = if Queue.is_empty t.head then t.tail else t.head in
     match Queue.take_opt q with
@@ -844,5 +842,5 @@ let explore ?config ?reduction ?domains ?spill ?frontier_spill ?metrics ?checkpo
     ?resume inst model =
   explore_with ?config ?reduction ?domains ?spill ?frontier_spill ?metrics ?checkpoint
     ?resume inst
-    ~successors:(Enumerate.successors inst model)
+    ~successors:(Enumerate.successors ?metrics inst model)
     ~collapse:(collapse_state model)

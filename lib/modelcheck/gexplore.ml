@@ -4,7 +4,7 @@
    [Make (P)] is {!Explore} + {!Oscillation} for any {!Engine.Protocol.S}:
    breadth-first exploration of the reachable state graph under a
    communication model (one canonical activation entry per observational
-   class, via {!Enumerate.successors_core}), channel-bound pruning and
+   class, via {!Enumerate.memo}), channel-bound pruning and
    state-count truncation exactly as in the SPP explorer, and the {!Fair}
    divergence search over drop-stable strongly connected edge sets.
 
@@ -93,15 +93,12 @@ module Make (P : Engine.Protocol.S) = struct
     let init = E.State.initial inst in
     (match intern init with Some _ -> () | None -> assert false);
     Queue.add (0, init) queue;
-    let required = P.in_channels inst in
-    let nodes = P.nodes inst in
+    let successors =
+      Enumerate.memo ~nodes:(P.nodes inst) ~required:(P.in_channels inst) ~model_of ()
+    in
     while not (Queue.is_empty queue) do
       let i, st = Queue.pop queue in
-      let succs =
-        Enumerate.successors_core ~nodes ~required
-          ~length:(E.State.channel_length st)
-          ~model_of
-      in
+      let succs = successors (E.State.channel_length st) in
       let edges =
         List.filter_map
           (fun (labeled : Enumerate.labeled) ->

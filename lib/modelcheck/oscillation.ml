@@ -112,7 +112,7 @@ let analyze_hetero ?config ?reduction ?domains ?metrics inst hetero =
   in
   let graph =
     Explore.explore_with ?config ?reduction ?domains ?metrics inst
-      ~successors:(Enumerate.successors_with inst (Hetero.model_of hetero))
+      ~successors:(Enumerate.successors_with ?metrics inst (Hetero.model_of hetero))
       ~collapse:(fun st ->
         if collapsible then
           Explore.collapse_state (Model.make Model.Reliable Model.N_every Model.M_all) st

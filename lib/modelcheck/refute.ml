@@ -34,7 +34,7 @@ type termination = Prefix | Forever
    assignment and look for a strongly connected edge set that reads every
    tracked channel and cleans every channel it drops on ({!Fair.find}, as
    in {!Oscillation}, but with constant instead of changing assignments). *)
-let fair_constant_continuation config inst model start =
+let fair_constant_continuation config inst successors start =
   let assignment = State.assignment inst start in
   let index = StateTbl.create 64 in
   let n_states = ref 0 in
@@ -71,7 +71,7 @@ let fair_constant_continuation config inst model start =
           end;
           edges := (i, j, l) :: !edges
         end)
-      (Enumerate.successors inst model st)
+      (successors st)
   done;
   !quiescent_found
   ||
@@ -95,6 +95,7 @@ let realizable ?(config = Explore.default_config) ?(termination = Prefix) inst m
   let init = State.initial inst in
   if not (Assignment.equal (assignment_of init) target.(0)) then
     invalid_arg "Refute.realizable: target must start with the initial assignment";
+  let successors = Enumerate.successors inst model in
   let seen = Tbl.create 1024 in
   let parent : (Key.t * Activation.t) Tbl.t = Tbl.create 1024 in
   (* Bucket queue keyed by target progress: exploring states that have
@@ -132,7 +133,7 @@ let realizable ?(config = Explore.default_config) ?(termination = Prefix) inst m
         match StateTbl.find_opt continuation_memo st with
         | Some b -> b
         | None ->
-          let b = fair_constant_continuation config inst model st in
+          let b = fair_constant_continuation config inst successors st in
           StateTbl.replace continuation_memo st b;
           b
       in
@@ -179,7 +180,7 @@ let realizable ?(config = Explore.default_config) ?(termination = Prefix) inst m
                 moves
             end
           end)
-        (Enumerate.successors inst model st)
+        (successors st)
     end
   done;
   match !accept with

@@ -1,3 +1,11 @@
+(* Arena ids are dense small integers, so they hash to themselves. *)
+module IdTbl = Hashtbl.Make (struct
+  type t = Arena.id
+
+  let equal = Arena.equal
+  let hash = Arena.hash
+end)
+
 type t = {
   size : int;
   names : string array;
@@ -7,13 +15,14 @@ type t = {
       (* per node, sorted by rank then by path; the destination's entry is
          [([d], 0)] *)
   trivial : Arena.id; (* id of the trivial path [dest] *)
-  rank_tbl : (Arena.id, int) Hashtbl.t array;
+  rank_tbl : int IdTbl.t array;
       (* per node: permitted path id -> rank; read-only after [build] *)
-  ext_tbl : (Arena.id, Arena.id * int) Hashtbl.t array;
+  ext_tbl : (Arena.id * int) option IdTbl.t array;
       (* per node v: route id r -> (id of v·r, rank of v·r) for every
          permitted v·r.  The key determines the value (v·r is one path),
          so lookups answer "is this extension permitted, and how good is
-         it" in O(1) on the engine's hottest operation. *)
+         it" in O(1) on the engine's hottest operation.  Values are stored
+         as the option the lookup returns, so a hit allocates nothing. *)
 }
 
 type error =
@@ -53,8 +62,8 @@ let channels t =
 let permitted t v = List.map fst t.ranked.(v)
 
 let trivial_id t = t.trivial
-let rank_id t v pid = Hashtbl.find_opt t.rank_tbl.(v) pid
-let is_permitted_id t v pid = Hashtbl.mem t.rank_tbl.(v) pid
+let rank_id t v pid = IdTbl.find_opt t.rank_tbl.(v) pid
+let is_permitted_id t v pid = IdTbl.mem t.rank_tbl.(v) pid
 
 let rank t v p =
   if Array.length t.rank_tbl = 0 then
@@ -64,7 +73,8 @@ let rank t v p =
 
 let is_permitted t v p = rank t v p <> None
 
-let permitted_extension t v rid = Hashtbl.find_opt t.ext_tbl.(v) rid
+let permitted_extension t v rid =
+  match IdTbl.find t.ext_tbl.(v) rid with o -> o | exception Not_found -> None
 
 let all_permitted t =
   List.concat_map (fun v -> List.map (fun (p, r) -> (v, p, r)) t.ranked.(v)) (nodes t)
@@ -162,18 +172,18 @@ let build ~names ~dest ~edges ~ranked_of_node =
   | [] ->
     (* Freeze the id-level lookup tables.  They are written only here and
        read-only afterwards, so sharing them across domains is safe. *)
-    let rank_tbl = Array.init size (fun _ -> Hashtbl.create 16) in
-    let ext_tbl = Array.init size (fun _ -> Hashtbl.create 16) in
+    let rank_tbl = Array.init size (fun _ -> IdTbl.create 16) in
+    let ext_tbl = Array.init size (fun _ -> IdTbl.create 16) in
     Array.iteri
       (fun v paths ->
         List.iter
           (fun (p, r) ->
             let pid = Arena.intern p in
-            if not (Hashtbl.mem rank_tbl.(v) pid) then Hashtbl.add rank_tbl.(v) pid r;
+            if not (IdTbl.mem rank_tbl.(v) pid) then IdTbl.add rank_tbl.(v) pid r;
             if not (Arena.is_epsilon (Arena.suffix pid)) then begin
               let tail = Arena.suffix pid in
-              if not (Hashtbl.mem ext_tbl.(v) tail) then
-                Hashtbl.add ext_tbl.(v) tail (pid, r)
+              if not (IdTbl.mem ext_tbl.(v) tail) then
+                IdTbl.add ext_tbl.(v) tail (Some (pid, r))
             end)
           paths)
       ranked;

@@ -616,6 +616,103 @@ let test_channel_ops () =
   Alcotest.(check bool) "reverse" true
     (Channel.equal_id (Channel.reverse c) (Channel.id ~src:2 ~dst:1))
 
+(* ------------------------------------------------------------------ *)
+(* Monomorphic channel keys and allocation-free state equality *)
+
+let prop_compare_id_sign =
+  QCheck2.Test.make ~name:"Channel.compare_id has the sign of Stdlib.compare" ~count:500
+    QCheck2.Gen.(
+      let node = oneof [ int_range (-3) 3; int ] in
+      quad node node node node)
+    (fun (a, b, c, d) ->
+      let x = Channel.id ~src:a ~dst:b and y = Channel.id ~src:c ~dst:d in
+      let sign n = Int.compare n 0 in
+      sign (Channel.compare_id x y) = sign (Stdlib.compare x y)
+      && Channel.equal_id x y = (Stdlib.compare x y = 0))
+
+(* Random mutator sequences over DISAGREE's nodes and channels, with a
+   small pool of routes (epsilon included, so bindings get removed too). *)
+type mutation =
+  | Pi of int * int
+  | Rho of int * int
+  | Ann of int * int
+  | Push of int * int
+  | Drop of int * int
+
+let gen_mutations =
+  QCheck2.Gen.(
+    let op =
+      let* k = int_range 0 4 and* a = int_range 0 5 and* b = int_range 0 5 in
+      return
+        (match k with
+        | 0 -> Pi (a, b)
+        | 1 -> Rho (a, b)
+        | 2 -> Ann (a, b)
+        | 3 -> Push (a, b)
+        | _ -> Drop (a, b mod 3))
+    in
+    list_size (int_range 0 25) op)
+
+let apply_mutations inst ops =
+  let nodes = Array.of_list (Instance.nodes inst) in
+  let chans =
+    Array.of_list (List.map (fun (u, v) -> Channel.id ~src:u ~dst:v) (Instance.channels inst))
+  in
+  let routes =
+    Array.of_list
+      (Arena.epsilon
+      :: List.map (fun (_, p, _) -> Arena.intern p) (Instance.all_permitted inst))
+  in
+  let node i = nodes.(i mod Array.length nodes)
+  and chan i = chans.(i mod Array.length chans)
+  and route i = routes.(i mod Array.length routes) in
+  List.fold_left
+    (fun st -> function
+      | Pi (a, b) -> State.with_pi_id st (node a) (route b)
+      | Rho (a, b) -> State.with_rho_id st (chan a) (route b)
+      | Ann (a, b) -> State.with_announced_id st (node a) (route b)
+      | Push (a, b) -> State.push_channel st (chan a) (route b)
+      | Drop (a, n) -> State.drop_first_channel st (chan a) n)
+    (State.initial inst) ops
+
+(* The same contents as [st], rebuilt in a different order: components in
+   reverse, and each queue behind a message that is then dropped. *)
+let rebuild inst st =
+  let rev_nodes = List.rev (Instance.nodes inst) in
+  let rev_chans =
+    List.rev_map (fun (u, v) -> Channel.id ~src:u ~dst:v) (Instance.channels inst)
+  in
+  let s = State.initial inst in
+  let s = List.fold_left (fun s v -> State.with_announced_id s v (State.announced_id st v)) s rev_nodes in
+  let s = List.fold_left (fun s c -> State.with_rho_id s c (State.rho_id st c)) s rev_chans in
+  let s = List.fold_left (fun s v -> State.with_pi_id s v (State.pi_id st v)) s rev_nodes in
+  List.fold_left
+    (fun s c ->
+      match Channel.get (State.channels st) c with
+      | [] -> s
+      | msgs ->
+        let s = State.push_channel s c Arena.epsilon in
+        let s = List.fold_left (fun s m -> State.push_channel s c m) s msgs in
+        State.drop_first_channel s c 1)
+    s rev_chans
+
+let prop_state_equal_is_compare =
+  (* [b] is [a] plus at most two more mutations, so near-equal pairs (one
+     binding more, one value different, or the same state again) are
+     common. *)
+  QCheck2.Test.make ~name:"State.equal agrees with State.compare" ~count:500
+    QCheck2.Gen.(
+      pair gen_mutations (map (List.filteri (fun i _ -> i < 2)) gen_mutations))
+    (fun (ops_a, extra) ->
+      let inst = Gadgets.disagree in
+      let a = apply_mutations inst ops_a in
+      let b = apply_mutations inst (ops_a @ extra) in
+      let a' = rebuild inst a in
+      let agree x y = State.equal x y = (State.compare x y = 0) in
+      agree a b && agree b a && agree a' b && agree b a'
+      && State.equal a a' && State.equal a' a
+      && State.digest a = State.digest a')
+
 let test_export_policy_withdraw_substitution () =
   (* A path filtered by export policy is delivered as a withdrawal, so the
      neighbor's knowledge stays sound. *)
@@ -912,6 +1009,8 @@ let () =
           Alcotest.test_case "unfair cycle detected" `Quick test_unfair_cycle_detected;
           Alcotest.test_case "empty cycle rejected" `Quick test_empty_cycle_rejected;
           Alcotest.test_case "trace indices are 1..n" `Quick test_trace_indices_sequential;
+          QCheck_alcotest.to_alcotest prop_compare_id_sign;
+          QCheck_alcotest.to_alcotest prop_state_equal_is_compare;
         ] );
       ( "streaming",
         [

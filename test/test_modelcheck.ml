@@ -65,6 +65,122 @@ let test_enumerate_entries_validate () =
     Model.all
 
 (* ------------------------------------------------------------------ *)
+(* The memoised enumerator *)
+
+let models = Array.of_list Model.all
+
+(* A generated instance, a model per node (one model everywhere unless
+   [hetero]) and a queue length per channel, up to 5 — past the default
+   channel bound of 4.  At most 4 nodes keep the per-node entry products
+   small. *)
+let gen_memo_case =
+  QCheck2.Gen.(
+    let* seed = int_range 0 9_999 in
+    let* nodes = int_range 2 4 in
+    let* hetero = bool in
+    let* model_ix = list_size (return nodes) (int_range 0 (Array.length models - 1)) in
+    let* lens = list_size (int_range 2 8) (list_size (return (nodes * nodes)) (int_range 0 5)) in
+    return (seed, nodes, hetero, model_ix, lens))
+
+(* The instance, the per-node models and one length function per generated
+   length vector. *)
+let memo_inputs (seed, nodes, hetero, model_ix, lens) =
+  let inst =
+    Generator.instance { Generator.default with nodes; seed; extra_edges = 1; max_paths_per_node = 2 }
+  in
+  let model_ix = Array.of_list model_ix in
+  let model_of v = models.(if hetero then model_ix.(v) else model_ix.(0)) in
+  let length lens =
+    let lens = Array.of_list lens in
+    fun (c : Channel.id) -> lens.((c.Channel.src * nodes) + c.Channel.dst)
+  in
+  (inst, model_of, List.map length lens)
+
+let direct inst model_of length =
+  Enumerate.successors_core ~nodes:(Instance.nodes inst)
+    ~required:(Model.required_channels inst) ~length ~model_of
+
+let memo_of inst model_of =
+  Enumerate.memo ~nodes:(Instance.nodes inst) ~required:(Model.required_channels inst)
+    ~model_of ()
+
+let prop_memo_parity =
+  QCheck2.Test.make ~name:"memoised enumeration equals successors_core" ~count:200
+    gen_memo_case (fun case ->
+      let inst, model_of, lengths = memo_inputs case in
+      let memo = memo_of inst model_of in
+      let first = List.map memo lengths in
+      let second = List.map memo lengths in
+      List.for_all2
+        (fun length (a, b) ->
+          let expected = direct inst model_of length in
+          a = expected
+          && b = expected
+          (* The second pass is all hits: the very same label values. *)
+          && List.for_all2 ( == ) a b)
+        lengths (List.combine first second))
+
+let prop_memo_every_model =
+  (* Every one of the 24 models on one generated instance, over the
+     lengths a random schedule actually reaches (through the SPP state
+     adapter [successors]), against the direct enumeration. *)
+  QCheck2.Test.make ~name:"memo parity on reached states, 24 models" ~count:10
+    QCheck2.Gen.(pair (int_range 0 9_999) (int_range 1 30))
+    (fun (seed, steps) ->
+      let inst =
+        Generator.instance
+          { Generator.default with nodes = 4; seed; extra_edges = 1; max_paths_per_node = 2 }
+      in
+      List.for_all
+        (fun m ->
+          let succ = Enumerate.successors inst m in
+          let states =
+            List.fold_left
+              (fun acc e -> (Step.apply inst (List.hd acc) e).Step.state :: acc)
+              [ State.initial inst ]
+              (Scheduler.prefix steps (Scheduler.random inst m ~seed))
+          in
+          List.for_all
+            (fun st ->
+              succ st = direct inst (fun _ -> m) (Channel.length (State.channels st)))
+            (List.rev states))
+        Model.all)
+
+let test_memo_two_domains () =
+  (* Two domains hammer one memo with the same keys in opposite orders;
+     every answer must equal the direct enumeration. *)
+  let inst = Gadgets.fig6 in
+  let model_of v = List.nth Model.all (v * 5 mod 24) in
+  let memo = memo_of inst model_of in
+  let keys =
+    List.init 200 (fun k (c : Channel.id) -> (k + (3 * c.Channel.src) + c.Channel.dst) mod 4)
+  in
+  let run keys = List.map (fun length -> memo length) keys in
+  let other = Domain.spawn (fun () -> run (List.rev keys)) in
+  let mine = run keys in
+  let theirs = List.rev (Domain.join other) in
+  List.iter2
+    (fun length (a, b) ->
+      let expected = direct inst model_of length in
+      if a <> expected || b <> expected then Alcotest.fail "memo answer differs across domains")
+    keys (List.combine mine theirs)
+
+let test_fig6_work_counts () =
+  (* The deep FIG6 cases of the benchmark, pinned by deterministic work
+     counts: per-state re-enumeration would make [enumerations] as large as
+     the state count. *)
+  List.iter
+    (fun (name, edges) ->
+      let metrics = Metrics.create () in
+      let g = Explore.explore ~domains:1 ~metrics Gadgets.fig6 (model name) in
+      Alcotest.(check int) (name ^ " states") 7385 (Array.length g.Explore.states);
+      Alcotest.(check int) (name ^ " edges") edges (Metrics.edges metrics);
+      let e = Metrics.enumerations metrics in
+      if e < 1 || e * 100 > edges then
+        Alcotest.failf "%s: %d enumerations for %d edges" name e edges)
+    [ ("R1A", 118_160); ("RMA", 391_405) ]
+
+(* ------------------------------------------------------------------ *)
 (* DISAGREE: the full 24-model sweep (Ex. A.1 and beyond) *)
 
 let disagree_expected =
@@ -457,6 +573,13 @@ let () =
           Alcotest.test_case "drop variants" `Quick test_enumerate_drop_variants;
           Alcotest.test_case "entries validate (24 models)" `Quick
             test_enumerate_entries_validate;
+        ] );
+      ( "memo",
+        [
+          QCheck_alcotest.to_alcotest prop_memo_parity;
+          QCheck_alcotest.to_alcotest prop_memo_every_model;
+          Alcotest.test_case "two domains share one memo" `Quick test_memo_two_domains;
+          Alcotest.test_case "FIG6 R1A/RMA work counts" `Quick test_fig6_work_counts;
         ] );
       ( "verdicts",
         [
