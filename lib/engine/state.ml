@@ -1,180 +1,165 @@
-module IMap = Map.Make (Int)
 open Spp
 
-(* Each component binding is hashed with a distinct tag and XOR-folded into
-   a running digest, so single-binding updates adjust the digest in O(log n)
-   instead of rehashing four full [bindings] lists per lookup.  XOR is its
-   own inverse: removing a binding re-XORs the same value out.
+(* A state is one immutable int array with an instance-fixed layout,
 
-   Since PR 2 the maps hold {!Spp.Arena.id}s, and the arena is canonical
-   within the process: a given path has one id no matter which domain
-   interned it.  The binding hashes therefore mix small integers (a
-   splitmix-style finalizer, no allocation) instead of structurally hashing
-   node lists, and the digest of a given state content is stable across
-   domains — which is what lets the parallel explorer shard its intern
+     [ π(0..n-1) | announced(0..n-1) | ρ(0..k-1) | length(0..k-1) | messages ]
+
+   where the k channels of the instance are numbered in [Channel.compare_id]
+   order and the message region holds channel 0's queue, then channel 1's,
+   ..., each oldest first.  Routes are arena ids and epsilon is 0, so an
+   absent binding and an empty queue are both stored as zeros and the
+   encoding of a state's content is unique: equality is a comparison of
+   two int arrays, and the digest is computed once, when the array is
+   sealed.
+
+   Steps change a state through an {!Edit}: a mutable copy updated in
+   place and sealed into a new array once, so a step allocates one array
+   however many components it changes.  Equal arrays have equal digests
+   whichever domain built them, because arena ids are canonical
+   process-wide; that is what lets the parallel explorer shard its intern
    table by digest. *)
 
-let mix3 = Mix.mix3
-let mix4 = Mix.mix4
-
-let h_pi v (p : Arena.id) = mix3 0x50 v p
-let h_rho (c : Channel.id) (p : Arena.id) = mix4 0x51 c.Channel.src c.Channel.dst p
-let h_ann v (p : Arena.id) = mix3 0x52 v p
-
-let h_chan (c : Channel.id) (msgs : Arena.id list) = Mix.h_chan c msgs
-
-type t = {
-  pi : Arena.id IMap.t; (* absent = epsilon *)
-  rho : Arena.id Channel.Map.t; (* absent = epsilon *)
-  ann : Arena.id IMap.t; (* absent = epsilon *)
-  chans : Channel.t;
-  dig_core : int; (* XOR of binding hashes of pi, rho, ann *)
-  dig_chans : int; (* XOR of binding hashes of chans *)
-  max_occ : int; (* longest queue in [chans]; 0 when all empty *)
+type layout = {
+  n : int;  (* nodes 0..n-1 *)
+  k : int;  (* channels *)
+  slot : int array;  (* src * n + dst -> channel number, or -1 *)
+  ids : Channel.id array;  (* channel number -> id, ascending *)
 }
 
-let digest t = (t.dig_core lxor t.dig_chans) land max_int
+type t = { lay : layout; d : int array; dig : int; max_occ : int }
+
+let o_ann l = l.n
+let o_rho l = 2 * l.n
+let o_len l = (2 * l.n) + l.k
+let o_msg l = (2 * l.n) + (2 * l.k)
+
+let make_layout inst =
+  let n = Instance.size inst in
+  let ids =
+    Array.of_list
+      (List.sort Channel.compare_id
+         (List.map (fun (src, dst) -> Channel.id ~src ~dst) (Instance.channels inst)))
+  in
+  let slot = Array.make (n * n) (-1) in
+  Array.iteri (fun i (c : Channel.id) -> slot.((c.src * n) + c.dst) <- i) ids;
+  { n; k = Array.length ids; slot; ids }
+
+(* The symmetry canonicaliser builds a state per automorphism per
+   successor from [initial]; one cached layout spares it the rebuild. *)
+let last_layout = Atomic.make None
+
+let layout inst =
+  match Atomic.get last_layout with
+  | Some (i, l) when i == inst -> l
+  | _ ->
+    let l = make_layout inst in
+    Atomic.set last_layout (Some (inst, l));
+    l
+
+let chan_ix l (c : Channel.id) =
+  let s = c.Channel.src and d = c.Channel.dst in
+  if s >= 0 && d >= 0 && s < l.n && d < l.n then Array.unsafe_get l.slot ((s * l.n) + d)
+  else -1
+
+let chan_ix_exn l c =
+  let i = chan_ix l c in
+  if i < 0 then invalid_arg "State: channel not in the instance" else i
+
+let node_exn l v = if v < 0 || v >= l.n then invalid_arg "State: node not in the instance"
+
+(* FNV-style fold with a final avalanche: the shard index of the parallel
+   explorer takes the low bits. *)
+let digest_of d =
+  let h = ref 0x2545F4914F6CDD1D in
+  for i = 0 to Array.length d - 1 do
+    h := (!h lxor Array.unsafe_get d i) * 0x100000001b3
+  done;
+  let h = !h in
+  let h = (h lxor (h lsr 29)) * 0x2127599BF4325C37 in
+  (h lxor (h lsr 32)) land max_int
+
+let seal l d =
+  let occ = ref 0 in
+  for i = o_len l to o_msg l - 1 do
+    if Array.unsafe_get d i > !occ then occ := Array.unsafe_get d i
+  done;
+  { lay = l; d; dig = digest_of d; max_occ = !occ }
+
+let digest t = t.dig
 let hash = digest
 let max_occupancy t = t.max_occ
 
-(* Digest and longest queue in one pass: both explorers check the channel
-   bound on every generated successor, so the occupancy must be cached
-   here — rescanning the whole map per edge (the old
-   [Channel.max_occupancy] call) doubled the per-successor map walks. *)
-let chans_digest_occ chans =
-  Channel.Map.fold
-    (fun c msgs (dig, occ) -> (dig lxor h_chan c msgs, max occ (List.length msgs)))
-    chans (0, 0)
-
 let initial inst =
-  let d = Instance.dest inst in
-  let p0 = Instance.trivial_id inst in
-  {
-    pi = IMap.singleton d p0;
-    rho = Channel.Map.empty;
-    ann = IMap.empty;
-    chans = Channel.empty;
-    dig_core = h_pi d p0;
-    dig_chans = 0;
-    max_occ = 0;
-  }
+  let l = layout inst in
+  let d = Array.make (o_msg l) 0 in
+  d.(Instance.dest inst) <- Instance.trivial_id inst;
+  seal l d
 
-(* [find] with a handler rather than [find_opt]: a hit allocates no
-   [Some], and these lookups run several times per explored edge. *)
-let find_i k m = match IMap.find k m with p -> p | exception Not_found -> Arena.epsilon
+let pi_id t v = if v >= 0 && v < t.lay.n then t.d.(v) else Arena.epsilon
 
-let pi_id t v = find_i v t.pi
-let announced_id t v = find_i v t.ann
+let announced_id t v =
+  if v >= 0 && v < t.lay.n then t.d.(o_ann t.lay + v) else Arena.epsilon
 
 let rho_id t c =
-  match Channel.Map.find c t.rho with p -> p | exception Not_found -> Arena.epsilon
+  let i = chan_ix t.lay c in
+  if i < 0 then Arena.epsilon else t.d.(o_rho t.lay + i)
 
 let pi t v = Arena.path (pi_id t v)
 let announced t v = Arena.path (announced_id t v)
 let rho t c = Arena.path (rho_id t c)
 
-let channels t = t.chans
-let rho_bindings_id t = Channel.Map.bindings t.rho
-let fold_rho_id f t acc = Channel.Map.fold f t.rho acc
-let rho_bindings t = List.map (fun (c, p) -> (c, Arena.path p)) (rho_bindings_id t)
+let queue_length t c =
+  let i = chan_ix t.lay c in
+  if i < 0 then 0 else t.d.(o_len t.lay + i)
 
+let queue_of l d i =
+  let off = ref (o_msg l) in
+  for j = 0 to i - 1 do
+    off := !off + d.(o_len l + j)
+  done;
+  let off = !off in
+  List.init d.(o_len l + i) (fun j -> d.(off + j))
+
+(* The map view, built on demand: pretty-printing, surgery, transforms
+   and the whole-state reductions read it; no hot path does. *)
+let channels t =
+  let l = t.lay in
+  let m = ref Channel.Map.empty and off = ref (o_msg l) in
+  for i = 0 to l.k - 1 do
+    let len = t.d.(o_len l + i) in
+    if len > 0 then begin
+      let base = !off in
+      m := Channel.Map.add l.ids.(i) (List.init len (fun j -> t.d.(base + j))) !m
+    end;
+    off := !off + len
+  done;
+  !m
+
+let fold_rho_id f t acc =
+  let l = t.lay in
+  let acc = ref acc in
+  for i = 0 to l.k - 1 do
+    let p = t.d.(o_rho l + i) in
+    if not (Arena.is_epsilon p) then acc := f l.ids.(i) p !acc
+  done;
+  !acc
+
+let rho_bindings_id t = List.rev (fold_rho_id (fun c p acc -> (c, p) :: acc) t [])
+let rho_bindings t = List.map (fun (c, p) -> (c, Arena.path p)) (rho_bindings_id t)
 let assignment inst t = Assignment.make inst (fun v -> pi t v)
 
-(* The digest delta of replacing a binding: XOR out the old hash (if the key
-   was bound) and XOR in the new one (unless the new value is epsilon, which
-   is not stored). *)
-let delta_i h k p old =
-  (match old with Some q -> h k q | None -> 0)
-  lxor (if Arena.is_epsilon p then 0 else h k p)
-
-let with_pi_id t v p =
-  let dig_core = t.dig_core lxor delta_i h_pi v p (IMap.find_opt v t.pi) in
-  let pi = if Arena.is_epsilon p then IMap.remove v t.pi else IMap.add v p t.pi in
-  { t with pi; dig_core }
-
-let with_rho_id t c p =
-  let dig_core = t.dig_core lxor delta_i h_rho c p (Channel.Map.find_opt c t.rho) in
-  let rho =
-    if Arena.is_epsilon p then Channel.Map.remove c t.rho else Channel.Map.add c p t.rho
-  in
-  { t with rho; dig_core }
-
-let with_announced_id t v p =
-  let dig_core = t.dig_core lxor delta_i h_ann v p (IMap.find_opt v t.ann) in
-  let ann = if Arena.is_epsilon p then IMap.remove v t.ann else IMap.add v p t.ann in
-  { t with ann; dig_core }
-
-let with_pi t v p = with_pi_id t v (Arena.intern p)
-let with_rho t c p = with_rho_id t c (Arena.intern p)
-let with_announced t v p = with_announced_id t v (Arena.intern p)
-
-let with_channels t chans =
-  if t.chans == chans then t
-  else
-    let dig_chans, max_occ = chans_digest_occ chans in
-    { t with chans; dig_chans; max_occ }
-
-(* Single-channel updates, the engine's hot path (every processed read and
-   every announcement push of Step.apply): adjust the digest by XORing one
-   channel's binding hash out and in — O(queue length), not O(total
-   messages) — and maintain the occupancy cache incrementally.  A push can
-   only raise the maximum (to the pushed queue's new length); a drop can
-   only lower it, and only when the drained queue was (one of) the longest,
-   in which case one rescan recomputes the exact value. *)
-
-let push_channel t c msg =
-  let old = Channel.get t.chans c in
-  let h_old = h_chan c old in
-  let h_new = mix3 0x54 h_old msg in
-  let dig_chans =
-    t.dig_chans lxor (match old with [] -> 0 | _ -> h_old) lxor h_new
-  in
-  {
-    t with
-    chans = Channel.Map.add c (old @ [ msg ]) t.chans;
-    dig_chans;
-    max_occ = max t.max_occ (List.length old + 1);
-  }
-
-let drop_first_channel t c i =
-  if i <= 0 then t
-  else
-    match Channel.get t.chans c with
-    | [] -> t
-    | old ->
-      let old_len = List.length old in
-      let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: l -> drop (n - 1) l in
-      let kept = drop i old in
-      let chans =
-        match kept with [] -> Channel.Map.remove c t.chans | _ -> Channel.Map.add c kept t.chans
-      in
-      let dig_chans =
-        t.dig_chans lxor h_chan c old
-        lxor (match kept with [] -> 0 | _ -> h_chan c kept)
-      in
-      let max_occ =
-        if old_len < t.max_occ then t.max_occ else Channel.max_occupancy chans
-      in
-      { t with chans; dig_chans; max_occ }
-
-(* Every mutator above either leaves [chans] untouched (max_occ carried
-   over), recomputes from scratch ([with_channels]), or maintains the cache
-   incrementally with a rescan on the only lowering case
-   ([drop_first_channel] of a longest queue).  The test suite pins this
-   audit with [debug_occupancy_ok] across random mutator sequences. *)
-let debug_occupancy_ok t = t.max_occ = Channel.max_occupancy t.chans
-
-(* The route the node would choose right now: one O(1) permitted-extension
-   lookup per neighbor (Instance.ext_tbl), no interning, no list scans. *)
-let best_choice_id inst t v =
+(* The route [v] would choose with known routes [rho l d]: one O(1)
+   permitted-extension lookup per neighbor (Instance.ext_tbl), no
+   interning, no list scans.  The best candidate so far is carried
+   unboxed ([best] is epsilon while there is none): lowest rank first,
+   then lowest neighbor. *)
+let choose inst l d v =
   if v = Instance.dest inst then Instance.trivial_id inst
   else
-    (* The best candidate so far is carried unboxed ([best] is epsilon
-       while there is none): lowest rank first, then lowest neighbor. *)
     let rec go best best_rank best_u = function
       | [] -> best
       | u :: rest -> (
-        let r = rho_id t (Channel.id ~src:u ~dst:v) in
+        let r = Array.unsafe_get d (o_rho l + l.slot.((u * l.n) + v)) in
         if Arena.is_epsilon r then go best best_rank best_u rest
         else
           match Instance.permitted_extension inst v r with
@@ -186,54 +171,199 @@ let best_choice_id inst t v =
     in
     go Arena.epsilon 0 0 (Instance.neighbors inst v)
 
+(* ------------------------------------------------------------------ *)
+
+module Edit = struct
+  type state = t
+
+  (* The state's array copied into [buf], which has room to spare; [len]
+     words of it are in use. *)
+  type t = { mutable lay : layout; mutable buf : int array; mutable len : int }
+
+  let create () = { lay = { n = 0; k = 0; slot = [||]; ids = [||] }; buf = [||]; len = 0 }
+
+  let load e (s : state) =
+    let len = Array.length s.d in
+    if Array.length e.buf < len + 4 then e.buf <- Array.make (2 * (len + 4)) 0;
+    Array.blit s.d 0 e.buf 0 len;
+    e.len <- len;
+    e.lay <- s.lay
+
+  let seal e = seal e.lay (Array.sub e.buf 0 e.len)
+
+  let offset e i =
+    let l = e.lay in
+    let off = ref (o_msg l) in
+    for j = 0 to i - 1 do
+      off := !off + Array.unsafe_get e.buf (o_len l + j)
+    done;
+    !off
+
+  let length e c =
+    let i = chan_ix e.lay c in
+    if i < 0 then 0 else e.buf.(o_len e.lay + i)
+
+  let message e c j =
+    let i = chan_ix_exn e.lay c in
+    if j < 0 || j >= e.buf.(o_len e.lay + i) then invalid_arg "State.Edit.message";
+    e.buf.(offset e i + j)
+
+  let announced_id e v = node_exn e.lay v; e.buf.(o_ann e.lay + v)
+  let set_pi e v p = node_exn e.lay v; e.buf.(v) <- p
+  let set_announced e v p = node_exn e.lay v; e.buf.(o_ann e.lay + v) <- p
+  let set_rho e c p = e.buf.(o_rho e.lay + chan_ix_exn e.lay c) <- p
+  let best_choice_id inst e v = choose inst e.lay e.buf v
+
+  (* Queue [i] loses its [drop] oldest messages (at most all of them) and
+     gains [add] slots at its back; returns the index of the first new
+     slot.  The kept messages move left by [drop] and the later queues by
+     the net change, in the order that keeps the two moves apart. *)
+  let resize e i ~drop ~add =
+    let l = e.lay in
+    let off = offset e i in
+    let len = e.buf.(o_len l + i) in
+    let drop = min drop len in
+    let delta = add - drop in
+    if e.len + delta > Array.length e.buf then begin
+      let b = Array.make (2 * (e.len + delta + 4)) 0 in
+      Array.blit e.buf 0 b 0 e.len;
+      e.buf <- b
+    end;
+    let tail = off + len in
+    if delta > 0 then begin
+      Array.blit e.buf tail e.buf (tail + delta) (e.len - tail);
+      Array.blit e.buf (off + drop) e.buf off (len - drop)
+    end
+    else begin
+      Array.blit e.buf (off + drop) e.buf off (len - drop);
+      Array.blit e.buf tail e.buf (tail + delta) (e.len - tail)
+    end;
+    e.len <- e.len + delta;
+    e.buf.(o_len l + i) <- len + delta;
+    tail - drop
+
+  let consume e c ~set_rho:write kept i =
+    let ci = chan_ix_exn e.lay c in
+    if write then e.buf.(o_rho e.lay + ci) <- kept;
+    if i > 0 then ignore (resize e ci ~drop:i ~add:0)
+
+  let push e c msg =
+    let at = resize e (chan_ix_exn e.lay c) ~drop:0 ~add:1 in
+    e.buf.(at) <- msg
+
+  let replace e c msg =
+    let at = resize e (chan_ix_exn e.lay c) ~drop:max_int ~add:1 in
+    e.buf.(at) <- msg
+end
+
+(* The single-component updates below are for callers outside the step
+   kernel; each is one edit.  Rebinding a component to its current value
+   returns the state itself. *)
+let edit t f =
+  let e = Edit.create () in
+  Edit.load e t;
+  f e;
+  Edit.seal e
+
+let with_pi_id t v p =
+  if Arena.equal (pi_id t v) p then t else edit t (fun e -> Edit.set_pi e v p)
+
+let with_announced_id t v p =
+  if Arena.equal (announced_id t v) p then t else edit t (fun e -> Edit.set_announced e v p)
+
+let with_rho_id t c p =
+  if Arena.equal (rho_id t c) p then t else edit t (fun e -> Edit.set_rho e c p)
+
+let with_pi t v p = with_pi_id t v (Arena.intern p)
+let with_rho t c p = with_rho_id t c (Arena.intern p)
+let with_announced t v p = with_announced_id t v (Arena.intern p)
+let push_channel t c msg = edit t (fun e -> Edit.push e c msg)
+
+let drop_first_channel t c i =
+  if i <= 0 || queue_length t c = 0 then t
+  else edit t (fun e -> Edit.consume e c ~set_rho:false Arena.epsilon i)
+
+let with_channels t chans =
+  let l = t.lay in
+  let total = Channel.Map.fold (fun c q acc -> ignore (chan_ix_exn l c); acc + List.length q) chans 0 in
+  let d = Array.make (o_msg l + total) 0 in
+  Array.blit t.d 0 d 0 (o_len l);
+  let off = ref (o_msg l) in
+  Array.iteri
+    (fun i c ->
+      let q = Channel.get chans c in
+      d.(o_len l + i) <- List.length q;
+      List.iter
+        (fun m ->
+          d.(!off) <- m;
+          incr off)
+        q)
+    l.ids;
+  seal l d
+
+let debug_occupancy_ok t = t.max_occ = Channel.max_occupancy (channels t)
+let best_choice_id inst t v = choose inst t.lay t.d v
 let best_choice inst t v = Arena.path (best_choice_id inst t v)
 
 let is_quiescent inst t =
-  Channel.Map.is_empty t.chans
+  t.max_occ = 0
   && List.for_all
        (fun v ->
          let p = best_choice_id inst t v in
          Arena.equal p (pi_id t v) && Arena.equal p (announced_id t v))
        (Instance.nodes inst)
 
-(* Map equality without [Map.equal]: its enumerators allocate a cell per
-   visited node, and [equal] runs on every dedup hit of the explorers'
-   intern tables.  Equal cardinality plus "every binding of [a] is bound
-   equally in [b]" is the same relation and allocates only the closure. *)
-let imap_equal eq a b =
+let equal a b =
   a == b
-  || IMap.cardinal a = IMap.cardinal b
-     && IMap.for_all
-          (fun k v -> match IMap.find k b with w -> eq v w | exception Not_found -> false)
-          a
+  || a.dig = b.dig
+     &&
+     let da = a.d and db = b.d in
+     let n = Array.length da in
+     n = Array.length db
+     &&
+     let rec go i = i >= n || (Array.unsafe_get da i = Array.unsafe_get db i && go (i + 1)) in
+     go 0
 
-let cmap_equal eq a b =
-  a == b
-  || Channel.Map.cardinal a = Channel.Map.cardinal b
-     && Channel.Map.for_all
-          (fun k v ->
-            match Channel.Map.find k b with w -> eq v w | exception Not_found -> false)
-          a
+(* [compare] is the order the map-based states had — the [Map.compare] of
+   π, then ρ, then the announcements, then the queues — so orbit
+   representatives (the minimum of an orbit) are unchanged.  Over dense
+   slots, a map's bindings are the non-absent slots in slot order, and
+   slot order is key order. *)
+let compare_bindings len present_a present_b cmp_value =
+  let rec next present i = if i >= len || present i then i else next present (i + 1) in
+  let rec go i j =
+    let i = next present_a i and j = next present_b j in
+    if i >= len && j >= len then 0
+    else if i >= len then -1
+    else if j >= len then 1
+    else if i <> j then Int.compare i j
+    else
+      let c = cmp_value i in
+      if c <> 0 then c else go (i + 1) (j + 1)
+  in
+  go 0 0
 
-let equal (a : t) b =
-  a == b
-  || a.dig_core = b.dig_core
-     && a.dig_chans = b.dig_chans
-     && imap_equal Arena.equal a.pi b.pi
-     && cmap_equal Arena.equal a.rho b.rho
-     && imap_equal Arena.equal a.ann b.ann
-     && cmap_equal (fun v w -> v == w || List.equal Arena.equal v w) a.chans b.chans
-
-let compare (a : t) b =
-  let c = IMap.compare Arena.compare a.pi b.pi in
+let compare a b =
+  let l = a.lay in
+  let routes base len =
+    compare_bindings len
+      (fun i -> not (Arena.is_epsilon a.d.(base + i)))
+      (fun i -> not (Arena.is_epsilon b.d.(base + i)))
+      (fun i -> Arena.compare a.d.(base + i) b.d.(base + i))
+  in
+  let c = routes 0 l.n in
   if c <> 0 then c
   else
-    let c = Channel.Map.compare Arena.compare a.rho b.rho in
+    let c = routes (o_rho l) l.k in
     if c <> 0 then c
     else
-      let c = IMap.compare Arena.compare a.ann b.ann in
+      let c = routes (o_ann l) l.n in
       if c <> 0 then c
-      else Channel.Map.compare (List.compare Arena.compare) a.chans b.chans
+      else
+        compare_bindings l.k
+          (fun i -> a.d.(o_len l + i) > 0)
+          (fun i -> b.d.(o_len l + i) > 0)
+          (fun i -> List.compare Arena.compare (queue_of l a.d i) (queue_of b.lay b.d i))
 
 let pp inst ppf t =
   let pp_path = Instance.pp_path inst in
@@ -249,4 +379,4 @@ let pp inst ppf t =
     Fmt.(
       list ~sep:(any ", ") (fun ppf (c, msgs) ->
           Fmt.pf ppf "%a=[%a]" (Channel.pp_id inst) c (list ~sep:semi pp_path) msgs))
-    (Channel.bindings_paths t.chans)
+    (Channel.bindings_paths (channels t))

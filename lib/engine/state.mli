@@ -2,14 +2,20 @@
     channel contents, plus the last-announced route of each node (the
     interpretation of step 4 of Def. 2.3 described in DESIGN.md).
 
-    Values are immutable and normalized — epsilon routes and empty channels
-    are never stored — so structural equality and hashing are semantic.
+    Values are immutable.  A state is one int array laid out by its
+    instance (π, announcements, ρ, queue lengths, then the messages), in
+    which every content has exactly one encoding, so equality and hashing
+    are semantic and cost one pass over a few dozen integers.  The map view
+    {!channels} is built on demand for callers at the API boundary; steps
+    change states through {!Edit}.
 
     Internally every route is a hash-consed {!Spp.Arena.id}; the [_id]
     accessors and updates below expose that compact view and are the ones
     the engine's hot paths use.  The {!Spp.Path.t}-typed functions are
     materialized views (O(1) thanks to the arena) kept for callers that
-    work at pretty-print or analysis boundaries. *)
+    work at pretty-print or analysis boundaries.  Nodes and channels must
+    be the instance's: the updates raise [Invalid_argument] on others,
+    while the accessors read them as epsilon or empty. *)
 
 type t
 
@@ -22,6 +28,10 @@ val pi : t -> Spp.Path.node -> Spp.Path.t
 val rho : t -> Channel.id -> Spp.Path.t
 val announced : t -> Spp.Path.node -> Spp.Path.t
 val channels : t -> Channel.t
+(** The queues as a map, built on demand: O(messages). *)
+
+val queue_length : t -> Channel.id -> int
+(** [Channel.length (channels t) c] without building the map: O(1). *)
 
 val pi_id : t -> Spp.Path.node -> Spp.Arena.id
 val rho_id : t -> Channel.id -> Spp.Arena.id
@@ -50,14 +60,11 @@ val with_announced_id : t -> Spp.Path.node -> Spp.Arena.id -> t
 val with_channels : t -> Channel.t -> t
 
 val push_channel : t -> Channel.id -> Spp.Arena.id -> t
-(** Append one message to one channel, adjusting the digest and the cached
-    occupancy in O(queue length) — the whole-map refold of
-    {!with_channels} is skipped. *)
+(** Append one message to one channel. *)
 
 val drop_first_channel : t -> Channel.id -> int -> t
-(** Remove the [i] oldest messages of one channel (at most its length),
-    with the same single-channel digest/occupancy maintenance as
-    {!push_channel}. *)
+(** Remove the [i] oldest messages of one channel (at most its length). *)
+
 
 val max_occupancy : t -> int
 (** Length of the longest channel queue, cached: O(1).  Equals
@@ -66,10 +73,7 @@ val max_occupancy : t -> int
 
 val debug_occupancy_ok : t -> bool
 (** [max_occupancy t] agrees with a from-scratch recomputation over
-    [channels t].  A debug assertion for the test suite: every mutator
-    (including surgery transplants and the reduction canonicalization
-    paths, which all funnel through [with_channels]) must keep the cache
-    exact. *)
+    [channels t].  A debug assertion for the test suite. *)
 
 val best_choice : Spp.Instance.t -> t -> Spp.Path.node -> Spp.Path.t
 (** The route the node would choose right now (step 3 of Def. 2.3): the most
@@ -92,13 +96,55 @@ val compare : t -> t -> int
     structural path order, but stable within a process. *)
 
 val digest : t -> int
-(** Constant-time content digest, maintained incrementally by the [with_*]
-    updates (each rebinding XORs the affected binding hash in and out).
-    Binding hashes mix arena ids, which are canonical process-wide, so
-    equal states have equal digests no matter which domain built them.
-    Collisions are possible, so use {!equal} to confirm. *)
+(** Constant-time content digest, computed once when the state is built.
+    It mixes arena ids, which are canonical process-wide, so equal states
+    have equal digests no matter which domain built them.  Collisions are
+    possible, so use {!equal} to confirm. *)
 
 val hash : t -> int
 (** Alias of {!digest}, kept for [Hashtbl.Make] functors. *)
 
 val pp : Spp.Instance.t -> Format.formatter -> t -> unit
+
+(** {1 Edits}
+
+    A mutable copy of a state, changed in place and sealed into a new
+    state once.  The step kernel ({!Step.next}) keeps one per domain, so a
+    step allocates only the sealed array. *)
+
+module Edit : sig
+  type state := t
+  type t
+
+  val create : unit -> t
+
+  val load : t -> state -> unit
+  (** Make the edit a copy of the state, reusing its buffer. *)
+
+  val seal : t -> state
+  (** A new state with the edit's content; the edit is left unchanged. *)
+
+  val length : t -> Channel.id -> int
+
+  val message : t -> Channel.id -> int -> Spp.Arena.id
+  (** [message e c j] is the [j]th oldest message of [c], from 0. *)
+
+  val announced_id : t -> Spp.Path.node -> Spp.Arena.id
+  val set_pi : t -> Spp.Path.node -> Spp.Arena.id -> unit
+  val set_announced : t -> Spp.Path.node -> Spp.Arena.id -> unit
+  val set_rho : t -> Channel.id -> Spp.Arena.id -> unit
+
+  val best_choice_id : Spp.Instance.t -> t -> Spp.Path.node -> Spp.Arena.id
+  (** {!State.best_choice_id} on the edit's current known routes. *)
+
+  val consume : t -> Channel.id -> set_rho:bool -> Spp.Arena.id -> int -> unit
+  (** [consume e c ~set_rho kept i] removes the [i] oldest messages of [c]
+      (at most all of them) and, when [set_rho], makes [kept] its known
+      route: the read of one channel by a step. *)
+
+  val push : t -> Channel.id -> Spp.Arena.id -> unit
+  (** Append one message. *)
+
+  val replace : t -> Channel.id -> Spp.Arena.id -> unit
+  (** Make the queue the one message. *)
+end

@@ -29,13 +29,44 @@ type outcome = {
       (** individual messages appended to channels this step, in order *)
 }
 
+type next = {
+  after : State.t;  (** the successor state *)
+  pushes : bool;  (** the step appended at least one message *)
+  consumes : bool;  (** the step processed at least one message *)
+}
+
+val next :
+  project:bool ->
+  collapse:bool ->
+  Spp.Instance.t ->
+  State.t ->
+  Activation.t ->
+  next
+(** The step alone, under {!export_all}: the successor and the two facts
+    partial-order reduction needs, without {!outcome}'s lists.  The entry
+    is not checked (like [apply ~check:false]).
+
+    [~project:true] writes every pushed message that is not {!relevant} at
+    its receiver as epsilon; [~collapse:true] makes a push replace its
+    channel's queue instead of appending to it.  When the parent is a
+    fixpoint of the whole-state projection (and, with [~collapse], holds at
+    most one message per channel) and [~collapse] is only used under a
+    reliable [M_all] entry, the result equals projecting and collapsing
+    [(apply st entry).state] as a whole — the explorers' successor, computed
+    without rescanning the state.  With both [false] it is exactly
+    [(apply st entry).state]. *)
+
+val relevant : Spp.Instance.t -> Spp.Path.node -> Spp.Arena.id -> bool
+(** [relevant inst v r]: [r] is not epsilon and its extension by [v] is
+    permitted at [v].  An irrelevant route in a channel into [v], or known
+    as [v]'s ρ, can only ever behave like epsilon (receiver relevance). *)
+
 val apply :
   ?check:bool -> ?export:export -> Spp.Instance.t -> State.t -> Activation.t -> outcome
-(** Raises [Invalid_argument] if the entry is not well-formed for the
-    instance.  The entry is {e not} checked against any model; use
+(** The step of {!next} (unprojected, uncollapsed) with its {!outcome}
+    recorded.  Raises [Invalid_argument] if the entry is not well-formed
+    for the instance.  The entry is {e not} checked against any model; use
     {!Model.validates} for that.
 
-    [~check:false] skips the well-formedness validation — for callers like
-    the model checker's exploration loop whose entries are well-formed by
-    construction and which apply millions of them.  Applying an ill-formed
-    entry unchecked has unspecified (but memory-safe) results. *)
+    [~check:false] skips the well-formedness validation.  Applying an
+    ill-formed entry unchecked has unspecified (but memory-safe) results. *)

@@ -173,6 +173,6 @@ let successors_with ?metrics inst (model_of : Spp.Path.node -> Model.t) =
     memo ?metrics ~nodes:(Instance.nodes inst) ~required:(Model.required_channels inst)
       ~model_of ()
   in
-  fun state -> entries (Channel.length (Engine.State.channels state))
+  fun state -> entries (Engine.State.queue_length state)
 
 let successors ?metrics inst (model : Model.t) = successors_with ?metrics inst (fun _ -> model)

@@ -42,51 +42,45 @@ end)
 (* For reliable polling models (msg = All, no drops) only the newest message
    in a channel can ever become a known route, so collapsing every queue to
    its last element is an exact bisimulation and shrinks the state space
-   dramatically.  The cached occupancy makes the no-op case (every queue
-   already holds at most one message) O(1). *)
-let collapse_state model st =
-  if
-    model.Model.rel = Model.Reliable
-    && model.Model.msg = Model.M_all
-    && State.max_occupancy st > 1
-  then begin
-    let chans = State.channels st in
-    let collapsed =
-      Channel.Map.map
-        (fun msgs -> match List.rev msgs with [] -> [] | last :: _ -> [ last ])
-        chans
-    in
-    State.with_channels st collapsed
-  end
+   dramatically. *)
+let collapses (model : Model.t) =
+  model.Model.rel = Model.Reliable && model.Model.msg = Model.M_all
+
+(* The whole-state collapse and projection below are the reference the
+   step kernel ({!Step.next}) reproduces at write time; the explorers only
+   apply them where a state does not come out of the kernel: the initial
+   state and snapshot resume.  The cached occupancy makes the no-op
+   collapse (every queue already holds at most one message) O(1). *)
+let collapse_queues st =
+  if State.max_occupancy st > 1 then
+    State.with_channels st
+      (Channel.Map.map
+         (fun msgs -> match List.rev msgs with [] -> [] | last :: _ -> [ last ])
+         (State.channels st))
   else st
+
+let collapse_state model st = if collapses model then collapse_queues st else st
 
 (* Receiver-relevance projection: a route r in channel (u, v) (or already
    known as rho_v((u,v))) can only ever influence the execution through the
    candidate v·r, so whenever that extension is not permitted at v the value
-   of r is observationally equivalent to epsilon.  Projecting such values to
-   epsilon merges states with identical future behavior.  Message *counts*
-   are preserved (an epsilon message still occupies a queue slot), so the f
-   and g bookkeeping is untouched.
-
-   On arena ids, "v·r is permitted" is one hash lookup
-   (Instance.permitted_extension), so the projection is O(1) per route.  A
+   of r is observationally equivalent to epsilon ({!Step.relevant}).
+   Projecting such values to epsilon merges states with identical future
+   behavior.  Message *counts* are preserved (an epsilon message still
+   occupies a queue slot), so the f and g bookkeeping is untouched.  A
    cheap dirtiness pre-pass keeps the common all-relevant case free of the
-   channel-map rebuild (and of the digest refold it would trigger). *)
-let relevant inst v (r : Spp.Arena.id) =
-  (not (Spp.Arena.is_epsilon r))
-  && Option.is_some (Spp.Instance.permitted_extension inst v r)
-
+   channel rebuild. *)
 let rec has_irrelevant inst v = function
   | [] -> false
   | r :: rest ->
-    ((not (Spp.Arena.is_epsilon r)) && not (relevant inst v r))
+    ((not (Spp.Arena.is_epsilon r)) && not (Step.relevant inst v r))
     || has_irrelevant inst v rest
 
 let project_state inst st =
   let st =
     State.fold_rho_id
       (fun (c : Channel.id) r acc ->
-        if relevant inst c.Channel.dst r then acc
+        if Step.relevant inst c.Channel.dst r then acc
         else State.with_rho_id acc c Spp.Arena.epsilon)
       st st
   in
@@ -98,9 +92,13 @@ let project_state inst st =
       (Channel.Map.mapi
          (fun (c : Channel.id) msgs ->
            List.map
-             (fun r -> if relevant inst c.Channel.dst r then r else Spp.Arena.epsilon)
+             (fun r -> if Step.relevant inst c.Channel.dst r then r else Spp.Arena.epsilon)
              msgs)
          chans)
+
+(* Where the search starts from a state the kernel did not produce. *)
+let normalize inst ~collapse st =
+  project_state inst (if collapse then collapse_queues st else st)
 
 let tick metrics f = match metrics with Some m -> f m | None -> ()
 
@@ -225,13 +223,105 @@ let unsnap_edge (e : Snapshot.edge) =
   }
 
 (* ------------------------------------------------------------------ *)
+(* What both explorers share: the counters and one state's expansion. *)
+
+(* Domain-local counter buffer; padded past a cache line so adjacent
+   workers' buffers never false-share. *)
+type wstats = {
+  mutable s_interned : int;
+  mutable s_dedup : int;
+  mutable s_edges : int;
+  mutable s_pruned : int;
+  mutable s_truncated : int;
+  mutable s_peak : int;
+  mutable s_ample : int;
+  mutable s_canon : int;
+  mutable pad0 : int;
+  mutable pad1 : int;
+}
+
+let fresh_stats () =
+  {
+    s_interned = 0;
+    s_dedup = 0;
+    s_edges = 0;
+    s_pruned = 0;
+    s_truncated = 0;
+    s_peak = 0;
+    s_ample = 0;
+    s_canon = 0;
+    pad0 = 0;
+    pad1 = 0;
+  }
+
+(* Every successor comes out of the step kernel already projected (and,
+   under [collapse], already collapsed), so nothing here rescans a state:
+   the parent was interned in normal form, and the kernel keeps it so
+   (DESIGN.md §3g).  [intern] returns the successor's id and whether it is
+   fresh, or [None] when the state bound discards it; [push] receives the
+   fresh ones.  The edges keep the order of [successors]. *)
+let expand ~config ~reduction ~canon ~collapse inst successors stats ~intern ~push
+    (i, st) =
+  let step (l : Enumerate.labeled) =
+    Step.next ~project:true ~collapse inst st l.Enumerate.entry
+  in
+  let add acc (labeled : Enumerate.labeled) st' =
+    if State.max_occupancy st' > config.channel_bound then begin
+      stats.s_pruned <- stats.s_pruned + 1;
+      acc
+    end
+    else begin
+      let st' =
+        if reduction = Reduce.Sym then begin
+          let c = canon st' in
+          if not (c == st') && not (State.equal c st') then
+            stats.s_canon <- stats.s_canon + 1;
+          c
+        end
+        else st'
+      in
+      match intern stats st' with
+      | None -> acc
+      | Some (j, fresh) ->
+        if fresh then push (j, st');
+        { dst = j; label = labeled } :: acc
+    end
+  in
+  let labels = successors st in
+  let rev_edges =
+    if reduction = Reduce.Por then begin
+      let pairs = List.map (fun l -> (l, step l)) labels in
+      let sel, proper = Reduce.ample inst st pairs in
+      if proper then stats.s_ample <- stats.s_ample + 1;
+      List.fold_left (fun acc (l, (n : Step.next)) -> add acc l n.Step.after) [] sel
+    end
+    else List.fold_left (fun acc l -> add acc l (step l).Step.after) [] labels
+  in
+  let edges = List.rev rev_edges in
+  stats.s_edges <- stats.s_edges + List.length edges;
+  (i, edges)
+
+let merge_stats metrics ~interned stats_list =
+  let sum f = List.fold_left (fun acc w -> acc + f w) 0 stats_list in
+  tick metrics (fun m ->
+      Metrics.add_interned m interned;
+      Metrics.add_dedup m (sum (fun w -> w.s_dedup));
+      Metrics.add_edges m (sum (fun w -> w.s_edges));
+      Metrics.add_pruned m (sum (fun w -> w.s_pruned));
+      Metrics.add_truncated m (sum (fun w -> w.s_truncated));
+      Metrics.observe_frontier m
+        (List.fold_left (fun acc w -> max acc w.s_peak) 0 stats_list);
+      Metrics.add_ample m (sum (fun w -> w.s_ample));
+      Metrics.add_canonicalized m (sum (fun w -> w.s_canon)))
+
+(* ------------------------------------------------------------------ *)
 (* Sequential exploration.  The [max_states] bound is enforced at intern
    time: the graph never holds more than [max_states] states, every held
    state has an accurate adjacency row, and edges to states beyond the
    bound are dropped with [truncated] set (symmetric with channel-bound
    pruning).
 
-   Counters accumulate in local mutables and merge into [metrics] once at
+   Counters accumulate in a local buffer and merge into [metrics] once at
    the end (like the parallel path), so a checkpoint can record the
    exploration's own exact totals even when the caller threads one metrics
    value through several phases. *)
@@ -257,26 +347,16 @@ let explore_seq ~config ~reduction ?metrics ?checkpoint ?frontier ?resume inst
         fun () -> Queue.length queue )
     | Some sp -> ((Spool.push sp), (fun () -> Spool.pop sp), fun () -> Spool.length sp)
   in
-  let por = reduction = Reduce.Por in
-  let sym = reduction = Reduce.Sym in
-  let canon = if sym then Reduce.canonicalizer inst else Fun.id in
-  let c_interned = ref 0
-  and c_dedup = ref 0
-  and c_edges = ref 0
-  and c_pruned = ref 0
-  and c_trunc = ref 0
-  and c_peak = ref 0
-  and c_ample = ref 0
-  and c_canon = ref 0 in
-  let intern st =
+  let canon = if reduction = Reduce.Sym then Reduce.canonicalizer inst else Fun.id in
+  let stats = fresh_stats () in
+  let intern stats st =
     match StateTbl.find_opt index st with
     | Some i ->
-      incr c_dedup;
+      stats.s_dedup <- stats.s_dedup + 1;
       Some (i, false)
     | None ->
       if !n_states >= max_states then begin
-        truncated := true;
-        incr c_trunc;
+        stats.s_truncated <- stats.s_truncated + 1;
         None
       end
       else begin
@@ -284,7 +364,7 @@ let explore_seq ~config ~reduction ?metrics ?checkpoint ?frontier ?resume inst
         StateTbl.add index st i;
         states := st :: !states;
         incr n_states;
-        incr c_interned;
+        stats.s_interned <- stats.s_interned + 1;
         Some (i, true)
       end
   in
@@ -307,28 +387,32 @@ let explore_seq ~config ~reduction ?metrics ?checkpoint ?frontier ?resume inst
            "Explore: resume snapshot was written under reduction %s, run requests %s"
            snap.Snapshot.reduction
            (Reduce.to_string reduction));
+    (* Saved states were interned in normal form; normalizing them again
+       is the identity, and keeps the kernel's invariant by construction. *)
+    let saved = Array.map (normalize inst ~collapse) snap.Snapshot.states in
     Array.iteri
       (fun i st ->
         StateTbl.add index st i;
         states := st :: !states;
         incr n_states)
-      snap.Snapshot.states;
+      saved;
     adjacency :=
       List.map (fun (i, es) -> (i, List.map unsnap_edge es)) snap.Snapshot.rows;
-    List.iter (fun i -> Queue.add (i, snap.Snapshot.states.(i)) queue) snap.Snapshot.frontier;
+    List.iter (fun i -> Queue.add (i, saved.(i)) queue) snap.Snapshot.frontier;
     pruned := snap.Snapshot.pruned;
     truncated := snap.Snapshot.truncated;
-    c_interned := snap.Snapshot.counters.Snapshot.interned;
-    c_dedup := snap.Snapshot.counters.Snapshot.dedup;
-    c_edges := snap.Snapshot.counters.Snapshot.edges;
-    c_pruned := snap.Snapshot.counters.Snapshot.pruned_writes;
-    c_trunc := snap.Snapshot.counters.Snapshot.truncated_interns;
-    c_peak := snap.Snapshot.counters.Snapshot.peak_frontier;
-    c_ample := snap.Snapshot.counters.Snapshot.ample;
-    c_canon := snap.Snapshot.counters.Snapshot.canonicalized
+    let c = snap.Snapshot.counters in
+    stats.s_interned <- c.Snapshot.interned;
+    stats.s_dedup <- c.Snapshot.dedup;
+    stats.s_edges <- c.Snapshot.edges;
+    stats.s_pruned <- c.Snapshot.pruned_writes;
+    stats.s_truncated <- c.Snapshot.truncated_interns;
+    stats.s_peak <- c.Snapshot.peak_frontier;
+    stats.s_ample <- c.Snapshot.ample;
+    stats.s_canon <- c.Snapshot.canonicalized
   | None ->
-    let init = canon (State.initial inst) in
-    (match intern init with Some _ -> () | None -> assert false);
+    let init = canon (normalize inst ~collapse (State.initial inst)) in
+    (match intern stats init with Some _ -> () | None -> assert false);
     fpush (0, init));
   let write_checkpoint path =
     Snapshot.save ~path inst
@@ -339,81 +423,44 @@ let explore_seq ~config ~reduction ?metrics ?checkpoint ?frontier ?resume inst
         states = Array.of_list (List.rev !states);
         rows = List.map (fun (i, es) -> (i, List.map snap_edge es)) !adjacency;
         frontier = List.rev (Queue.fold (fun acc (i, _) -> i :: acc) [] queue);
-        pruned = !pruned;
-        truncated = !truncated;
+        pruned = !pruned || stats.s_pruned > 0;
+        truncated = !truncated || stats.s_truncated > 0;
         counters =
           {
-            Snapshot.interned = !c_interned;
-            dedup = !c_dedup;
-            edges = !c_edges;
-            pruned_writes = !c_pruned;
-            truncated_interns = !c_trunc;
-            peak_frontier = !c_peak;
-            ample = !c_ample;
-            canonicalized = !c_canon;
+            Snapshot.interned = stats.s_interned;
+            dedup = stats.s_dedup;
+            edges = stats.s_edges;
+            pruned_writes = stats.s_pruned;
+            truncated_interns = stats.s_truncated;
+            peak_frontier = stats.s_peak;
+            ample = stats.s_ample;
+            canonicalized = stats.s_canon;
           };
       }
   in
   let since_checkpoint = ref 0 in
-  (* Counters live in local refs for the hot path; a checkpoint write is
-     the natural moment to publish progress to the shared metrics, so a
-     concurrent observer (the query daemon streaming job events) sees
-     the interned count advance at checkpoint granularity instead of
-     only at the final merge. *)
+  (* Counters live in a local buffer for the hot path; a checkpoint write
+     is the natural moment to publish progress to the shared metrics, so a
+     concurrent observer (the query daemon streaming job events) sees the
+     interned count advance at checkpoint granularity instead of only at
+     the final merge. *)
   let m_flushed = ref 0 in
   let flush_progress () =
     tick metrics (fun m ->
-        Metrics.add_interned m (!c_interned - !m_flushed);
-        m_flushed := !c_interned)
+        Metrics.add_interned m (stats.s_interned - !m_flushed);
+        m_flushed := stats.s_interned)
   in
   let continue = ref true in
   while !continue do
     match fpop () with
     | None -> continue := false
-    | Some (i, st) ->
-      let pairs =
-        List.map
-          (fun (labeled : Enumerate.labeled) ->
-            (labeled, Step.apply ~check:false inst st labeled.Enumerate.entry))
-          (successors st)
+    | Some item ->
+      let row =
+        expand ~config ~reduction ~canon ~collapse inst successors stats ~intern
+          ~push:fpush item
       in
-      let pairs =
-        if por then begin
-          let sel, proper = Reduce.ample inst st pairs in
-          if proper then incr c_ample;
-          sel
-        end
-        else pairs
-      in
-      let edges =
-        List.filter_map
-          (fun ((labeled : Enumerate.labeled), outcome) ->
-            let st' = project_state inst (collapse outcome.Step.state) in
-            if State.max_occupancy st' > config.channel_bound then begin
-              pruned := true;
-              incr c_pruned;
-              None
-            end
-            else begin
-              let st' =
-                if sym then begin
-                  let c = canon st' in
-                  if not (c == st') && not (State.equal c st') then incr c_canon;
-                  c
-                end
-                else st'
-              in
-              match intern st' with
-              | None -> None
-              | Some (j, fresh) ->
-                if fresh then fpush (j, st');
-                Some { dst = j; label = labeled }
-            end)
-          pairs
-      in
-      c_edges := !c_edges + List.length edges;
-      c_peak := max !c_peak (flen ());
-      adjacency := (i, edges) :: !adjacency;
+      stats.s_peak <- max stats.s_peak (flen ());
+      adjacency := row :: !adjacency;
       (match checkpoint with
       | Some { path; every } ->
         incr since_checkpoint;
@@ -424,19 +471,16 @@ let explore_seq ~config ~reduction ?metrics ?checkpoint ?frontier ?resume inst
         end
       | None -> ())
   done;
-  tick metrics (fun m ->
-      Metrics.add_interned m (!c_interned - !m_flushed);
-      Metrics.add_dedup m !c_dedup;
-      Metrics.add_edges m !c_edges;
-      Metrics.add_pruned m !c_pruned;
-      Metrics.add_truncated m !c_trunc;
-      Metrics.observe_frontier m !c_peak;
-      Metrics.add_ample m !c_ample;
-      Metrics.add_canonicalized m !c_canon);
+  merge_stats metrics ~interned:(stats.s_interned - !m_flushed) [ stats ];
   let states_arr = Array.of_list (List.rev !states) in
   let adj = Array.make (Array.length states_arr) [] in
   List.iter (fun (i, es) -> adj.(i) <- es) !adjacency;
-  { states = states_arr; adjacency = adj; pruned = !pruned; truncated = !truncated }
+  {
+    states = states_arr;
+    adjacency = adj;
+    pruned = !pruned || stats.s_pruned > 0;
+    truncated = !truncated || stats.s_truncated > 0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Parallel exploration, rearchitected around work stealing (PR 4).
@@ -528,43 +572,12 @@ module Deque = struct
     r
 end
 
-(* Domain-local counter buffer; padded past a cache line so adjacent
-   workers' buffers never false-share. *)
-type wstats = {
-  mutable s_interned : int;
-  mutable s_dedup : int;
-  mutable s_edges : int;
-  mutable s_pruned : int;
-  mutable s_truncated : int;
-  mutable s_peak : int;
-  mutable s_ample : int;
-  mutable s_canon : int;
-  mutable pad0 : int;
-  mutable pad1 : int;
-}
-
-let fresh_stats () =
-  {
-    s_interned = 0;
-    s_dedup = 0;
-    s_edges = 0;
-    s_pruned = 0;
-    s_truncated = 0;
-    s_peak = 0;
-    s_ample = 0;
-    s_canon = 0;
-    pad0 = 0;
-    pad1 = 0;
-  }
-
 let explore_ws ~config ~reduction ~domains ~spill ?metrics inst ~successors ~collapse =
   let max_states = max 1 config.max_states in
-  let por = reduction = Reduce.Por in
-  let sym = reduction = Reduce.Sym in
   (* The canonicalizer is built once here and shared read-only by every
      worker: orbit representatives are chosen by arena-id order, which the
      hash-consed arena keeps identical across domains of one process. *)
-  let canon = if sym then Reduce.canonicalizer inst else Fun.id in
+  let canon = if reduction = Reduce.Sym then Reduce.canonicalizer inst else Fun.id in
   let n_shards = 64 in
   let shards =
     Array.init n_shards (fun _ -> { mu = Mutex.create (); tbl = StateTbl.create 256 })
@@ -597,54 +610,12 @@ let explore_ws ~config ~reduction ~domains ~spill ?metrics inst ~successors ~col
         stats.s_interned <- stats.s_interned + 1;
         Some (i, true))
   in
-  (* Expand one state: [push] receives each fresh successor. *)
-  let expand stats ~push (i, st) =
-    let pairs =
-      List.map
-        (fun (labeled : Enumerate.labeled) ->
-          (labeled, Step.apply ~check:false inst st labeled.Enumerate.entry))
-        (successors st)
-    in
-    let pairs =
-      if por then begin
-        let sel, proper = Reduce.ample inst st pairs in
-        if proper then stats.s_ample <- stats.s_ample + 1;
-        sel
-      end
-      else pairs
-    in
-    let edges =
-      List.filter_map
-        (fun ((labeled : Enumerate.labeled), outcome) ->
-          let st' = project_state inst (collapse outcome.Step.state) in
-          if State.max_occupancy st' > config.channel_bound then begin
-            stats.s_pruned <- stats.s_pruned + 1;
-            None
-          end
-          else begin
-            let st' =
-              if sym then begin
-                let c = canon st' in
-                if not (c == st') && not (State.equal c st') then
-                  stats.s_canon <- stats.s_canon + 1;
-                c
-              end
-              else st'
-            in
-            match intern stats st' with
-            | None -> None
-            | Some (j, fresh) ->
-              if fresh then push (j, st');
-              Some { dst = j; label = labeled }
-          end)
-        pairs
-    in
-    stats.s_edges <- stats.s_edges + List.length edges;
-    (i, edges)
+  let expand stats ~push item =
+    expand ~config ~reduction ~canon ~collapse inst successors stats ~intern ~push item
   in
   (* Phase 1: sequential warm start on the calling domain.  Frontier depth
      is sampled outside any critical section (there is none here). *)
-  let init = canon (State.initial inst) in
+  let init = canon (normalize inst ~collapse (State.initial inst)) in
   let seq_stats = fresh_stats () in
   (match intern seq_stats init with Some (0, true) -> () | _ -> assert false);
   let queue = Queue.create () in
@@ -670,7 +641,7 @@ let explore_ws ~config ~reduction ~domains ~spill ?metrics inst ~successors ~col
         Deque.push_back deques.(!ix mod k) item;
         incr ix)
       queue;
-    (* User-supplied code ([successors]/[collapse]/Step.apply) may raise
+    (* User-supplied code ([successors], or the kernel under it) may raise
        inside any worker.  A raise would skip that item's [in_flight]
        decrement, so termination-by-counter alone would leave every other
        worker spinning forever; instead the first error is recorded here,
@@ -753,17 +724,9 @@ let explore_ws ~config ~reduction ~domains ~spill ?metrics inst ~successors ~col
   end;
   (* Merge: per-worker buffers into the shared metrics, rows into the
      adjacency, shard tables into the state array. *)
-  let sum f = Array.fold_left (fun acc w -> acc + f w) (f seq_stats) wstats in
-  let peak = Array.fold_left (fun acc w -> max acc w.s_peak) seq_stats.s_peak wstats in
-  tick metrics (fun m ->
-      Metrics.add_interned m (sum (fun w -> w.s_interned));
-      Metrics.add_dedup m (sum (fun w -> w.s_dedup));
-      Metrics.add_edges m (sum (fun w -> w.s_edges));
-      Metrics.add_pruned m (sum (fun w -> w.s_pruned));
-      Metrics.add_truncated m (sum (fun w -> w.s_truncated));
-      Metrics.observe_frontier m peak;
-      Metrics.add_ample m (sum (fun w -> w.s_ample));
-      Metrics.add_canonicalized m (sum (fun w -> w.s_canon)));
+  let all_stats = seq_stats :: Array.to_list wstats in
+  let sum f = List.fold_left (fun acc w -> acc + f w) 0 all_stats in
+  merge_stats metrics ~interned:(sum (fun w -> w.s_interned)) all_stats;
   let n = Atomic.get counter in
   let states_arr = Array.make n init in
   Array.iter (fun sh -> StateTbl.iter (fun st i -> states_arr.(i) <- st) sh.tbl) shards;
@@ -843,4 +806,4 @@ let explore ?config ?reduction ?domains ?spill ?frontier_spill ?metrics ?checkpo
   explore_with ?config ?reduction ?domains ?spill ?frontier_spill ?metrics ?checkpoint
     ?resume inst
     ~successors:(Enumerate.successors ?metrics inst model)
-    ~collapse:(collapse_state model)
+    ~collapse:(collapses model)

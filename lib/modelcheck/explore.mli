@@ -50,9 +50,23 @@ type graph = {
           graph itself never exceeds the bound and has no dangling edges *)
 }
 
+val collapses : Engine.Model.t -> bool
+(** The model is reliable with [M_all] reads, where only a channel's
+    newest message can ever become a known route: keeping just the last
+    message of every queue is exact. *)
+
 val collapse_state : Engine.Model.t -> Engine.State.t -> Engine.State.t
-(** The last-message-only channel reduction, exact for reliable polling
-    models (identity otherwise). *)
+(** The last-message-only channel reduction of a whole state under a
+    model that {!collapses} (identity otherwise). *)
+
+val project_state : Spp.Instance.t -> Engine.State.t -> Engine.State.t
+(** The receiver-relevance projection of a whole state: every route in a
+    channel into [v], or known as [v]'s ρ, that is not
+    {!Engine.Step.relevant} at [v] becomes epsilon (queue lengths are
+    kept).  Every state of an explored graph is a fixpoint of it and of
+    {!collapse_state}: the explorers apply both to the initial state and
+    to resumed snapshot states, and the step kernel ({!Engine.Step.next})
+    keeps every successor so. *)
 
 type checkpoint = { path : string; every : int }
 (** Write an {!Engine.Snapshot} of the exploration's progress to [path]
@@ -94,12 +108,13 @@ val explore_with :
   ?resume:Engine.Snapshot.t ->
   Spp.Instance.t ->
   successors:(Engine.State.t -> Enumerate.labeled list) ->
-  collapse:(Engine.State.t -> Engine.State.t) ->
+  collapse:bool ->
   graph
-(** Generalized entry point (heterogeneous models, custom collapses);
-    [collapse] must be an exact abstraction of the successor relation.
-    [successors] and [collapse] must be pure: once the frontier spills
-    they are called concurrently from several domains.  With [metrics],
+(** Generalized entry point (heterogeneous models).  [collapse] keeps only
+    the last message of every channel; it is exact only when every entry
+    [successors] yields is reliable with [M_all] reads (every model
+    {!collapses}).  [successors] must be pure: once the frontier spills it
+    is called concurrently from several domains.  With [metrics],
     interning, dedup, pruning and frontier counters are recorded (merged
     once at join on the parallel path), plus an "explore" wall-time
     phase.

@@ -105,18 +105,11 @@ let analyze_hetero ?config ?reduction ?domains ?metrics inst hetero =
     invalid_arg "Oscillation.analyze_hetero: sym reduction requires a homogeneous model"
   | _ -> ());
   let models = List.map (Hetero.model_of hetero) (Instance.nodes inst) in
-  let collapsible =
-    List.for_all
-      (fun (m : Model.t) -> m.Model.rel = Model.Reliable && m.Model.msg = Model.M_all)
-      models
-  in
+  let collapsible = List.for_all Explore.collapses models in
   let graph =
     Explore.explore_with ?config ?reduction ?domains ?metrics inst
       ~successors:(Enumerate.successors_with ?metrics inst (Hetero.model_of hetero))
-      ~collapse:(fun st ->
-        if collapsible then
-          Explore.collapse_state (Model.make Model.Reliable Model.N_every Model.M_all) st
-        else st)
+      ~collapse:collapsible
   in
   Metrics.timed ?m:metrics "analyze" (fun () -> analyze_graph ?metrics inst graph)
 

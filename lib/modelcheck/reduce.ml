@@ -26,14 +26,12 @@ let pp ppf t = Fmt.string ppf (to_string t)
    ample set must be ALL of v's activations, and why (iii) plus the strict
    message-count decrease discharges the cycle proviso structurally). *)
 
-let ample _inst st outcomes =
-  let drains st' v = function
-    | { Step.pushed = []; _ } as o ->
-      State.pi_id o.Step.state v = State.pi_id st' v
-      && State.announced_id o.Step.state v = State.announced_id st' v
-    | _ -> false
+let ample _inst st steps =
+  let drains v (n : Step.next) =
+    (not n.Step.pushes)
+    && Spp.Arena.equal (State.pi_id n.Step.after v) (State.pi_id st v)
+    && Spp.Arena.equal (State.announced_id n.Step.after v) (State.announced_id st v)
   in
-  let progresses (o : Step.outcome) = List.exists (fun (_, n) -> n > 0) o.processed in
   (* [Enumerate.successors] emits each node's entries consecutively, so
      one linear scan recovers the groups. *)
   let rec groups acc cur key = function
@@ -43,21 +41,21 @@ let ample _inst st outcomes =
       if k = key || cur = [] then groups acc (pair :: cur) k rest
       else groups (List.rev cur :: acc) [ pair ] k rest
   in
-  let total = List.length outcomes in
+  let total = List.length steps in
   let eligible group =
     match group with
-    | ((l, _) :: _ : (Enumerate.labeled * Step.outcome) list) -> (
+    | ((l, _) :: _ : (Enumerate.labeled * Step.next) list) -> (
       match l.Enumerate.entry.Activation.active with
       | [ v ] ->
         List.length group < total
-        && List.for_all (fun (_, o) -> drains st v o) group
-        && List.exists (fun (_, o) -> progresses o) group
+        && List.for_all (fun (_, n) -> drains v n) group
+        && List.exists (fun (_, (n : Step.next)) -> n.Step.consumes) group
       | _ -> false)
     | [] -> false
   in
-  match List.find_opt eligible (groups [] [] [] outcomes) with
+  match List.find_opt eligible (groups [] [] [] steps) with
   | Some group -> (group, true)
-  | None -> (outcomes, false)
+  | None -> (steps, false)
 
 (* ------------------------------------------------------------------ *)
 (* Symmetry quotient. *)
@@ -70,22 +68,22 @@ let relabel inst sigma st =
   let rid p =
     if A.is_epsilon p then p else A.of_nodes (List.map (fun v -> sigma.(v)) (A.to_nodes p))
   in
-  let nodes = I.nodes inst in
-  let s = State.initial inst in
+  let e = State.Edit.create () in
+  State.Edit.load e (State.initial inst);
   (* Every node is written explicitly (σ is a permutation), so nothing
      stale survives from the initial state. *)
-  let s = List.fold_left (fun s v -> State.with_pi_id s sigma.(v) (rid (State.pi_id st v))) s nodes in
-  let s =
-    List.fold_left
-      (fun s v -> State.with_announced_id s sigma.(v) (rid (State.announced_id st v)))
-      s nodes
-  in
-  let s =
-    List.fold_left
-      (fun s ((c : Channel.id), p) ->
-        State.with_rho_id s (Channel.id ~src:sigma.(c.Channel.src) ~dst:sigma.(c.Channel.dst)) (rid p))
-      s (State.rho_bindings_id st)
-  in
+  List.iter
+    (fun v ->
+      State.Edit.set_pi e sigma.(v) (rid (State.pi_id st v));
+      State.Edit.set_announced e sigma.(v) (rid (State.announced_id st v)))
+    (I.nodes inst);
+  State.fold_rho_id
+    (fun (c : Channel.id) p () ->
+      State.Edit.set_rho e
+        (Channel.id ~src:sigma.(c.Channel.src) ~dst:sigma.(c.Channel.dst))
+        (rid p))
+    st ();
+  let s = State.Edit.seal e in
   let chans =
     List.fold_left
       (fun m ((c : Channel.id), msgs) ->
@@ -94,8 +92,6 @@ let relabel inst sigma st =
       Channel.empty
       (Channel.bindings (State.channels st))
   in
-  (* [with_channels] recomputes the digest and occupancy cache from
-     scratch, so the representative's caches can never go stale. *)
   State.with_channels s chans
 
 let canonicalizer inst =

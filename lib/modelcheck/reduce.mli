@@ -34,17 +34,17 @@ val pp : Format.formatter -> t -> unit
 val ample :
   Spp.Instance.t ->
   Engine.State.t ->
-  (Enumerate.labeled * Engine.Step.outcome) list ->
-  (Enumerate.labeled * Engine.Step.outcome) list * bool
-(** [ample inst st outcomes] selects an ample subset of the labeled
-    activations (paired with their already-computed raw outcomes) to
-    expand at [st].  Scans the label groups node by node (in
+  (Enumerate.labeled * Engine.Step.next) list ->
+  (Enumerate.labeled * Engine.Step.next) list * bool
+(** [ample inst st steps] selects an ample subset of the labeled
+    activations (paired with their already-computed {!Engine.Step.next}
+    results) to expand at [st].  Scans the label groups node by node (in
     {!Spp.Instance.nodes} order, matching {!Enumerate.successors}'
     grouping) for an {e invisible drain}: a node all of whose activations
     at [st] push no messages and leave its own choice and last
     announcement unchanged, with at least one activation consuming a
     message.  Returns that node's pairs and [true], or all pairs and
-    [false] when no node qualifies.  Outcomes are never recomputed. *)
+    [false] when no node qualifies.  Steps are never recomputed. *)
 
 (** {1 Symmetry quotient} *)
 

@@ -29,6 +29,11 @@ end)
 
 type termination = Prefix | Forever
 
+(* Both searches below step the unprojected, uncollapsed states that
+   {!Step.apply} would produce, without its outcome lists. *)
+let step inst st (l : Enumerate.labeled) =
+  Step.next ~project:false ~collapse:false inst st l.Enumerate.entry
+
 (* Is there a fair infinite continuation from [start] along which the path
    assignment never changes?  Explore the subgraph of states sharing the
    assignment and look for a strongly connected edge set that reads every
@@ -56,8 +61,7 @@ let fair_constant_continuation config inst successors start =
     let i, st = Queue.pop queue in
     List.iter
       (fun (l : Enumerate.labeled) ->
-        let outcome = Step.apply ~check:false inst st l.Enumerate.entry in
-        let st' = outcome.Step.state in
+        let st' = (step inst st l).Step.after in
         if
           State.max_occupancy st' <= config.Explore.channel_bound
           && Assignment.equal (State.assignment inst st') assignment
@@ -155,8 +159,7 @@ let realizable ?(config = Explore.default_config) ?(termination = Prefix) inst m
       List.iter
         (fun (l : Enumerate.labeled) ->
           if !accept = None then begin
-            let outcome = Step.apply ~check:false inst st l.Enumerate.entry in
-            let st' = outcome.Step.state in
+            let st' = (step inst st l).Step.after in
             if State.max_occupancy st' > config.Explore.channel_bound
             then pruned := true
             else begin

@@ -20,6 +20,7 @@ type state = {
       (** job id -> connections streaming its events, with the request id
           each used (echoed on every event line) *)
   mutable running : bool;
+  chunk : Bytes.t;  (** the read buffer, shared: one read at a time *)
 }
 
 let subscribe st job_id c req_id =
@@ -47,13 +48,21 @@ type task = {
   t_work : (unit -> string) option;  (** [Some] = deferred compute *)
 }
 
+(* Every deferred compute is wrapped here, once: whichever branch of
+   [run_batch] runs it, a raise answers [Internal] under the request's own
+   id instead of escaping the select loop. *)
+let guard ~id work () =
+  match work () with
+  | line -> line
+  | exception e -> Protocol.error_line ~id (Error.Internal (Printexc.to_string e))
+
 let respond_result ~id = function
   | Ok (result, cached) -> Protocol.ok_line ~id ~cached result
   | Error e -> Protocol.error_line ~id e
 
 let handle st c ({ id; req } : Protocol.envelope) =
   let immediate line = { t_client = c; t_slot = ref line; t_work = None } in
-  let deferred work = { t_client = c; t_slot = ref ""; t_work = Some work } in
+  let deferred work = { t_client = c; t_slot = ref ""; t_work = Some (guard ~id work) } in
   match req with
   | Protocol.Ping ->
     immediate (Protocol.ok_line ~id (Json.Obj [ ("pong", Json.Bool true) ]))
@@ -117,38 +126,36 @@ let handle st c ({ id; req } : Protocol.envelope) =
         (Protocol.ok_line ~id
            (Json.Obj [ ("job", Json.Str job); ("state", Json.Str "running") ])))
 
-let run_batch st tasks =
-  let deferred =
-    List.filter_map
-      (fun t -> Option.map (fun w -> (t.t_slot, w)) t.t_work)
-      tasks
-  in
-  (match deferred with
-  | [] -> ()
-  | [ (slot, work) ] -> slot := work ()
+let run_computes ~workers works =
+  match works with
+  | [] -> [||]
+  | [ work ] -> [| work () |]
   | _ ->
-    let arr = Array.of_list deferred in
+    let arr = Array.of_list works in
     let n = Array.length arr in
+    let out = Array.make n "" in
     let idx = Atomic.make 0 in
     let worker _ =
       let rec loop () =
         let i = Atomic.fetch_and_add idx 1 in
         if i < n then begin
-          let slot, work = arr.(i) in
-          (slot :=
-             match work () with
-             | line -> line
-             | exception e ->
-               Protocol.error_line ~id:Json.Null
-                 (Error.Internal (Printexc.to_string e)));
+          out.(i) <- arr.(i) ();
           loop ()
         end
       in
       loop ()
     in
-    let workers = max 1 (min st.workers n) in
+    let workers = max 1 (min workers n) in
     if workers > 1 then Engine.Pool.run (Engine.Pool.get ()) ~workers worker
-    else worker 0);
+    else worker 0;
+    out
+
+let run_batch st tasks =
+  let deferred =
+    List.filter_map (fun t -> Option.map (fun w -> (t.t_slot, w)) t.t_work) tasks
+  in
+  let lines = run_computes ~workers:st.workers (List.map snd deferred) in
+  List.iteri (fun i (slot, _) -> slot := lines.(i)) deferred;
   (* Arrival order per connection: tasks were collected in read order. *)
   List.iter (fun t -> Buffer.add_string t.t_client.out !(t.t_slot)) tasks
 
@@ -203,8 +210,29 @@ let close_client st c =
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
+(* Only the newly read bytes are scanned: [pending] never holds a newline,
+   so a line's head is in [pending] and the rest of it in [chunk]. *)
+let split_lines pending chunk n =
+  let rec newline i = if i >= n || Bytes.get chunk i = '\n' then i else newline (i + 1) in
+  let rec go acc start =
+    let i = newline start in
+    if i >= n then begin
+      Buffer.add_subbytes pending chunk start (n - start);
+      List.rev acc
+    end
+    else if Buffer.length pending = 0 then
+      go (Bytes.sub_string chunk start (i - start) :: acc) (i + 1)
+    else begin
+      Buffer.add_subbytes pending chunk start (i - start);
+      let line = Buffer.contents pending in
+      Buffer.clear pending;
+      go (line :: acc) (i + 1)
+    end
+  in
+  go [] 0
+
 let read_tasks st c =
-  let chunk = Bytes.create 65536 in
+  let chunk = st.chunk in
   match Unix.read c.fd chunk 0 (Bytes.length chunk) with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> []
@@ -215,17 +243,7 @@ let read_tasks st c =
     close_client st c;
     []
   | n ->
-    Buffer.add_subbytes c.inbuf chunk 0 n;
-    let data = Buffer.contents c.inbuf in
-    Buffer.clear c.inbuf;
-    let rec split acc start =
-      match String.index_from_opt data start '\n' with
-      | Some i -> split (String.sub data start (i - start) :: acc) (i + 1)
-      | None ->
-        Buffer.add_substring c.inbuf data start (String.length data - start);
-        List.rev acc
-    in
-    let lines = split [] 0 in
+    let lines = split_lines c.inbuf chunk n in
     List.filter_map
       (fun line ->
         if String.trim line = "" then None
@@ -283,6 +301,7 @@ let run ?(on_ready = fun () -> ()) cfg =
       clients = Hashtbl.create 16;
       subs = Hashtbl.create 7;
       running = true;
+      chunk = Bytes.create 65536;
     }
   in
   on_ready ();

@@ -29,3 +29,22 @@ val run : ?on_ready:(unit -> unit) -> config -> (unit, Error.t) result
     errors for a bind failure, an unusable store directory, or a
     contradictory fact base — mapping them to exit codes is the
     caller's job. *)
+
+(** {1 Pieces of the loop, exposed for tests} *)
+
+val guard : id:Engine.Metrics.Json.v -> (unit -> string) -> unit -> string
+(** [guard ~id work] runs [work]; if it raises, the answer is an
+    [Internal] error line carrying [id].  Every deferred compute request is
+    wrapped in it once, when its thunk is built. *)
+
+val run_computes : workers:int -> (unit -> string) list -> string array
+(** Runs deferred computes, in order of the list: inline when there is
+    one, otherwise pulled off an atomic index by up to [workers]
+    {!Engine.Pool} workers.  The thunks must not raise (see {!guard}). *)
+
+val split_lines : Buffer.t -> Bytes.t -> int -> string list
+(** [split_lines pending chunk n] appends the first [n] bytes of [chunk]
+    to a connection's [pending] input and returns the complete lines, in
+    order and without their newlines; the unfinished tail stays in
+    [pending].  Only the new bytes are scanned, so a line delivered in many
+    reads costs time linear in its length. *)

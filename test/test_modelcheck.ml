@@ -181,6 +181,128 @@ let test_fig6_work_counts () =
     [ ("R1A", 118_160); ("RMA", 391_405) ]
 
 (* ------------------------------------------------------------------ *)
+(* The step kernel *)
+
+(* [Step.next] against the reference pipeline it replaces: the recorded
+   step, then the whole-state collapse and projection.  Parents are the
+   states of a normalized random walk (the explorers' invariant), and
+   every canonical entry at each of them is checked, plus the schedule's
+   own entry; the unprojected kernel must be [Step.apply]'s state. *)
+let kernel_agrees inst m st (entry : Activation.t) =
+  let collapse = Explore.collapses m in
+  let o = Step.apply ~check:false inst st entry in
+  let n = Step.next ~project:true ~collapse inst st entry in
+  let raw = Step.next ~project:false ~collapse:false inst st entry in
+  State.equal n.Step.after
+    (Explore.project_state inst (Explore.collapse_state m o.Step.state))
+  && State.equal raw.Step.after o.Step.state
+  && n.Step.pushes = (o.Step.pushed <> [])
+  && n.Step.consumes = List.exists (fun (_, i) -> i > 0) o.Step.processed
+  && raw.Step.pushes = n.Step.pushes
+  && raw.Step.consumes = n.Step.consumes
+  && State.debug_occupancy_ok n.Step.after
+
+let prop_kernel_parity =
+  QCheck2.Test.make ~name:"Step.next = project (collapse (Step.apply)), 24 models"
+    ~count:40
+    QCheck2.Gen.(pair (int_range 0 9_999) (int_range 1 25))
+    (fun (seed, steps) ->
+      let inst =
+        Generator.instance
+          { Generator.default with nodes = 4; seed; extra_edges = 1; max_paths_per_node = 2 }
+      in
+      List.for_all
+        (fun m ->
+          let succ = Enumerate.successors inst m in
+          let normalize st =
+            Explore.project_state inst (Explore.collapse_state m st)
+          in
+          let rec walk st = function
+            | [] -> true
+            | e :: rest ->
+              List.for_all
+                (fun (l : Enumerate.labeled) -> kernel_agrees inst m st l.Enumerate.entry)
+                (succ st)
+              && kernel_agrees inst m st e
+              && walk (normalize (Step.apply inst st e).Step.state) rest
+          in
+          walk (State.initial inst) (Scheduler.prefix steps (Scheduler.random inst m ~seed)))
+        Model.all)
+
+let normal_form inst m st =
+  State.equal (Explore.project_state inst st) st
+  && State.equal (Explore.collapse_state m st) st
+
+let all_normal inst m (g : Explore.graph) =
+  Array.for_all (normal_form inst m) g.Explore.states
+
+(* The invariant the kernel relies on: every explored state is a fixpoint
+   of both whole-state functions. *)
+let prop_graph_normal =
+  QCheck2.Test.make ~name:"explored states are projection/collapse fixpoints" ~count:6
+    QCheck2.Gen.(int_range 0 9_999)
+    (fun seed ->
+      let inst =
+        Generator.instance
+          { Generator.default with nodes = 4; seed; extra_edges = 1; max_paths_per_node = 2 }
+      in
+      let config = { Explore.channel_bound = 3; max_states = 1_500 } in
+      List.for_all
+        (fun m -> all_normal inst m (Explore.explore ~config ~domains:1 inst m))
+        Model.all)
+
+exception Killed
+
+(* The same invariant for states that do not come out of the kernel:
+   symmetry representatives, and states resumed from a checkpoint. *)
+let test_normal_sym_and_resume () =
+  let config = { Explore.channel_bound = 3; max_states = 600 } in
+  List.iter
+    (fun inst ->
+      List.iter
+        (fun m ->
+          let name = Model.to_string m in
+          let g = Explore.explore ~config ~reduction:Reduce.Sym ~domains:1 inst m in
+          if not (all_normal inst m g) then Alcotest.failf "%s: sym state not normal" name)
+        Model.all)
+    [ Gadgets.disagree; Gadgets.bad_gadget ];
+  let inst = Gadgets.fig6 in
+  List.iter
+    (fun name ->
+      let m = model name in
+      let path =
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "commrouting-kernel-%s-%d.snap" name (Unix.getpid ()))
+      in
+      let successors = Enumerate.successors inst m in
+      let collapse = Explore.collapses m in
+      let calls = ref 0 in
+      let killing st =
+        incr calls;
+        if !calls > 40 then raise Killed else successors st
+      in
+      (match
+         Explore.explore_with ~config ~checkpoint:{ Explore.path; every = 10 } inst
+           ~successors:killing ~collapse
+       with
+      | (_ : Explore.graph) -> Alcotest.failf "%s: not interrupted" name
+      | exception Killed -> ());
+      let resume =
+        match Snapshot.load ~path inst with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "%s: %s" name (Snapshot.error_to_string e)
+      in
+      Sys.remove path;
+      if not (Array.for_all (normal_form inst m) resume.Snapshot.states) then
+        Alcotest.failf "%s: saved state not normal" name;
+      let g = Explore.explore_with ~config ~resume inst ~successors ~collapse in
+      if not (all_normal inst m g) then Alcotest.failf "%s: resumed state not normal" name;
+      let direct = Explore.explore ~config ~domains:1 inst m in
+      Alcotest.(check int) (name ^ " resumed states") (Array.length direct.Explore.states)
+        (Array.length g.Explore.states))
+    [ "R1A"; "RMA"; "REO"; "UMS" ]
+
+(* ------------------------------------------------------------------ *)
 (* DISAGREE: the full 24-model sweep (Ex. A.1 and beyond) *)
 
 let disagree_expected =
@@ -492,7 +614,7 @@ let test_ws_exception_propagates () =
   in
   (match
      Explore.explore_with ~domains:3 ~spill:0 inst ~successors
-       ~collapse:(fun st -> st)
+       ~collapse:false
    with
   | _ -> Alcotest.fail "exception in successors was swallowed"
   | exception Boom -> ());
@@ -580,6 +702,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_memo_every_model;
           Alcotest.test_case "two domains share one memo" `Quick test_memo_two_domains;
           Alcotest.test_case "FIG6 R1A/RMA work counts" `Quick test_fig6_work_counts;
+        ] );
+      ( "kernel",
+        [
+          QCheck_alcotest.to_alcotest prop_kernel_parity;
+          QCheck_alcotest.to_alcotest prop_graph_normal;
+          Alcotest.test_case "sym and resumed states normal" `Quick
+            test_normal_sym_and_resume;
         ] );
       ( "verdicts",
         [

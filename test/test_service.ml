@@ -463,6 +463,119 @@ let test_query_memoized () =
   | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
   | Ok _ -> Alcotest.fail "status of unknown job succeeded"
 
+(* ------------------------------------------------------------------ *)
+(* Server: the compute guard and the line reader *)
+
+let parse_line line =
+  match Json.parse (String.trim line) with
+  | Ok j -> j
+  | Error m -> Alcotest.failf "unparseable response %S: %s" line m
+
+let error_kind j =
+  match Json.member "error" j with
+  | Some e -> (
+    match Json.member "kind" e with Some (Json.Str k) -> k | _ -> "?")
+  | None -> "none"
+
+(* A raising compute answers [Internal] with its own request id, on the
+   single-task branch and on the pooled branch alike. *)
+let test_guard_both_branches () =
+  let boom () = failwith "boom" in
+  let fine () = Protocol.ok_line ~id:(Json.Num 8.) (Json.Bool true) in
+  let check_internal what id line =
+    let j = parse_line line in
+    Alcotest.(check bool) (what ^ ": id kept") true (Json.member "id" j = Some id);
+    Alcotest.(check string) (what ^ ": internal") (Error.kind (Error.Internal ""))
+      (error_kind j)
+  in
+  (match Server.run_computes ~workers:2 [ Server.guard ~id:(Json.Num 7.) boom ] with
+  | [| line |] -> check_internal "single" (Json.Num 7.) line
+  | _ -> Alcotest.fail "single: one answer expected");
+  match
+    Server.run_computes ~workers:2
+      [
+        Server.guard ~id:(Json.Str "a") boom;
+        Server.guard ~id:(Json.Num 8.) fine;
+        Server.guard ~id:(Json.Num 9.) boom;
+      ]
+  with
+  | [| a; b; c |] ->
+    check_internal "pooled first" (Json.Str "a") a;
+    Alcotest.(check string) "pooled ok answer untouched" (fine ()) b;
+    check_internal "pooled last" (Json.Num 9.) c
+  | _ -> Alcotest.fail "pooled: three answers expected"
+
+let test_split_lines () =
+  let pending = Buffer.create 16 in
+  let feed s = Server.split_lines pending (Bytes.of_string s) (String.length s) in
+  let line = {|{"id":1,"method":"ping"}|} in
+  let got = ref [] in
+  String.iter (fun ch -> got := !got @ feed (String.make 1 ch)) (line ^ "\n");
+  Alcotest.(check (list string)) "byte by byte" [ line ] !got;
+  Alcotest.(check int) "nothing pending" 0 (Buffer.length pending);
+  Alcotest.(check (list string)) "several in one read, tail kept" [ "a"; ""; "bc" ]
+    (feed "a\n\nbc\nde");
+  Alcotest.(check (list string)) "tail completed" [ "def" ] (feed "f\ng");
+  (* Only the first [n] bytes of the chunk count. *)
+  Alcotest.(check (list string)) "bytes past n ignored" [ "gh" ]
+    (Server.split_lines pending (Bytes.of_string "h\nzz\n") 2)
+
+(* End to end on a live daemon: one request delivered in many small
+   writes, then several requests in one write, answered whole and in
+   order. *)
+let test_daemon_framing () =
+  let dir = tmp_dir "framing" in
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cr-framing-%d.sock" (Unix.getpid ()))
+  in
+  let ready = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Server.run
+          ~on_ready:(fun () -> Atomic.set ready true)
+          {
+            Server.socket;
+            store = { Store.dir; max_entries = Store.default_max_entries };
+            workers = 2;
+          })
+  in
+  while not (Atomic.get ready) do
+    Unix.sleepf 0.005
+  done;
+  let ok = function Ok x -> x | Error e -> Alcotest.failf "%s" (Error.to_string e) in
+  let c = ok (Client.connect ~socket) in
+  let id_of j = match Json.member "id" j with Some v -> v | None -> Json.Null in
+  let req = {|{"id":41,"method":"ping"}|} ^ "\n" in
+  String.iteri
+    (fun i ch ->
+      ok (Client.send_raw c (String.make 1 ch));
+      if i mod 4 = 0 then Unix.sleepf 0.002)
+    req;
+  let j = ok (Client.read_json c) in
+  Alcotest.(check bool) "split request answered" true (id_of j = Json.Num 41.);
+  let check =
+    {|{"id":2,"method":"check","params":{"instance":"DISAGREE","model":"R1O","bound":2,"max_states":500}}|}
+  in
+  ok
+    (Client.send_raw c
+       (String.concat "\n"
+          [ {|{"id":1,"method":"ping"}|}; check; {|{"id":3,"method":"ping"}|}; "" ]));
+  List.iter
+    (fun want ->
+      let j = ok (Client.read_json c) in
+      Alcotest.(check bool)
+        (Printf.sprintf "answer %g in order" want)
+        true
+        (id_of j = Json.Num want);
+      Alcotest.(check bool) "ok" true (Json.member "ok" j = Some (Json.Bool true)))
+    [ 1.; 2.; 3. ];
+  ignore (ok (Client.request c { Protocol.id = Json.Num 9.; req = Protocol.Shutdown }));
+  Client.close c;
+  match Domain.join daemon with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "daemon: %s" (Error.to_string e)
+
 let () =
   Alcotest.run "service"
     [
@@ -492,5 +605,13 @@ let () =
           Alcotest.test_case "instance resolution" `Quick test_resolve;
           Alcotest.test_case "exit codes mapped once" `Quick test_error_exit_codes;
           Alcotest.test_case "query memoization" `Quick test_query_memoized;
+        ] );
+      ( "server",
+        [
+          Alcotest.test_case "raising compute answers internal, both branches" `Quick
+            test_guard_both_branches;
+          Alcotest.test_case "line splitting scans new bytes" `Quick test_split_lines;
+          Alcotest.test_case "daemon framing: split and batched requests" `Quick
+            test_daemon_framing;
         ] );
     ]
