@@ -38,20 +38,6 @@ module Journal = Conformance.Journal.Generic
 let schema = "commrouting/bench_bgp/v1"
 let journal_magic = "commrouting/bench_bgp_journal/v1"
 
-(* Every failure path raises a typed [failure]; the runner at the bottom
-   of the file is the only place exit codes are decided. *)
-type failure =
-  | Usage of string  (** bad command line: message + usage text, exit 2 *)
-  | Input of string  (** unreadable or foreign artifact: exit 2, no usage dump *)
-  | Gate of string option
-      (** a sweep invariant failed: exit 1.  [None] when the failing path
-          already printed its own diagnostics. *)
-
-exception Fail of failure
-
-let inputf fmt = Fmt.kstr (fun m -> raise (Fail (Input m))) fmt
-let gatef fmt = Fmt.kstr (fun m -> raise (Fail (Gate (Some m)))) fmt
-
 (* ------------------------------------------------------------------ *)
 (* Budgets. *)
 
@@ -123,7 +109,7 @@ let run_case ~workers ~seed ~batch ~repeat tag topo model shards =
     | Some prev ->
       (* repeats must be bit-identical; anything else is a determinism bug *)
       if Bgp.Shard.route_digest prev <> Bgp.Shard.route_digest r then
-        gatef "nondeterministic repeat on %s/%s/%d" tag (Model.to_string model)
+        Kit.gatef "nondeterministic repeat on %s/%s/%d" tag (Model.to_string model)
           shards
   done;
   let r = Option.get !result in
@@ -380,120 +366,51 @@ let to_json ~budget ~shard_k ~seed ~workers ~cores ~degraded topo_rows parity ca
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Artifact comparison, same contract as the other benches: identical
-   after blanking machine-dependent measurements, unknown fields are an
-   error. *)
+(* The artifact as the comparer sees it (see Kit): identical after
+   blanking machine-dependent measurements, unknown fields are an error. *)
 
-let volatile_keys =
-  [ "wall_s"; "workers"; "cores"; "degraded"; "pool_engaged"; "speedup"; "speedup_geomean" ]
-
-let known_keys =
-  [
-    "schema";
-    "budget";
-    "shard_k";
-    "seed";
-    "topologies";
-    "parity";
-    "cases";
-    (* topologies *)
-    "tag";
-    "nodes";
-    "links";
-    "digest";
-    "cut_edges";
-    "imbalance";
-    (* parity *)
-    "model";
-    "shards";
-    "legacy_steps";
-    "legacy_messages";
-    "epochs";
-    "match";
-    (* cases *)
-    "topology";
-    "batching";
-    "lossy_every";
-    "converged";
-    "activations";
-    "messages";
-    "cross_messages";
-    "flushes";
-    "drops";
-    "route_digest";
-  ]
-
-let rec first_unknown_key path = function
-  | Json.Obj fields ->
-    List.fold_left
-      (fun acc (k, v) ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          if not (List.mem k known_keys || List.mem k volatile_keys) then
-            Some (path ^ "." ^ k)
-          else first_unknown_key (path ^ "." ^ k) v)
-      None fields
-  | Json.List l ->
-    List.fold_left
-      (fun (i, acc) v ->
-        match acc with
-        | Some _ -> (i + 1, acc)
-        | None -> (i + 1, first_unknown_key (Printf.sprintf "%s[%d]" path i) v))
-      (0, None) l
-    |> snd
-  | _ -> None
-
-let rec scrub = function
-  | Json.Obj fields ->
-    Json.Obj
-      (List.map
-         (fun (k, v) -> (k, if List.mem k volatile_keys then Json.Null else scrub v))
-         fields)
-  | Json.List l -> Json.List (List.map scrub l)
-  | v -> v
-
-let rec first_diff path a b =
-  match (a, b) with
-  | Json.Obj fa, Json.Obj fb ->
-    if List.map fst fa <> List.map fst fb then Some (path ^ ": field sets differ")
-    else
-      List.fold_left2
-        (fun acc (k, va) (_, vb) ->
-          match acc with Some _ -> acc | None -> first_diff (path ^ "." ^ k) va vb)
-        None fa fb
-  | Json.List la, Json.List lb ->
-    if List.length la <> List.length lb then Some (path ^ ": list lengths differ")
-    else
-      List.fold_left2
-        (fun (i, acc) va vb ->
-          match acc with
-          | Some _ -> (i + 1, acc)
-          | None -> (i + 1, first_diff (Printf.sprintf "%s[%d]" path i) va vb))
-        (0, None) la lb
-      |> snd
-  | a, b -> if a = b then None else Some path
-
-let compare_ignoring_timings path_a path_b =
-  let parse p =
-    match In_channel.with_open_bin p In_channel.input_all with
-    | exception Sys_error e -> inputf "%s" e
-    | text -> (
-      match Json.parse text with
-      | Ok v -> (
-        match first_unknown_key "$" v with
-        | Some where ->
-          inputf
-            "%s has a field this comparer does not know at %s; extend \
-             known_keys or volatile_keys before trusting the verdict"
-            p where
-        | None -> scrub v)
-      | Error e -> inputf "%s does not parse: %s" p e)
-  in
-  let a = parse path_a and b = parse path_b in
-  match first_diff "$" a b with
-  | None -> Printf.printf "%s and %s are identical modulo timings\n" path_a path_b
-  | Some where -> gatef "%s and %s differ at %s" path_a path_b where
+let artifact =
+  {
+    Kit.schema;
+    volatile_keys =
+      [ "wall_s"; "workers"; "cores"; "degraded"; "pool_engaged"; "speedup"; "speedup_geomean" ];
+    known_keys =
+      [
+        "schema";
+        "budget";
+        "shard_k";
+        "seed";
+        "topologies";
+        "parity";
+        "cases";
+        (* topologies *)
+        "tag";
+        "nodes";
+        "links";
+        "digest";
+        "cut_edges";
+        "imbalance";
+        (* parity *)
+        "model";
+        "shards";
+        "legacy_steps";
+        "legacy_messages";
+        "epochs";
+        "match";
+        (* cases *)
+        "topology";
+        "batching";
+        "lossy_every";
+        "converged";
+        "activations";
+        "messages";
+        "cross_messages";
+        "flushes";
+        "drops";
+        "route_digest";
+      ];
+    opaque_keys = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Gates. *)
@@ -569,7 +486,7 @@ let emit ~budget ~shard_k ~seed ~workers ~batch ~repeat ~models_filter ~checkpoi
         | models -> Some (tag, Bgp.Topology.generate_scaled cfg, models))
       (blocks budget)
   in
-  if built = [] then inputf "--models filtered every case away";
+  if built = [] then Kit.inputf "--models filtered every case away";
   let journal =
     match checkpoint with
     | None -> None
@@ -619,15 +536,9 @@ let emit ~budget ~shard_k ~seed ~workers ~batch ~repeat ~models_filter ~checkpoi
      the pool never ran (1 worker) or there is no second core to run it
      on.  Recorded as-is; never dressed up. *)
   let degraded = (not (List.exists (fun c -> c.pool_engaged) cases)) || cores < 2 in
-  let text =
-    Json.to_string
-      (to_json ~budget ~shard_k ~seed ~workers ~cores ~degraded topo_rows parity cases sp)
-  in
-  Snapshot.write_atomic path text;
   let parse_failure =
-    match Json.parse text with
-    | Ok v -> if Json.member "cases" v = None then [ "emitted JSON lacks a cases field" ] else []
-    | Error e -> [ "emitted JSON does not parse: " ^ e ]
+    Kit.write_artifact path
+      (to_json ~budget ~shard_k ~seed ~workers ~cores ~degraded topo_rows parity cases sp)
   in
   ((topo_rows, parity, cases, sp, degraded), !resumed, parse_failure @ gate_failures parity cases)
 
@@ -660,7 +571,7 @@ let usage =
    \                   identical after blanking wall times and machine-\n\
    \                   dependent fields; unknown fields are an error\n"
 
-let bad msg = raise (Fail (Usage msg))
+let bad msg = Kit.usagef "%s" msg
 
 let main () =
   let path = ref "BENCH_bgp.json" in
@@ -675,7 +586,6 @@ let main () =
   let checkpoint_every = ref 1 in
   let resume = ref false in
   let min_speedup = ref None in
-  let compare_paths = ref None in
   let int_arg name v k =
     match int_of_string_opt v with Some n -> k n | None -> bad (name ^ " needs an integer")
   in
@@ -736,61 +646,41 @@ let main () =
       | Some f -> min_speedup := Some f
       | None -> bad "--min-speedup needs a number");
       parse rest
-    | "--compare-ignoring-timings" :: a :: b :: rest ->
-      compare_paths := Some (a, b);
-      parse rest
-    | "--compare-ignoring-timings" :: _ -> bad "--compare-ignoring-timings needs two files"
     | [ ("-o" | "--budget" | "--models" | "--shards" | "--workers" | "--seed" | "--batch"
         | "--repeat" | "--checkpoint" | "--checkpoint-every" | "--min-speedup") as flag ] ->
       bad (flag ^ " needs an argument")
     | arg :: _ -> bad (Printf.sprintf "unknown argument %S" arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
-  match !compare_paths with
-  | Some (a, b) -> compare_ignoring_timings a b
-  | None ->
-    if !resume && !checkpoint = None then bad "--resume needs --checkpoint";
-    let budget = !budget in
-    let shard_k = match !shard_k with Some k -> k | None -> default_shards budget in
-    let results, resumed, failures =
-      emit ~budget ~shard_k ~seed:!seed ~workers:!workers ~batch:!batch ~repeat:!repeat
-        ~models_filter:!models ~checkpoint:!checkpoint ~checkpoint_every:!checkpoint_every
-        ~resume:!resume ~path:!path
-    in
-    let _, _, _, sp, degraded = results in
-    Fmt.pr "bgp scale sweep (%s budget, K=%d, %d workers):@.%a" (budget_name budget) shard_k
-      !workers pp_summary results;
-    if resumed > 0 then Fmt.pr "resumed %d finished case(s) from the journal@." resumed;
-    Fmt.pr "wrote %s@." !path;
-    if failures <> [] then begin
-      List.iter (fun f -> Printf.eprintf "bgp_scale: %s\n" f) failures;
-      raise (Fail (Gate None))
-    end;
-    (match !min_speedup with
-    | None -> ()
-    | Some thr ->
-      if degraded then
-        Fmt.pr "[degraded] pool never engaged (workers=%d, cores=%d): --min-speedup not gated@."
-          !workers
-          (Domain.recommended_domain_count ())
-      else begin
-        let g = geomean sp in
-        if g < thr then
-          gatef "geomean speedup %.2fx below the --min-speedup %.2fx gate" g thr
-        else Fmt.pr "speedup gate: %.2fx >= %.2fx@." g thr
-      end)
+  if !resume && !checkpoint = None then bad "--resume needs --checkpoint";
+  let budget = !budget in
+  let shard_k = match !shard_k with Some k -> k | None -> default_shards budget in
+  let results, resumed, failures =
+    emit ~budget ~shard_k ~seed:!seed ~workers:!workers ~batch:!batch ~repeat:!repeat
+      ~models_filter:!models ~checkpoint:!checkpoint ~checkpoint_every:!checkpoint_every
+      ~resume:!resume ~path:!path
+  in
+  let _, _, _, sp, degraded = results in
+  Fmt.pr "bgp scale sweep (%s budget, K=%d, %d workers):@.%a" (budget_name budget) shard_k
+    !workers pp_summary results;
+  if resumed > 0 then Fmt.pr "resumed %d finished case(s) from the journal@." resumed;
+  Fmt.pr "wrote %s@." !path;
+  if failures <> [] then begin
+    List.iter (fun f -> Printf.eprintf "bgp_scale: %s\n" f) failures;
+    Kit.gate_failed ()
+  end;
+  match !min_speedup with
+  | None -> ()
+  | Some thr ->
+    if degraded then
+      Fmt.pr "[degraded] pool never engaged (workers=%d, cores=%d): --min-speedup not gated@."
+        !workers
+        (Domain.recommended_domain_count ())
+    else begin
+      let g = geomean sp in
+      if g < thr then
+        Kit.gatef "geomean speedup %.2fx below the --min-speedup %.2fx gate" g thr
+      else Fmt.pr "speedup gate: %.2fx >= %.2fx@." g thr
+    end
 
-(* The only place exit codes are decided. *)
-let () =
-  match main () with
-  | () -> ()
-  | exception Fail (Usage m) ->
-    Printf.eprintf "bgp_scale: %s\n%s" m usage;
-    exit 2
-  | exception Fail (Input m) ->
-    Printf.eprintf "bgp_scale: %s\n" m;
-    exit 2
-  | exception Fail (Gate (Some m)) ->
-    Printf.eprintf "bgp_scale: %s\n" m;
-    exit 1
-  | exception Fail (Gate None) -> exit 1
+let () = Kit.run ~usage ~artifact "bgp_scale" main

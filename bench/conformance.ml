@@ -1,41 +1,10 @@
 (* Differential conformance driver: fuzz the Fig. 3/4 realization matrices
    against the engine (see lib/conformance/), replay the committed corpus,
-   or regenerate the committed sample entries.  Exit code 0 means no drift
-   was detected (skipped-as-inconclusive negatives do not fail the run).
-
-   Every failure path raises a typed [failure]; the runner at the bottom
-   of the file is the only place exit codes are decided. *)
-
-type failure =
-  | Usage of string  (** bad arguments or unreadable inputs: exit 2 *)
-  | Gate of string option
-      (** drift or replay failure: exit 1.  [None] when the failing path
-          already printed its own diagnostics. *)
-
-exception Fail of failure
-
-let usagef fmt = Fmt.kstr (fun m -> raise (Fail (Usage m))) fmt
+   or regenerate the committed sample entries.  Exit codes are the bench
+   kit's: 0 no drift was detected (skipped-as-inconclusive negatives do
+   not fail the run), 1 drift or a replay failure, 2 bad usage. *)
 
 let ( / ) = Filename.concat
-
-let json_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".json")
-  |> List.sort String.compare
-
-let replay_dir dir =
-  let outcomes =
-    List.map (fun f -> Conformance.replay_file (dir / f)) (json_files dir)
-  in
-  if outcomes = [] then usagef "no corpus entries in %s" dir;
-  List.iter
-    (fun (o : Conformance.Corpus.outcome) ->
-      Fmt.pr "%s %s: %s@." (if o.ok then "ok  " else "FAIL") o.name o.detail)
-    outcomes;
-  let failed = List.filter (fun (o : Conformance.Corpus.outcome) -> not o.ok) outcomes in
-  Fmt.pr "replayed %d corpus entries, %d failed@." (List.length outcomes)
-    (List.length failed);
-  if failed <> [] then raise (Fail (Gate None))
 
 (* The committed sample corpus: one positive trial per realization level
    (expectations recorded from the actual verdict, so a drifting engine
@@ -174,18 +143,21 @@ let main () =
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "conformance [options]";
-  if !replay <> "" then replay_dir !replay
+  if !replay <> "" then
+    Kit.replay_dir !replay (fun path ->
+        let o = Conformance.replay_file path in
+        (o.Conformance.Corpus.ok, o.name, o.detail))
   else if !samples <> "" then write_samples !samples
   else begin
     let budget =
       match Conformance.Fuzz.budget_of_string !budget with
       | Some b -> b
-      | None -> usagef "unknown budget %S (smoke|default|deep)" !budget
+      | None -> Kit.usagef "unknown budget %S (smoke|default|deep)" !budget
     in
     if !resume && !checkpoint = "" then
-      usagef "--resume requires --checkpoint PATH";
+      Kit.usagef "--resume requires --checkpoint PATH";
     if !checkpoint_every < 1 then
-      usagef "--checkpoint-every expects an int >= 1";
+      Kit.usagef "--checkpoint-every expects an int >= 1";
     let cfg =
       {
         Conformance.Fuzz.seeds = !seeds;
@@ -201,17 +173,7 @@ let main () =
     in
     let report = Conformance.Fuzz.run cfg in
     Fmt.pr "%a" Conformance.Fuzz.pp_report report;
-    if not (Conformance.Fuzz.ok report) then raise (Fail (Gate None))
+    if not (Conformance.Fuzz.ok report) then Kit.gate_failed ()
   end
 
-(* The only place exit codes are decided. *)
-let () =
-  match main () with
-  | () -> ()
-  | exception Fail (Usage m) ->
-    Fmt.epr "conformance: %s@." m;
-    exit 2
-  | exception Fail (Gate (Some m)) ->
-    Fmt.epr "conformance: %s@." m;
-    exit 1
-  | exception Fail (Gate None) -> exit 1
+let () = Kit.run "conformance" main

@@ -1,51 +1,34 @@
 (* Adversarial divergence hunter driver: perturb convergent SPP instances
    and policies, statically prefilter, hunt survivors for model-dependent
    oscillations, shrink findings and emit them to a corpus directory; or
-   replay a committed corpus.  Exit code 0 means the run completed and
-   every requested gate held; 1 a gate or replay failed; 2 usage error.
-
-   Every failure path raises a typed [failure]; the runner at the bottom
-   of the file is the only place exit codes are decided. *)
+   replay a committed corpus.  Exit codes are the bench kit's: 0 the run
+   completed and every requested gate held, 1 a gate or replay failed,
+   2 bad usage or an unreadable or foreign input. *)
 
 module Json = Engine.Metrics.Json
-
-type failure =
-  | Usage of string  (** bad arguments or unreadable inputs: exit 2 *)
-  | Gate of string option
-      (** a requested gate failed: exit 1.  [None] when the failing path
-          already printed its own diagnostics (replay summaries). *)
-
-exception Fail of failure
-
-let usagef fmt = Fmt.kstr (fun m -> raise (Fail (Usage m))) fmt
-let gatef fmt = Fmt.kstr (fun m -> raise (Fail (Gate (Some m)))) fmt
-
-let ( / ) = Filename.concat
-
-let json_files dir =
-  match Sys.readdir dir with
-  | exception Sys_error e -> usagef "cannot read %s: %s" dir e
-  | files ->
-    Array.to_list files
-    |> List.filter (fun f -> Filename.check_suffix f ".json")
-    |> List.sort String.compare
-
-let replay_dir dir =
-  let outcomes = List.map (fun f -> Hunt.replay_file (dir / f)) (json_files dir) in
-  if outcomes = [] then usagef "no corpus entries in %s" dir;
-  List.iter
-    (fun (o : Hunt.Corpus.outcome) ->
-      Fmt.pr "%s %s: %s@." (if o.ok then "ok  " else "FAIL") o.name o.detail)
-    outcomes;
-  let failed = List.filter (fun (o : Hunt.Corpus.outcome) -> not o.ok) outcomes in
-  Fmt.pr "replayed %d corpus entries, %d failed@." (List.length outcomes)
-    (List.length failed);
-  if failed <> [] then raise (Fail (Gate None))
 
 (* ------------------------------------------------------------------ *)
 (* Artifact: schema commrouting/hunt_run/v1.  Everything except wall_s
    and resumed is deterministic in (seeds, budget), which is what the
-   kill-resume gate compares. *)
+   kill-resume gate compares.  The per-outcome "verdicts" map is keyed by
+   model name, so it is opaque to the unknown-field check. *)
+
+let artifact =
+  {
+    Kit.schema = "commrouting/hunt_run/v1";
+    volatile_keys = [ "wall_s"; "resumed" ];
+    known_keys =
+      [
+        (* top level *)
+        "schema"; "seeds"; "budget"; "models"; "channel_bound"; "max_states";
+        "candidates"; "skipped_static"; "explored"; "findings"; "skip_ratio";
+        "outcomes";
+        (* per outcome, and its finding *)
+        "name"; "seed"; "descr"; "status"; "reason"; "finding"; "kind"; "nodes";
+        "edges";
+      ];
+    opaque_keys = [ "verdicts" ];
+  }
 
 let artifact_of_report (r : Hunt.Search.report) ~wall_s =
   let outcome_json (o : Hunt.Search.outcome) =
@@ -92,7 +75,7 @@ let artifact_of_report (r : Hunt.Search.report) ~wall_s =
   in
   Json.Obj
     [
-      ("schema", Json.Str "commrouting/hunt_run/v1");
+      ("schema", Json.Str artifact.Kit.schema);
       ("seeds", Json.Num (float_of_int r.Hunt.Search.seeds));
       ("budget", Json.Str (Hunt.Search.budget_to_string r.Hunt.Search.budget));
       ( "models",
@@ -117,31 +100,6 @@ let artifact_of_report (r : Hunt.Search.report) ~wall_s =
       ("wall_s", Json.Num wall_s);
     ]
 
-(* Scrub the measurement fields a kill-resume comparison must ignore:
-   wall-clock time and how many candidates came from the journal. *)
-let rec scrub = function
-  | Json.Obj fields ->
-    Json.Obj
-      (List.filter_map
-         (fun (k, v) ->
-           if k = "wall_s" || k = "resumed" then None else Some (k, scrub v))
-         fields)
-  | Json.List l -> Json.List (List.map scrub l)
-  | v -> v
-
-let compare_ignoring_timings a b =
-  let load path =
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error e -> usagef "cannot read %s: %s" path e
-    | contents -> (
-      match Json.parse (String.trim contents) with
-      | Ok j -> j
-      | Error e -> usagef "%s: %s" path e)
-  in
-  let ja = scrub (load a) and jb = scrub (load b) in
-  if ja = jb then Fmt.pr "artifacts agree (ignoring timings)@."
-  else gatef "%s and %s disagree beyond timings" a b
-
 let main () =
   let seeds = ref 5 in
   let budget = ref "smoke" in
@@ -155,7 +113,6 @@ let main () =
   let quiet = ref false in
   let min_findings = ref 0 in
   let min_skip_ratio = ref 0. in
-  let compare_args = ref [] in
   let spec =
     [
       ( "--seeds",
@@ -202,29 +159,26 @@ let main () =
         Arg.Set_float min_skip_ratio,
         "X exit 1 unless the static prefilter skipped at least fraction X of \
          candidates (default 0)" );
-      ( "--compare-ignoring-timings",
-        Arg.Rest (fun a -> compare_args := a :: !compare_args),
-        "A B compare two run artifacts, ignoring wall times and resume \
-         counts; exit 0 iff they agree" );
     ]
   in
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "hunt [options]";
-  match List.rev !compare_args with
-  | [ a; b ] -> compare_ignoring_timings a b
-  | _ :: _ -> usagef "--compare-ignoring-timings expects exactly two paths"
-  | [] ->
-  if !replay <> "" then replay_dir !replay
+    "hunt [options]\n\
+     hunt --compare-ignoring-timings A B  compare two run artifacts, ignoring \
+     wall times and resume counts; exit 0 iff they agree";
+  if !replay <> "" then
+    Kit.replay_dir !replay (fun path ->
+        let o = Hunt.replay_file path in
+        (o.Hunt.Corpus.ok, o.name, o.detail))
   else
   let budget =
     match Hunt.Search.budget_of_string !budget with
     | Some b -> b
-    | None -> usagef "unknown budget %S (smoke|default|deep)" !budget
+    | None -> Kit.usagef "unknown budget %S (smoke|default|deep)" !budget
   in
-  if !resume && !checkpoint = "" then usagef "--resume requires --checkpoint PATH";
-  if !checkpoint_every < 1 then usagef "--checkpoint-every expects an int >= 1";
-  if !seeds < 1 then usagef "--seeds expects an int >= 1";
+  if !resume && !checkpoint = "" then Kit.usagef "--resume requires --checkpoint PATH";
+  if !checkpoint_every < 1 then Kit.usagef "--checkpoint-every expects an int >= 1";
+  if !seeds < 1 then Kit.usagef "--seeds expects an int >= 1";
   let cfg =
     {
       Hunt.Search.seeds = !seeds;
@@ -249,19 +203,9 @@ let main () =
   let nfindings = List.length (Hunt.Search.findings report) in
   let ratio = Hunt.Search.skip_ratio report in
   if nfindings < !min_findings then
-    gatef "only %d finding(s), --min-findings %d" nfindings !min_findings;
+    Kit.gatef "only %d finding(s), --min-findings %d" nfindings !min_findings;
   if ratio < !min_skip_ratio then
-    gatef "static skip ratio %.2f below --min-skip-ratio %.2f" ratio
+    Kit.gatef "static skip ratio %.2f below --min-skip-ratio %.2f" ratio
       !min_skip_ratio
 
-(* The only place exit codes are decided. *)
-let () =
-  match main () with
-  | () -> ()
-  | exception Fail (Usage m) ->
-    Fmt.epr "hunt: %s@." m;
-    exit 2
-  | exception Fail (Gate (Some m)) ->
-    Fmt.epr "hunt: %s@." m;
-    exit 1
-  | exception Fail (Gate None) -> exit 1
+let () = Kit.run ~artifact "hunt" main

@@ -13,8 +13,7 @@
      impossibility results (Props. 3.10-3.13);
    - EX-A6: the multi-node-activation oscillation;
    - BGP: convergence cost across BGP deployment presets and topology sizes
-     (extension experiment motivated by Secs. 2.3 and 4);
-   - Bechamel micro-benchmarks of every subsystem.
+     (extension experiment motivated by Secs. 2.3 and 4).
 
    Set DEEP=0 in the environment to skip the two slow exhaustive
    model-checking runs (FIG6 under R1A and RMA, ~90s). *)
@@ -34,7 +33,7 @@ let model s =
     exit 2
 let section title = Format.printf "@.=============== %s ===============@." title
 
-let deep = Explore_bench.deep_env ()
+let deep = Sys.getenv_opt "DEEP" <> Some "0"
 
 (* ------------------------------------------------------------------ *)
 
@@ -449,78 +448,6 @@ let reachable_solutions () =
       ("BAD-GADGET", Gadgets.bad_gadget, [ "UEA" ]);
     ]
 
-let explore_bench () =
-  section "EXPLORE BENCH: sequential vs parallel exploration (BENCH_explore.json)";
-  let domains = Explore_bench.par_domains () in
-  let results, failures = Explore_bench.emit ~path:"BENCH_explore.json" ~deep ~domains () in
-  Explore_bench.pp_summary Format.std_formatter results;
-  List.iter (fun f -> Format.printf "  FAIL: %s@." f) failures;
-  Format.printf "wrote BENCH_explore.json (schema %s)@." Explore_bench.schema
-
-let micro_benchmarks () =
-  section "Bechamel micro-benchmarks";
-  let open Bechamel in
-  let fig6 = Gadgets.fig6 in
-  let bgp_topo = Bgp.Topology.generate Bgp.Topology.default_config in
-  let bgp_dest = Bgp.Topology.size bgp_topo - 1 in
-  let random_inst = Generator.instance { Generator.default with nodes = 6; seed = 3 } in
-  let tests =
-    [
-      Test.make ~name:"engine: 100-step RMS run on FIG6"
-        (Staged.stage (fun () ->
-             let sched = Scheduler.random fig6 (model "RMS") ~seed:1 in
-             ignore (Executor.run ~max_steps:100 fig6 sched)));
-      Test.make ~name:"closure: derive Figures 3-4"
-        (Staged.stage (fun () -> ignore (Closure.derive_exn ())));
-      Test.make ~name:"transform: RMA->R1O on 30-step FIG6 schedule"
-        (Staged.stage
-           (let entries = Scheduler.prefix 30 (Scheduler.random fig6 (model "RMA") ~seed:2) in
-            let path =
-              Option.get (Transform.route ~source:(model "RMA") ~target:(model "R1O"))
-            in
-            fun () -> ignore (Transform.apply_path path fig6 entries)));
-      Test.make ~name:"solver: enumerate solutions (random 6-node instance)"
-        (Staged.stage (fun () -> ignore (Solver.solutions random_inst)));
-      Test.make ~name:"dispute-wheel detection (random 6-node instance)"
-        (Staged.stage (fun () -> ignore (Dispute.find random_inst)));
-      Test.make ~name:"modelcheck: DISAGREE under R1O"
-        (Staged.stage (fun () ->
-             ignore (Modelcheck.Oscillation.analyze Gadgets.disagree (model "R1O"))));
-      Test.make ~name:"bgp: compile Gao-Rexford policies"
-        (Staged.stage (fun () -> ignore (Bgp.Policy.compile bgp_topo ~dest:bgp_dest)));
-      Test.make ~name:"bgp: RMS convergence on 9-AS hierarchy"
-        (Staged.stage (fun () ->
-             ignore
-               (Bgp.Simulate.run bgp_topo ~dest:bgp_dest ~model:(model "RMS")
-                  ~scheduler:Scheduler.round_robin)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw =
-    Benchmark.all cfg
-      Toolkit.Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name:"commrouting" tests)
-  in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name est acc ->
-        let ns =
-          match Analyze.OLS.estimates est with Some (e :: _) -> e | _ -> nan
-        in
-        (name, ns) :: acc)
-      results []
-  in
-  List.iter
-    (fun (name, ns) ->
-      if Float.is_nan ns then Format.printf "  %-55s (no estimate)@." name
-      else if ns > 1e9 then Format.printf "  %-55s %8.2f s/run@." name (ns /. 1e9)
-      else if ns > 1e6 then Format.printf "  %-55s %8.2f ms/run@." name (ns /. 1e6)
-      else if ns > 1e3 then Format.printf "  %-55s %8.2f us/run@." name (ns /. 1e3)
-      else Format.printf "  %-55s %8.0f ns/run@." name ns)
-    (List.sort compare rows)
-
 let () =
   let t0 = Unix.gettimeofday () in
   let closure = fig_1_2 () in
@@ -539,7 +466,5 @@ let () =
   mrai_experiment ();
   state_space_sizes ();
   reachable_solutions ();
-  explore_bench ();
   fact_audit ();
-  micro_benchmarks ();
   Format.printf "@.total harness time: %.1fs@." (Unix.gettimeofday () -. t0)

@@ -17,25 +17,14 @@
      deterministic, so CI regenerates it and diffs against the committed
      one with --compare-ignoring-timings.
 
-   Error handling: every failure path raises a typed [failure]; the
-   runner at the bottom is the only place exit codes are decided
-   (usage -> 2, gate/infra -> 1). *)
+   Exit codes are the bench kit's: 2 for bad usage or an unreadable or
+   foreign artifact, 1 for a failed gate, daemon/fork/socket trouble
+   included. *)
 
 open Service
 module Json = Engine.Metrics.Json
 
 let schema = "commrouting/bench_serve/v1"
-
-type failure =
-  | Usage of string  (** bad command line: exit 2 *)
-  | Infra of string  (** daemon/fork/socket trouble: exit 1 *)
-  | Gate of string  (** a bench invariant failed: exit 1 *)
-
-exception Fail of failure
-
-let usagef fmt = Fmt.kstr (fun m -> raise (Fail (Usage m))) fmt
-let infraf fmt = Fmt.kstr (fun m -> raise (Fail (Infra m))) fmt
-let gatef fmt = Fmt.kstr (fun m -> raise (Fail (Gate m))) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Workload. *)
@@ -99,7 +88,7 @@ let connect_retry socket =
     | Ok c -> c
     | Error e ->
       if Unix.gettimeofday () > deadline then
-        infraf "cannot reach the daemon at %s: %s" socket (Error.to_string e)
+        Kit.gatef "cannot reach the daemon at %s: %s" socket (Error.to_string e)
       else begin
         ignore (Unix.select [] [] [] 0.05);
         go ()
@@ -109,16 +98,16 @@ let connect_retry socket =
 
 let request c r =
   match Client.request c { Protocol.id = Json.Null; req = r } with
-  | Error e -> infraf "request failed: %s" (Error.to_string e)
+  | Error e -> Kit.gatef "request failed: %s" (Error.to_string e)
   | Ok j -> (
     match Json.member "ok" j with
     | Some (Json.Bool true) -> j
-    | _ -> gatef "daemon answered an error: %s" (Json.to_string j))
+    | _ -> Kit.gatef "daemon answered an error: %s" (Json.to_string j))
 
 let result_of j =
   match Json.member "result" j with
   | Some r -> r
-  | None -> gatef "response lacks a result: %s" (Json.to_string j)
+  | None -> Kit.gatef "response lacks a result: %s" (Json.to_string j)
 
 let cached_of j = Json.member "cached" j = Some (Json.Bool true)
 
@@ -152,27 +141,27 @@ let reference_digest ~store_dir =
   let store =
     match Store.open_ { Store.dir = store_dir; max_entries = Store.default_max_entries } with
     | Ok s -> s
-    | Error e -> infraf "reference store: %s" (Error.to_string e)
+    | Error e -> Kit.gatef "reference store: %s" (Error.to_string e)
   in
   let q =
     match Query.create ~store ~workers:2 with
     | Ok q -> q
-    | Error e -> infraf "reference query layer: %s" (Error.to_string e)
+    | Error e -> Kit.gatef "reference query layer: %s" (Error.to_string e)
   in
   let compute = function
     | Protocol.Check { instance; model; config; fresh } -> (
       match Query.check q ~instance ~model ~config ~fresh with
       | Ok (r, _) -> r
-      | Error e -> infraf "reference check: %s" (Error.to_string e))
+      | Error e -> Kit.gatef "reference check: %s" (Error.to_string e))
     | Protocol.Sweep { instance; models; config; fresh } -> (
       match Query.sweep q ~instance ~models ~config ~fresh with
       | Ok r -> r
-      | Error e -> infraf "reference sweep: %s" (Error.to_string e))
+      | Error e -> Kit.gatef "reference sweep: %s" (Error.to_string e))
     | Protocol.Realize { source; target } -> Query.realize q ~source ~target
     | Protocol.Bgp { nodes; seed; model; shards; fresh } -> (
       match Query.bgp q ~nodes ~seed ~model ~shards ~fresh with
       | Ok (r, _) -> r
-      | Error e -> infraf "reference bgp: %s" (Error.to_string e))
+      | Error e -> Kit.gatef "reference bgp: %s" (Error.to_string e))
     | _ -> assert false
   in
   let b = Buffer.create 1024 in
@@ -223,10 +212,10 @@ let run ~clients ~workers =
   (* Cold/warm pair on the deep query. *)
   let cold_resp, cold_s = timed (fun () -> request c (deep_check ~fresh:false)) in
   let warm_resp, warm_s = timed (fun () -> request c (deep_check ~fresh:false)) in
-  if cached_of cold_resp then gatef "first deep query was already cached";
-  if not (cached_of warm_resp) then gatef "second deep query missed the cache";
+  if cached_of cold_resp then Kit.gatef "first deep query was already cached";
+  if not (cached_of warm_resp) then Kit.gatef "second deep query missed the cache";
   if Json.to_string (result_of cold_resp) <> Json.to_string (result_of warm_resp)
-  then gatef "cold and warm results differ";
+  then Kit.gatef "cold and warm results differ";
   (* Concurrent clients: fork first (children), compute the in-process
      reference only afterwards — no Domain.spawn happens in this
      process before the last fork. *)
@@ -236,18 +225,10 @@ let run ~clients ~workers =
         match Unix.fork () with
         | 0 ->
           Unix.close r;
-          let code =
-            match digest_over_connection (connect_retry socket) with
-            | digest ->
+          Kit.run "serve_bench client" (fun () ->
+              let digest = digest_over_connection (connect_retry socket) in
               ignore (Unix.write_substring w (digest ^ "\n") 0 (String.length digest + 1));
-              0
-            | exception Fail f ->
-              Fmt.epr "serve_bench client: %s@."
-                (match f with Usage m | Infra m | Gate m -> m);
-              1
-          in
-          Unix.close w;
-          exit code
+              Unix.close w)
         | pid ->
           Unix.close w;
           (pid, r))
@@ -268,7 +249,7 @@ let run ~clients ~workers =
         drain ();
         Unix.close r;
         let _, status = Unix.waitpid [] pid in
-        if status <> Unix.WEXITED 0 then gatef "a bench client failed";
+        if status <> Unix.WEXITED 0 then Kit.gatef "a bench client failed";
         String.trim (Buffer.contents buf))
       children
   in
@@ -315,90 +296,22 @@ let to_json ~clients m =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Artifact comparison: identical after blanking timings; unknown
-   fields are an error (same contract as the other benches). *)
+(* The artifact as the comparer sees it (see Kit): identical after
+   blanking timings, unknown fields are an error. *)
 
-let volatile_keys = [ "cold_wall_s"; "warm_wall_s"; "speedup" ]
-
-let known_keys =
-  [
-    "schema"; "workload"; "instance"; "model"; "bound"; "max_states"; "requests";
-    "id"; "method"; "params"; "models"; "fresh"; "source"; "target"; "nodes";
-    "seed"; "shards"; "every"; "job"; "clients"; "digest"; "reference_digest";
-    "deterministic";
-  ]
-
-let rec first_unknown_key path = function
-  | Json.Obj fields ->
-    List.fold_left
-      (fun acc (k, v) ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          if not (List.mem k known_keys || List.mem k volatile_keys) then
-            Some (path ^ "." ^ k)
-          else first_unknown_key (path ^ "." ^ k) v)
-      None fields
-  | Json.List l ->
-    List.fold_left
-      (fun (i, acc) v ->
-        match acc with
-        | Some _ -> (i + 1, acc)
-        | None -> (i + 1, first_unknown_key (Printf.sprintf "%s[%d]" path i) v))
-      (0, None) l
-    |> snd
-  | _ -> None
-
-let rec scrub = function
-  | Json.Obj fields ->
-    Json.Obj
-      (List.map
-         (fun (k, v) -> (k, if List.mem k volatile_keys then Json.Null else scrub v))
-         fields)
-  | Json.List l -> Json.List (List.map scrub l)
-  | v -> v
-
-let rec first_diff path a b =
-  match (a, b) with
-  | Json.Obj fa, Json.Obj fb ->
-    if List.map fst fa <> List.map fst fb then Some (path ^ ": field sets differ")
-    else
-      List.fold_left2
-        (fun acc (k, va) (_, vb) ->
-          match acc with Some _ -> acc | None -> first_diff (path ^ "." ^ k) va vb)
-        None fa fb
-  | Json.List la, Json.List lb ->
-    if List.length la <> List.length lb then Some (path ^ ": list lengths differ")
-    else
-      List.fold_left2
-        (fun (i, acc) va vb ->
-          match acc with
-          | Some _ -> (i + 1, acc)
-          | None -> (i + 1, first_diff (Printf.sprintf "%s[%d]" path i) va vb))
-        (0, None) la lb
-      |> snd
-  | a, b -> if a = b then None else Some path
-
-let compare_ignoring_timings path_a path_b =
-  let parse p =
-    match In_channel.with_open_bin p In_channel.input_all with
-    | exception Sys_error e -> usagef "%s" e
-    | text -> (
-      match Json.parse text with
-      | Error e -> gatef "%s does not parse: %s" p e
-      | Ok v -> (
-        match first_unknown_key "$" v with
-        | Some where ->
-          gatef
-            "%s has a field this comparer does not know at %s; extend known_keys \
-             or volatile_keys before trusting the verdict"
-            p where
-        | None -> scrub v))
-  in
-  let a = parse path_a and b = parse path_b in
-  match first_diff "$" a b with
-  | None -> Fmt.pr "%s and %s are identical modulo timings@." path_a path_b
-  | Some where -> gatef "%s and %s differ at %s" path_a path_b where
+let artifact =
+  {
+    Kit.schema;
+    volatile_keys = [ "cold_wall_s"; "warm_wall_s"; "speedup" ];
+    known_keys =
+      [
+        "schema"; "workload"; "instance"; "model"; "bound"; "max_states"; "requests";
+        "id"; "method"; "params"; "models"; "fresh"; "source"; "target"; "nodes";
+        "seed"; "shards"; "every"; "job"; "clients"; "digest"; "reference_digest";
+        "deterministic";
+      ];
+    opaque_keys = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 
@@ -419,11 +332,10 @@ let main () =
   let clients = ref 8 in
   let workers = ref 2 in
   let min_speedup = ref 10. in
-  let compare_paths = ref None in
   let int_arg name v k =
     match int_of_string_opt v with
     | Some n -> k n
-    | None -> usagef "%s needs an integer" name
+    | None -> Kit.usagef "%s needs an integer" name
   in
   let rec parse = function
     | [] -> ()
@@ -439,55 +351,36 @@ let main () =
     | "--min-speedup" :: v :: rest ->
       (match float_of_string_opt v with
       | Some f -> min_speedup := f
-      | None -> usagef "--min-speedup needs a number");
+      | None -> Kit.usagef "--min-speedup needs a number");
       parse rest
-    | "--compare-ignoring-timings" :: a :: b :: rest ->
-      compare_paths := Some (a, b);
-      parse rest
-    | "--compare-ignoring-timings" :: _ ->
-      usagef "--compare-ignoring-timings needs two files"
     | [ (("-o" | "--clients" | "--workers" | "--min-speedup") as flag) ] ->
-      usagef "%s needs an argument" flag
-    | arg :: _ -> usagef "unknown argument %S" arg
+      Kit.usagef "%s needs an argument" flag
+    | arg :: _ -> Kit.usagef "unknown argument %S" arg
   in
   parse (List.tl (Array.to_list Sys.argv));
-  match !compare_paths with
-  | Some (a, b) -> compare_ignoring_timings a b
-  | None ->
-    let m = run ~clients:!clients ~workers:!workers in
-    let j = to_json ~clients:!clients m in
-    Engine.Snapshot.write_atomic !path (Json.to_string j);
-    let speedup = if m.warm_s > 0. then m.cold_s /. m.warm_s else infinity in
-    Fmt.pr "deep query %s/%s: cold %.3fs, warm %.6fs (%.0fx)@." deep_instance
-      deep_model m.cold_s m.warm_s speedup;
-    Fmt.pr "%d concurrent clients, %d requests each@." !clients
-      (List.length client_requests);
-    Fmt.pr "wrote %s@." !path;
-    (match m.client_digests with
-    | [] -> gatef "no client digests collected"
-    | d :: rest ->
-      if not (List.for_all (String.equal d) rest) then
-        gatef "concurrent clients disagree on result bytes";
-      if not (String.equal d m.ref_digest) then
-        gatef "daemon results differ from the in-process reference (%s vs %s)" d
-          m.ref_digest;
-      Fmt.pr "determinism: %d clients identical, equal to the one-shot reference@."
-        !clients);
-    if !min_speedup > 0. && speedup < !min_speedup then
-      gatef "warm speedup %.1fx below the --min-speedup %.1fx gate" speedup
-        !min_speedup
-    else if !min_speedup > 0. then
-      Fmt.pr "speedup gate: %.0fx >= %.0fx@." speedup !min_speedup
+  let m = run ~clients:!clients ~workers:!workers in
+  let j = to_json ~clients:!clients m in
+  Engine.Snapshot.write_atomic !path (Json.to_string j);
+  let speedup = if m.warm_s > 0. then m.cold_s /. m.warm_s else infinity in
+  Fmt.pr "deep query %s/%s: cold %.3fs, warm %.6fs (%.0fx)@." deep_instance
+    deep_model m.cold_s m.warm_s speedup;
+  Fmt.pr "%d concurrent clients, %d requests each@." !clients
+    (List.length client_requests);
+  Fmt.pr "wrote %s@." !path;
+  (match m.client_digests with
+  | [] -> Kit.gatef "no client digests collected"
+  | d :: rest ->
+    if not (List.for_all (String.equal d) rest) then
+      Kit.gatef "concurrent clients disagree on result bytes";
+    if not (String.equal d m.ref_digest) then
+      Kit.gatef "daemon results differ from the in-process reference (%s vs %s)" d
+        m.ref_digest;
+    Fmt.pr "determinism: %d clients identical, equal to the one-shot reference@."
+      !clients);
+  if !min_speedup > 0. && speedup < !min_speedup then
+    Kit.gatef "warm speedup %.1fx below the --min-speedup %.1fx gate" speedup
+      !min_speedup
+  else if !min_speedup > 0. then
+    Fmt.pr "speedup gate: %.0fx >= %.0fx@." speedup !min_speedup
 
-(* The only place exit codes are decided. *)
-let () =
-  match main () with
-  | () -> ()
-  | exception Fail f ->
-    let code, msg =
-      match f with
-      | Usage m -> (2, m ^ "\n" ^ usage)
-      | Infra m | Gate m -> (1, m)
-    in
-    Printf.eprintf "serve_bench: %s\n" msg;
-    exit code
+let () = Kit.run ~usage ~artifact "serve_bench" main
