@@ -55,9 +55,9 @@ let deep_cases () =
 type run = {
   domains : int;
       (* the domain count the exploration actually ran with, from the
-         metrics — for sequential-only modes (checkpoint, frontier spill)
-         the bench passes no explicit count and the library may downgrade
-         an environment-implied one, recording why in [downgraded] *)
+         metrics — for the sequential-only checkpoint mode the bench
+         passes no explicit count and the library may downgrade an
+         environment-implied one, recording why in [downgraded] *)
   states : int;
   edges : int;
   wall_s : float;
@@ -85,7 +85,7 @@ type run = {
    took the sequential path (e.g. [default_spill] is infinite on 1-core
    hosts), and reporting its time as a parallel measurement would be a
    lie — see [speedup_of]. *)
-let run_one ?ckpt ?frontier ~reduction c ~domains ~spill ~repeat =
+let run_one ?ckpt ~reduction c ~domains ~spill ~repeat =
   let checkpoint, resume =
     match ckpt with
     | None -> (None, None)
@@ -108,8 +108,8 @@ let run_one ?ckpt ?frontier ~reduction c ~domains ~spill ~repeat =
     let metrics = Metrics.create () in
     let pool_runs_before = (Pool.stats (Pool.get ())).Pool.runs in
     let graph =
-      Modelcheck.Explore.explore ~config:c.config ~reduction ?domains ?spill
-        ?frontier_spill:frontier ~metrics ?checkpoint ?resume c.inst c.m
+      Modelcheck.Explore.explore ~config:c.config ~reduction ?domains ?spill ~metrics
+        ?checkpoint ?resume c.inst c.m
     in
     let engaged = (Pool.stats (Pool.get ())).Pool.runs > pool_runs_before in
     let verdict =
@@ -153,7 +153,10 @@ let json_of_run r =
       ("wall_s", Json.Num r.wall_s);
       ("states_per_sec", Json.Num r.states_per_sec);
       ("dedup_rate", Json.Num r.dedup_rate);
-      ("peak_frontier", Json.Num (float_of_int r.peak_frontier));
+      (* A pool run's peak is that of its in-flight counter, which depends
+         on scheduling: only a sequential run's peak is reproducible. *)
+      ( "peak_frontier",
+        if r.pool_engaged then Json.Null else Json.Num (float_of_int r.peak_frontier) );
       ("ample_states", Json.Num (float_of_int r.ample_states));
       ("canonicalized", Json.Num (float_of_int r.canonicalized));
       ("pruned", Json.Bool r.pruned);
@@ -171,13 +174,13 @@ type case_result = {
 }
 
 (* [domains_list] holds [Some d] for an explicit per-run domain request and
-   [None] for "let the library decide" — the sequential-only modes use
-   [None] so an environment-implied parallelism default is downgraded (and
+   [None] for "let the library decide" — the sequential-only checkpoint
+   mode uses [None] so an environment-implied parallelism default is downgraded (and
    the downgrade recorded) by the library instead of asserted here. *)
-let run_case ?ckpt ?frontier ~reduction ~domains_list ~spill ~repeat c =
+let run_case ?ckpt ~reduction ~domains_list ~spill ~repeat c =
   let runs =
     List.map
-      (fun d -> run_one ?ckpt ?frontier ~reduction c ~domains:d ~spill ~repeat)
+      (fun d -> run_one ?ckpt ~reduction c ~domains:d ~spill ~repeat)
       domains_list
   in
   let agree =
@@ -247,28 +250,6 @@ let run_all ~reduction ~deep ~domains ~spill ~repeat =
   let domains_list = [ Some 1; Some domains ] in
   let cases = fast_cases () @ (if deep then deep_cases () else []) in
   List.map (run_case ~reduction ~domains_list ~spill ~repeat) cases
-
-(* Frontier-spill mode is sequential-only, like checkpointing: the spool's
-   pop order is defined for the deterministic BFS.  One spill directory per
-   case, removed when the case drains it empty. *)
-let run_all_spilled ~reduction ~deep ~spill ~repeat ~dir ~chunk =
-  let cases = fast_cases () @ (if deep then deep_cases () else []) in
-  List.map
-    (fun c ->
-      let case_dir =
-        Filename.concat dir
-          (Printf.sprintf "%s-%s" c.instance_name (Model.to_string c.m))
-      in
-      let frontier = { Modelcheck.Explore.dir = case_dir; chunk } in
-      let cr =
-        run_case ~frontier ~reduction ~domains_list:[ None ] ~spill ~repeat c
-      in
-      (if Sys.file_exists case_dir && Sys.is_directory case_dir then
-         match Sys.readdir case_dir with
-         | [||] -> Sys.rmdir case_dir
-         | _ -> () (* leftover chunks mark a bug; keep them inspectable *));
-      cr)
-    cases
 
 (* Checkpointed variant: exploration order must be deterministic for a
    resumed run to be bit-identical, so only the sequential setting runs
@@ -468,22 +449,18 @@ let parity_failures ~against ~min_reduction results =
    under a "baseline" key, recording the before/after perf comparison in
    the artifact itself.  [parity] is a parsed unreduced artifact paired
    with an optional state-reduction floor (see [parity_failures]). *)
-let emit ~path ?baseline ~repeat ?min_speedup ?spill ?checkpoint ~resume ?frontier
-    ?parity ~reduction ~deep ~domains () =
-  (* Checkpoint and frontier-spill modes are sequential-only (their
-     semantics are defined for the deterministic order), so the artifact
-     records domains=1 and — for checkpointing, where a resumed run must
-     match an uninterrupted one — a single run per case. *)
-  let seq_only = checkpoint <> None || frontier <> None in
-  let domains = if seq_only then 1 else domains in
+let emit ~path ?baseline ~repeat ?min_speedup ?spill ?checkpoint ~resume ?parity
+    ~reduction ~deep ~domains () =
+  (* Checkpointing is sequential-only (a resumed run must match an
+     uninterrupted one, which only the deterministic order guarantees), so
+     the artifact records domains=1 and a single run per case. *)
+  let domains = if checkpoint <> None then 1 else domains in
   let repeat = if checkpoint = None then repeat else 1 in
   let results =
-    match (checkpoint, frontier) with
-    | Some (base, every), _ ->
+    match checkpoint with
+    | Some (base, every) ->
       run_all_checkpointed ~reduction ~deep ~spill ~base ~every ~resume
-    | None, Some (dir, chunk) ->
-      run_all_spilled ~reduction ~deep ~spill ~repeat ~dir ~chunk
-    | None, None -> run_all ~reduction ~deep ~domains ~spill ~repeat
+    | None -> run_all ~reduction ~deep ~domains ~spill ~repeat
   in
   let parse_failure =
     Kit.write_artifact path
@@ -558,12 +535,11 @@ let usage =
   \                    [--min-speedup X] [--spill N]\n\
   \                    [--parity-against FILE [--min-reduction X]]\n\
   \                    [--checkpoint PATH [--checkpoint-every N] [--resume]]\n\
-  \                    [--frontier-spill DIR [--frontier-chunk N]]\n\
   \                    [--compare-ignoring-timings A B]\n\
    \  -o FILE          artifact path (default BENCH_explore.json)\n\
    \  --domains N      parallel domain count to compare against domains=1 (N >= 2,\n\
    \                   or \"auto\" for recommended_domain_count - 1, at least 2);\n\
-   \                   incompatible with the sequential-only modes below\n\
+   \                   incompatible with --checkpoint\n\
    \  --repeat N       run each (case, domains) N times, keep the fastest (default 1)\n\
    \  --deep           include the Fig. 6 exhaustive polling cases (default;\n\
    \                   also controlled by the DEEP env var: DEEP=0 disables)\n\
@@ -584,9 +560,6 @@ let usage =
    \                   (sequential-only; files are deleted as cases complete)\n\
    \  --checkpoint-every N  expanded states between checkpoints (default 2000)\n\
    \  --resume         resume each case from its checkpoint file if present\n\
-   \  --frontier-spill DIR  spill the middle of each BFS frontier to chunk files\n\
-   \                   under DIR (sequential-only; chunks deleted as consumed)\n\
-   \  --frontier-chunk N  states per spilled chunk (default 4096)\n\
    \  --compare-ignoring-timings A B  exit 0 iff artifacts A and B are identical\n\
    \                   after blanking wall times, rates, memory, pool stats and\n\
    \                   the reduction work counters; unknown fields are an error\n"
@@ -605,8 +578,6 @@ let main () =
   let checkpoint = ref None in
   let checkpoint_every = ref 2000 in
   let resume = ref false in
-  let frontier_dir = ref None in
-  let frontier_chunk = ref 4096 in
   (* DEEP env sets the default; --deep/--fast flags override. *)
   let deep = ref (deep_env ()) in
   let bad msg = Kit.usagef "%s" msg in
@@ -664,14 +635,6 @@ let main () =
     | "--checkpoint" :: p :: rest ->
       checkpoint := Some p;
       parse_args rest
-    | "--frontier-spill" :: d :: rest ->
-      frontier_dir := Some d;
-      parse_args rest
-    | "--frontier-chunk" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some c when c >= 1 -> frontier_chunk := c
-      | _ -> bad "--frontier-chunk expects an int >= 1");
-      parse_args rest
     | "--checkpoint-every" :: n :: rest ->
       (match int_of_string_opt n with
       | Some e when e >= 1 -> checkpoint_every := e
@@ -684,18 +647,14 @@ let main () =
   in
   parse_args (List.tl (Array.to_list Sys.argv));
   if !resume && !checkpoint = None then bad "--resume requires --checkpoint PATH";
-  if !checkpoint <> None && !frontier_dir <> None then
-    bad "--checkpoint and --frontier-spill are mutually exclusive";
-  let seq_only = !checkpoint <> None || !frontier_dir <> None in
-  (* S1: a parallel domain request combined with a sequential-only mode is
-     a contradiction; refuse it here (the library raises the same way) so
-     the artifact never quietly records a different setting than asked. *)
-  if !domains_given && seq_only then
-    bad
-      "--domains is incompatible with --checkpoint/--frontier-spill (sequential-only \
-       modes run on one domain)";
-  if seq_only && !min_speedup <> None then
-    bad "--min-speedup needs parallel runs; incompatible with sequential-only modes";
+  (* S1: a parallel domain request combined with the sequential-only
+     checkpoint mode is a contradiction; refuse it here (the library raises
+     the same way) so the artifact never quietly records a different
+     setting than asked. *)
+  if !domains_given && !checkpoint <> None then
+    bad "--domains is incompatible with --checkpoint (checkpointed runs use one domain)";
+  if !checkpoint <> None && !min_speedup <> None then
+    bad "--min-speedup needs parallel runs; incompatible with --checkpoint";
   if !checkpoint <> None && !reduction = Modelcheck.Reduce.Sym then
     bad
       "--reduction sym cannot be checkpointed or resumed (orbit representatives are \
@@ -705,15 +664,13 @@ let main () =
   let baseline = Option.map Kit.load !baseline_path in
   let parity = Option.map (fun p -> (Kit.load p, !min_reduction)) !parity_path in
   let checkpoint = Option.map (fun p -> (p, !checkpoint_every)) !checkpoint in
-  let frontier = Option.map (fun d -> (d, !frontier_chunk)) !frontier_dir in
   let results, failures =
     emit ~path:!path ?baseline ~repeat:!repeat ?min_speedup:!min_speedup ?spill:!spill
-      ?checkpoint ~resume:!resume ?frontier ?parity ~reduction:!reduction ~deep:!deep
+      ?checkpoint ~resume:!resume ?parity ~reduction:!reduction ~deep:!deep
       ~domains:!domains ()
   in
   let mode =
     if checkpoint <> None then "sequential, checkpointed"
-    else if frontier <> None then "sequential, frontier spilled"
     else Printf.sprintf "domains 1 vs %d" !domains
   in
   Format.printf "explore bench (%s, reduction %s):@." mode

@@ -2,7 +2,6 @@ open Spp
 module Json = Metrics.Json
 
 let magic = "commrouting/snapshot/v2"
-let chunk_magic = "commrouting/frontier/v1"
 
 type error =
   | Io of { path : string; message : string }
@@ -140,11 +139,7 @@ type t = {
    payload is independent of the process's arena numbering.  Edge labels
    repeat massively across rows (polling models enumerate the same handful
    of entries at every state), so they are hash-consed into a side table
-   keyed by their serialized form and rows reference them by index.
-
-   The path table + state encoder pair is shared between full snapshots
-   and frontier chunks (the disk-spilled frontier's codec), so the two
-   formats can never drift apart. *)
+   keyed by their serialized form and rows reference them by index. *)
 
 let num i = Json.Num (float_of_int i)
 let chan_json (c : Channel.id) = Json.List [ num c.Channel.src; num c.Channel.dst ]
@@ -301,9 +296,7 @@ let save ~path inst t =
 
 (* ------------------------------------------------------------------ *)
 (* Decoding.  Every failure is a typed [Error] carrying the path and a
-   field context; nothing raises, nothing half-loads.  The helpers are
-   path-threaded top-level functions shared by the full-snapshot and
-   frontier-chunk decoders. *)
+   field context; nothing raises, nothing half-loads. *)
 
 let ( let* ) = Result.bind
 
@@ -624,8 +617,8 @@ let decode path inst j =
       }
 
 (* Read a framed file: verify magic, payload length, checksum; return the
-   raw payload.  Shared by snapshots and frontier chunks (each with its
-   own magic). *)
+   raw payload.  Shared by snapshots and job manifests (each with its own
+   magic). *)
 let read_framed ~magic path =
   let* raw =
     match In_channel.with_open_bin path In_channel.input_all with
@@ -665,48 +658,3 @@ let load ~path inst =
     (* Belt and braces: the decoder is total by construction, but a load
        must never raise. *)
     Error (Parse { path; context = "payload"; message = Printexc.to_string e })
-
-(* ------------------------------------------------------------------ *)
-(* Frontier chunks: the disk-spilled frontier's on-disk unit.  Same path
-   table + state codec and the same framed, checksummed layout as full
-   snapshots, holding an ordered list of (state id, state) queue items. *)
-
-let save_chunk ~path inst items =
-  let pid_of, table_json = make_path_table () in
-  let items_j =
-    List.map (fun (i, st) -> Json.List [ num i; state_json inst ~pid_of st ]) items
-  in
-  let payload =
-    Json.to_string
-      (Json.Obj
-         [
-           ("schema", Json.Str chunk_magic);
-           ("instance", Json.Str (fingerprint inst));
-           ("items", Json.List items_j);
-           (* rendered after [items_j], which populates it *)
-           ("paths", table_json ());
-         ])
-  in
-  write_atomic path (framed ~magic:chunk_magic payload)
-
-let load_chunk ~path inst =
-  let decode_items j =
-    let* () = check_instance ~path ~inst j in
-    let* pid = decode_path_table ~path ~inst j in
-    let* items_j = list_field ~path "payload" "items" j in
-    mapi_m "items"
-      (fun ctx ij ->
-        match ij with
-        | Json.List [ i; sj ] ->
-          let* i = as_int ~path ctx i in
-          if i < 0 then perr ~path ctx "negative state id"
-          else
-            let* st = decode_state ~path ~inst ~pid ctx sj in
-            Ok (i, st)
-        | _ -> perr ~path ctx "expected an [id, state] pair")
-      items_j
-  in
-  let* j = read_framed ~magic:chunk_magic path in
-  match decode_items j with
-  | (Ok _ | Error _) as r -> r
-  | exception e -> Error (Parse { path; context = "payload"; message = Printexc.to_string e })

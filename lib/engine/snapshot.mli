@@ -138,23 +138,3 @@ val load : path:string -> Spp.Instance.t -> (t, error) result
     current process.  Total: any byte prefix or corruption of a valid
     file, and any well-formed snapshot of a different instance, is an
     [Error]; no exception escapes. *)
-
-(** {1 Frontier chunks}
-
-    The on-disk unit of {!Modelcheck.Explore}'s disk-spilled frontier: an
-    ordered run of (state id, state) queue items, framed and checksummed
-    exactly like a snapshot (own magic ["commrouting/frontier/v1"]) and
-    sharing its path-table + state codec, so the two formats cannot
-    drift. *)
-
-val chunk_magic : string
-(** ["commrouting/frontier/v1"]. *)
-
-val save_chunk : path:string -> Spp.Instance.t -> (int * State.t) list -> unit
-(** Atomically write one frontier chunk.  Raises [Sys_error] on I/O
-    failure. *)
-
-val load_chunk :
-  path:string -> Spp.Instance.t -> ((int * State.t) list, error) result
-(** Load a chunk written by {!save_chunk}, preserving item order.  Total,
-    like {!load}. *)

@@ -12,7 +12,8 @@ type outcome = {
   pushed : (Channel.id * Path.t) list;
 }
 
-type next = { after : State.t; pushes : bool; consumes : bool }
+type 'state successor = { after : 'state; pushes : bool; consumes : bool }
+type next = State.t successor
 
 (* What [src] actually offers to [dst] under the export policy: the path
    itself if exportable, otherwise a withdrawal.  Works on arena ids; the

@@ -29,11 +29,15 @@ type outcome = {
       (** individual messages appended to channels this step, in order *)
 }
 
-type next = {
-  after : State.t;  (** the successor state *)
+type 'state successor = {
+  after : 'state;  (** the successor state *)
   pushes : bool;  (** the step appended at least one message *)
   consumes : bool;  (** the step processed at least one message *)
 }
+(** A step's result as the explorers see it; polymorphic in the state so
+    the generic protocols' steps fit the same exploration driver. *)
+
+type next = State.t successor
 
 val next :
   project:bool ->

@@ -14,30 +14,16 @@ let default_domains () =
     if String.lowercase_ascii s = "auto" then auto_domains ()
     else match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 1)
 
-(* The adaptive cutover (see [explore_ws]): parallel workers only engage
-   once the sequential warm start has grown the frontier past this
-   threshold, so instances that explore in a few hundred states never pay
-   any parallel overhead.  On a machine without hardware parallelism extra
+(* The adaptive cutover (see [Driver.run]): parallel workers only engage
+   once the sequential loop has grown the frontier past this threshold,
+   so instances that explore in a few hundred states never pay any
+   parallel overhead.  On a machine without hardware parallelism extra
    domains can only add minor-GC synchronization barriers, so the spill
    never triggers there at all. *)
 let default_spill () =
   if Domain.recommended_domain_count () <= 1 then None else Some 64
 
 type edge = { dst : int; label : Enumerate.labeled }
-
-type graph = {
-  states : State.t array;
-  adjacency : edge list array;
-  pruned : bool;
-  truncated : bool;
-}
-
-module StateTbl = Hashtbl.Make (struct
-  type t = State.t
-
-  let equal = State.equal
-  let hash = State.digest
-end)
 
 (* For reliable polling models (msg = All, no drops) only the newest message
    in a channel can ever become a known route, so collapsing every queue to
@@ -103,127 +89,18 @@ let normalize inst ~collapse st =
 let tick metrics f = match metrics with Some m -> f m | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Checkpointing: the sequential explorer's progress maps one-to-one onto
-   {!Engine.Snapshot.t}, with edge labels converted between
-   [Enumerate.labeled] and the engine-level mirror record. *)
+(* The exploration driver, shared by every protocol: the intern table,
+   the BFS with checkpoint/resume, the work-stealing phase and the
+   counters.  It never looks inside a state beyond {!STATE}; everything
+   protocol-specific comes in through a {!Driver.space}. *)
 
-type checkpoint = { path : string; every : int }
+module type STATE = sig
+  type t
 
-type frontier_spill = { dir : string; chunk : int }
-
-(* Disk-spilled BFS frontier: a FIFO whose middle lives on disk as
-   checksummed {!Engine.Snapshot} frontier chunks.  Pops come from [head]
-   (refilled from the oldest chunk when dry), pushes go to [tail] (flushed
-   to a new chunk when it outgrows the chunk size), so the pop order is
-   exactly the plain queue's and the spilled explorer's graph is
-   bit-identical to the in-memory one.  Only the two end queues (at most
-   ~2 chunks of states) are resident; note the intern table still holds
-   every state, so the spill bounds the *frontier's* extra copy, not total
-   memory — see EXPERIMENTS.md for the honest scope. *)
-module Spool = struct
-  type t = {
-    dir : string;
-    chunk : int;
-    inst : Spp.Instance.t;
-    head : (int * State.t) Queue.t;
-    tail : (int * State.t) Queue.t;
-    chunks : string Queue.t; (* spilled chunk files, oldest first *)
-    mutable next_chunk : int;
-    mutable count : int;
-  }
-
-  (* mkdir -p: spill directories are routinely given as fresh nested paths
-     (one subdirectory per case under a scratch root). *)
-  let rec mkdir_p dir =
-    match Unix.mkdir dir 0o755 with
-    | () -> ()
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) ->
-      let parent = Filename.dirname dir in
-      if parent = dir then raise (Unix.Unix_error (Unix.ENOENT, "mkdir", dir))
-      else begin
-        mkdir_p parent;
-        mkdir_p dir
-      end
-
-  let create ~dir ~chunk inst =
-    if chunk < 1 then invalid_arg "Explore: frontier_spill chunk must be >= 1";
-    mkdir_p dir;
-    {
-      dir;
-      chunk;
-      inst;
-      head = Queue.create ();
-      tail = Queue.create ();
-      chunks = Queue.create ();
-      next_chunk = 0;
-      count = 0;
-    }
-
-  let length t = t.count
-
-  let push t item =
-    Queue.add item t.tail;
-    t.count <- t.count + 1;
-    if Queue.length t.tail >= t.chunk then begin
-      let path =
-        Filename.concat t.dir
-          (Printf.sprintf "frontier.%d.%06d.chunk" (Unix.getpid ()) t.next_chunk)
-      in
-      t.next_chunk <- t.next_chunk + 1;
-      Snapshot.save_chunk ~path t.inst
-        (List.rev (Queue.fold (fun acc x -> x :: acc) [] t.tail));
-      Queue.clear t.tail;
-      Queue.add path t.chunks
-    end
-
-  let pop t =
-    if Queue.is_empty t.head then begin
-      match Queue.take_opt t.chunks with
-      | Some path -> (
-        match Snapshot.load_chunk ~path t.inst with
-        | Ok items ->
-          Sys.remove path;
-          List.iter (fun x -> Queue.add x t.head) items
-        | Error e ->
-          failwith
-            ("Explore: corrupt frontier chunk: " ^ Snapshot.error_to_string e))
-      | None -> ()
-    end;
-    let q = if Queue.is_empty t.head then t.tail else t.head in
-    match Queue.take_opt q with
-    | Some item ->
-      t.count <- t.count - 1;
-      Some item
-    | None -> None
+  val equal : t -> t -> bool
+  val digest : t -> int
+  val max_occupancy : t -> int
 end
-
-let snap_edge (e : edge) =
-  {
-    Snapshot.dst = e.dst;
-    label =
-      {
-        Snapshot.entry = e.label.Enumerate.entry;
-        l_reads = e.label.Enumerate.reads;
-        l_drops = e.label.Enumerate.drops;
-        l_cleans = e.label.Enumerate.cleans;
-      };
-  }
-
-let unsnap_edge (e : Snapshot.edge) =
-  {
-    dst = e.Snapshot.dst;
-    label =
-      {
-        Enumerate.entry = e.Snapshot.label.Snapshot.entry;
-        reads = e.Snapshot.label.Snapshot.l_reads;
-        drops = e.Snapshot.label.Snapshot.l_drops;
-        cleans = e.Snapshot.label.Snapshot.l_cleans;
-      };
-  }
-
-(* ------------------------------------------------------------------ *)
-(* What both explorers share: the counters and one state's expansion. *)
 
 (* Domain-local counter buffer; padded past a cache line so adjacent
    workers' buffers never false-share. *)
@@ -254,53 +131,6 @@ let fresh_stats () =
     pad1 = 0;
   }
 
-(* Every successor comes out of the step kernel already projected (and,
-   under [collapse], already collapsed), so nothing here rescans a state:
-   the parent was interned in normal form, and the kernel keeps it so
-   (DESIGN.md §3g).  [intern] returns the successor's id and whether it is
-   fresh, or [None] when the state bound discards it; [push] receives the
-   fresh ones.  The edges keep the order of [successors]. *)
-let expand ~config ~reduction ~canon ~collapse inst successors stats ~intern ~push
-    (i, st) =
-  let step (l : Enumerate.labeled) =
-    Step.next ~project:true ~collapse inst st l.Enumerate.entry
-  in
-  let add acc (labeled : Enumerate.labeled) st' =
-    if State.max_occupancy st' > config.channel_bound then begin
-      stats.s_pruned <- stats.s_pruned + 1;
-      acc
-    end
-    else begin
-      let st' =
-        if reduction = Reduce.Sym then begin
-          let c = canon st' in
-          if not (c == st') && not (State.equal c st') then
-            stats.s_canon <- stats.s_canon + 1;
-          c
-        end
-        else st'
-      in
-      match intern stats st' with
-      | None -> acc
-      | Some (j, fresh) ->
-        if fresh then push (j, st');
-        { dst = j; label = labeled } :: acc
-    end
-  in
-  let labels = successors st in
-  let rev_edges =
-    if reduction = Reduce.Por then begin
-      let pairs = List.map (fun l -> (l, step l)) labels in
-      let sel, proper = Reduce.ample inst st pairs in
-      if proper then stats.s_ample <- stats.s_ample + 1;
-      List.fold_left (fun acc (l, (n : Step.next)) -> add acc l n.Step.after) [] sel
-    end
-    else List.fold_left (fun acc l -> add acc l (step l).Step.after) [] labels
-  in
-  let edges = List.rev rev_edges in
-  stats.s_edges <- stats.s_edges + List.length edges;
-  (i, edges)
-
 let merge_stats metrics ~interned stats_list =
   let sum f = List.fold_left (fun acc w -> acc + f w) 0 stats_list in
   tick metrics (fun m ->
@@ -313,203 +143,6 @@ let merge_stats metrics ~interned stats_list =
         (List.fold_left (fun acc w -> max acc w.s_peak) 0 stats_list);
       Metrics.add_ample m (sum (fun w -> w.s_ample));
       Metrics.add_canonicalized m (sum (fun w -> w.s_canon)))
-
-(* ------------------------------------------------------------------ *)
-(* Sequential exploration.  The [max_states] bound is enforced at intern
-   time: the graph never holds more than [max_states] states, every held
-   state has an accurate adjacency row, and edges to states beyond the
-   bound are dropped with [truncated] set (symmetric with channel-bound
-   pruning).
-
-   Counters accumulate in a local buffer and merge into [metrics] once at
-   the end (like the parallel path), so a checkpoint can record the
-   exploration's own exact totals even when the caller threads one metrics
-   value through several phases. *)
-
-let explore_seq ~config ~reduction ?metrics ?checkpoint ?frontier ?resume inst
-    ~successors ~collapse =
-  let max_states = max 1 config.max_states in
-  let index = StateTbl.create 1024 in
-  let states = ref [] and n_states = ref 0 in
-  let adjacency = ref [] in
-  let pruned = ref false and truncated = ref false in
-  let queue = Queue.create () in
-  let spool =
-    match frontier with
-    | None -> None
-    | Some { dir; chunk } -> Some (Spool.create ~dir ~chunk inst)
-  in
-  let fpush, fpop, flen =
-    match spool with
-    | None ->
-      ( (fun x -> Queue.add x queue),
-        (fun () -> Queue.take_opt queue),
-        fun () -> Queue.length queue )
-    | Some sp -> ((Spool.push sp), (fun () -> Spool.pop sp), fun () -> Spool.length sp)
-  in
-  let canon = if reduction = Reduce.Sym then Reduce.canonicalizer inst else Fun.id in
-  let stats = fresh_stats () in
-  let intern stats st =
-    match StateTbl.find_opt index st with
-    | Some i ->
-      stats.s_dedup <- stats.s_dedup + 1;
-      Some (i, false)
-    | None ->
-      if !n_states >= max_states then begin
-        stats.s_truncated <- stats.s_truncated + 1;
-        None
-      end
-      else begin
-        let i = !n_states in
-        StateTbl.add index st i;
-        states := st :: !states;
-        incr n_states;
-        stats.s_interned <- stats.s_interned + 1;
-        Some (i, true)
-      end
-  in
-  (match resume with
-  | Some (snap : Snapshot.t) ->
-    if snap.Snapshot.channel_bound <> config.channel_bound then
-      invalid_arg
-        (Printf.sprintf "Explore: resume snapshot has channel_bound %d, config wants %d"
-           snap.Snapshot.channel_bound config.channel_bound);
-    if snap.Snapshot.max_states <> config.max_states then
-      invalid_arg
-        (Printf.sprintf "Explore: resume snapshot has max_states %d, config wants %d"
-           snap.Snapshot.max_states config.max_states);
-    (* A reduced graph is not a prefix of an unreduced one (nor of a
-       differently-reduced one), so resuming under another reduction
-       would silently weld two incompatible explorations together. *)
-    if snap.Snapshot.reduction <> Reduce.to_string reduction then
-      invalid_arg
-        (Printf.sprintf
-           "Explore: resume snapshot was written under reduction %s, run requests %s"
-           snap.Snapshot.reduction
-           (Reduce.to_string reduction));
-    (* Saved states were interned in normal form; normalizing them again
-       is the identity, and keeps the kernel's invariant by construction. *)
-    let saved = Array.map (normalize inst ~collapse) snap.Snapshot.states in
-    Array.iteri
-      (fun i st ->
-        StateTbl.add index st i;
-        states := st :: !states;
-        incr n_states)
-      saved;
-    adjacency :=
-      List.map (fun (i, es) -> (i, List.map unsnap_edge es)) snap.Snapshot.rows;
-    List.iter (fun i -> Queue.add (i, saved.(i)) queue) snap.Snapshot.frontier;
-    pruned := snap.Snapshot.pruned;
-    truncated := snap.Snapshot.truncated;
-    let c = snap.Snapshot.counters in
-    stats.s_interned <- c.Snapshot.interned;
-    stats.s_dedup <- c.Snapshot.dedup;
-    stats.s_edges <- c.Snapshot.edges;
-    stats.s_pruned <- c.Snapshot.pruned_writes;
-    stats.s_truncated <- c.Snapshot.truncated_interns;
-    stats.s_peak <- c.Snapshot.peak_frontier;
-    stats.s_ample <- c.Snapshot.ample;
-    stats.s_canon <- c.Snapshot.canonicalized
-  | None ->
-    let init = canon (normalize inst ~collapse (State.initial inst)) in
-    (match intern stats init with Some _ -> () | None -> assert false);
-    fpush (0, init));
-  let write_checkpoint path =
-    Snapshot.save ~path inst
-      {
-        Snapshot.channel_bound = config.channel_bound;
-        max_states = config.max_states;
-        reduction = Reduce.to_string reduction;
-        states = Array.of_list (List.rev !states);
-        rows = List.map (fun (i, es) -> (i, List.map snap_edge es)) !adjacency;
-        frontier = List.rev (Queue.fold (fun acc (i, _) -> i :: acc) [] queue);
-        pruned = !pruned || stats.s_pruned > 0;
-        truncated = !truncated || stats.s_truncated > 0;
-        counters =
-          {
-            Snapshot.interned = stats.s_interned;
-            dedup = stats.s_dedup;
-            edges = stats.s_edges;
-            pruned_writes = stats.s_pruned;
-            truncated_interns = stats.s_truncated;
-            peak_frontier = stats.s_peak;
-            ample = stats.s_ample;
-            canonicalized = stats.s_canon;
-          };
-      }
-  in
-  let since_checkpoint = ref 0 in
-  (* Counters live in a local buffer for the hot path; a checkpoint write
-     is the natural moment to publish progress to the shared metrics, so a
-     concurrent observer (the query daemon streaming job events) sees the
-     interned count advance at checkpoint granularity instead of only at
-     the final merge. *)
-  let m_flushed = ref 0 in
-  let flush_progress () =
-    tick metrics (fun m ->
-        Metrics.add_interned m (stats.s_interned - !m_flushed);
-        m_flushed := stats.s_interned)
-  in
-  let continue = ref true in
-  while !continue do
-    match fpop () with
-    | None -> continue := false
-    | Some item ->
-      let row =
-        expand ~config ~reduction ~canon ~collapse inst successors stats ~intern
-          ~push:fpush item
-      in
-      stats.s_peak <- max stats.s_peak (flen ());
-      adjacency := row :: !adjacency;
-      (match checkpoint with
-      | Some { path; every } ->
-        incr since_checkpoint;
-        if !since_checkpoint >= every && not (Queue.is_empty queue) then begin
-          since_checkpoint := 0;
-          write_checkpoint path;
-          flush_progress ()
-        end
-      | None -> ())
-  done;
-  merge_stats metrics ~interned:(stats.s_interned - !m_flushed) [ stats ];
-  let states_arr = Array.of_list (List.rev !states) in
-  let adj = Array.make (Array.length states_arr) [] in
-  List.iter (fun (i, es) -> adj.(i) <- es) !adjacency;
-  {
-    states = states_arr;
-    adjacency = adj;
-    pruned = !pruned || stats.s_pruned > 0;
-    truncated = !truncated || stats.s_truncated > 0;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Parallel exploration, rearchitected around work stealing (PR 4).
-
-   PR 1's pool shared one mutex+condvar frontier: every push took the
-   global lock and broadcast the condvar, so workers spent their time in a
-   lock convoy (the committed v2 bench shows 2-domain runs at 0.24-0.47x
-   sequential).  Here each worker owns a deque: it pushes and pops fresh
-   states at the back (uncontended in the common case) and, when dry,
-   steals a batch from the front of a victim's deque — the oldest,
-   shallowest states, i.e. the largest unexplored subtrees.  Termination
-   is an atomic in-flight counter (states pushed anywhere but not yet
-   fully expanded): children are counted before their parent is
-   discharged, so the counter reaching zero is stable and means global
-   exhaustion — no condition variables anywhere.
-
-   Exploration starts sequentially on the calling domain and only spills
-   to the persistent {!Engine.Pool} once the frontier outgrows the spill
-   threshold, so small state spaces (DISAGREE explores 18 states) never
-   wake a single worker.  Counters are buffered per worker and merged into
-   [metrics] once at join; the only shared hot-path writes are the intern
-   table's striped locks and the two atomics (id counter, in-flight).
-
-   Exploration order beyond the warm start is nondeterministic, hence so
-   is the numbering — but the reachable state SET, [pruned]/[truncated],
-   and every derived verdict match the sequential explorer (state 0 is
-   always the initial state). *)
-
-type shard = { mu : Mutex.t; tbl : int StateTbl.t }
 
 (* A double-ended work queue under its own (rarely contended) lock.  The
    owner uses the back; thieves take batches from the front.  Slots are
@@ -572,67 +205,144 @@ module Deque = struct
     r
 end
 
-let explore_ws ~config ~reduction ~domains ~spill ?metrics inst ~successors ~collapse =
-  let max_states = max 1 config.max_states in
-  (* The canonicalizer is built once here and shared read-only by every
-     worker: orbit representatives are chosen by arena-id order, which the
-     hash-consed arena keeps identical across domains of one process. *)
-  let canon = if reduction = Reduce.Sym then Reduce.canonicalizer inst else Fun.id in
-  let n_shards = 64 in
-  let shards =
-    Array.init n_shards (fun _ -> { mu = Mutex.create (); tbl = StateTbl.create 256 })
-  in
-  let counter = Atomic.make 0 in
-  (* Claim the next state id unless the bound is exhausted. *)
-  let rec claim_id () =
-    let n = Atomic.get counter in
-    if n >= max_states then None
-    else if Atomic.compare_and_set counter n (n + 1) then Some n
-    else claim_id ()
-  in
-  let intern stats st =
-    let sh = shards.(State.digest st land (n_shards - 1)) in
-    Mutex.lock sh.mu;
-    match StateTbl.find_opt sh.tbl st with
-    | Some i ->
-      Mutex.unlock sh.mu;
-      stats.s_dedup <- stats.s_dedup + 1;
-      Some (i, false)
-    | None -> (
-      match claim_id () with
-      | None ->
-        Mutex.unlock sh.mu;
-        stats.s_truncated <- stats.s_truncated + 1;
-        None
+module Driver (S : STATE) = struct
+  module Tbl = Hashtbl.Make (struct
+    type t = S.t
+
+    let equal = S.equal
+    let hash = S.digest
+  end)
+
+  type graph = {
+    states : S.t array;
+    adjacency : edge list array;
+    pruned : bool;
+    truncated : bool;
+  }
+
+  type space = {
+    initial : S.t;
+    normalize : S.t -> S.t;
+    successors : S.t -> Enumerate.labeled list;
+    next : S.t -> Activation.t -> S.t Step.successor;
+    ample :
+      (S.t ->
+      (Enumerate.labeled * S.t Step.successor) list ->
+      (Enumerate.labeled * S.t Step.successor) list * bool)
+      option;
+    canon : (S.t -> S.t) option;
+  }
+
+  type progress = {
+    interned : S.t array;
+    rows : (int * edge list) list;
+    frontier : int list;
+    any_pruned : bool;
+    any_truncated : bool;
+    counters : Snapshot.counters;
+  }
+
+  (* Every successor comes out of [sp.next] already in normal form (for
+     SPP, projected and collapsed at write time: DESIGN.md §3g), so
+     nothing here rescans a state.  [intern] returns the successor's id
+     and whether it is fresh, or [None] when the state bound discards it;
+     [push] receives the fresh ones.  The edges keep the order of
+     [sp.successors]. *)
+  let expand ~config sp stats ~intern ~push (i, st) =
+    let add acc (labeled : Enumerate.labeled) st' =
+      if S.max_occupancy st' > config.channel_bound then begin
+        stats.s_pruned <- stats.s_pruned + 1;
+        acc
+      end
+      else begin
+        let st' =
+          match sp.canon with
+          | None -> st'
+          | Some canon ->
+            let c = canon st' in
+            if not (c == st') && not (S.equal c st') then
+              stats.s_canon <- stats.s_canon + 1;
+            c
+        in
+        match intern stats st' with
+        | None -> acc
+        | Some (j, fresh) ->
+          if fresh then push (j, st');
+          { dst = j; label = labeled } :: acc
+      end
+    in
+    let step (l : Enumerate.labeled) = sp.next st l.Enumerate.entry in
+    let labels = sp.successors st in
+    let rev_edges =
+      match sp.ample with
+      | Some ample ->
+        let sel, proper = ample st (List.map (fun l -> (l, step l)) labels) in
+        if proper then stats.s_ample <- stats.s_ample + 1;
+        List.fold_left (fun acc (l, n) -> add acc l n.Step.after) [] sel
+      | None -> List.fold_left (fun acc l -> add acc l (step l).Step.after) [] labels
+    in
+    let edges = List.rev rev_edges in
+    stats.s_edges <- stats.s_edges + List.length edges;
+    (i, edges)
+
+  (* ---------------------------------------------------------------- *)
+  (* The work-stealing phase.  Each worker owns a deque: it pushes and
+     pops fresh states at the back (uncontended in the common case) and,
+     when dry, steals a batch from the front of a victim's deque — the
+     oldest, shallowest states, i.e. the largest unexplored subtrees.
+     Termination is an atomic in-flight counter (states pushed anywhere
+     but not yet fully expanded): children are counted before their
+     parent is discharged, so the counter reaching zero is stable and
+     means global exhaustion — no condition variables anywhere.  Counters
+     are buffered per worker and merged into [metrics] once at join; the
+     only shared hot-path writes are the intern table's striped locks and
+     the two atomics (id counter, in-flight).
+
+     Exploration order here is nondeterministic, hence so is the
+     numbering beyond the sequential prefix — but the reachable state SET,
+     [pruned]/[truncated], and every derived verdict match the sequential
+     run (state 0 is always the initial state). *)
+
+  let steal ?metrics ~domains ~interned config sp index seq_stats queue seq_rows =
+    let max_states = max 1 config.max_states in
+    let n_shards = 64 in
+    let shards = Array.init n_shards (fun _ -> (Mutex.create (), Tbl.create 256)) in
+    Tbl.iter
+      (fun st i -> Tbl.add (snd shards.(S.digest st land (n_shards - 1))) st i)
+      index;
+    let counter = Atomic.make (Tbl.length index) in
+    (* Claim the next state id unless the bound is exhausted. *)
+    let rec claim_id () =
+      let n = Atomic.get counter in
+      if n >= max_states then None
+      else if Atomic.compare_and_set counter n (n + 1) then Some n
+      else claim_id ()
+    in
+    let intern stats st =
+      let mu, tbl = shards.(S.digest st land (n_shards - 1)) in
+      Mutex.lock mu;
+      match Tbl.find_opt tbl st with
       | Some i ->
-        StateTbl.add sh.tbl st i;
-        Mutex.unlock sh.mu;
-        stats.s_interned <- stats.s_interned + 1;
-        Some (i, true))
-  in
-  let expand stats ~push item =
-    expand ~config ~reduction ~canon ~collapse inst successors stats ~intern ~push item
-  in
-  (* Phase 1: sequential warm start on the calling domain.  Frontier depth
-     is sampled outside any critical section (there is none here). *)
-  let init = canon (normalize inst ~collapse (State.initial inst)) in
-  let seq_stats = fresh_stats () in
-  (match intern seq_stats init with Some (0, true) -> () | _ -> assert false);
-  let queue = Queue.create () in
-  Queue.add (0, init) queue;
-  let seq_rows = ref [] in
-  while (not (Queue.is_empty queue)) && Queue.length queue <= spill do
-    let item = Queue.pop queue in
-    let row = expand seq_stats ~push:(fun x -> Queue.add x queue) item in
-    seq_rows := row :: !seq_rows;
-    seq_stats.s_peak <- max seq_stats.s_peak (Queue.length queue)
-  done;
-  (* Phase 2: the frontier outgrew the threshold — split it round-robin
-     over per-worker deques and hand off to the persistent pool. *)
-  let k = min (max 2 domains) (Pool.max_workers + 1) in
-  let wstats = Array.init k (fun _ -> fresh_stats ()) in
-  let rows_of = Array.make k [] in
-  if not (Queue.is_empty queue) then begin
+        Mutex.unlock mu;
+        stats.s_dedup <- stats.s_dedup + 1;
+        Some (i, false)
+      | None -> (
+        match claim_id () with
+        | None ->
+          Mutex.unlock mu;
+          stats.s_truncated <- stats.s_truncated + 1;
+          None
+        | Some i ->
+          Tbl.add tbl st i;
+          Mutex.unlock mu;
+          stats.s_interned <- stats.s_interned + 1;
+          Some (i, true))
+    in
+    (* Split the frontier round-robin over per-worker deques and hand off
+       to the persistent pool. *)
+    let k = min (max 2 domains) (Pool.max_workers + 1) in
+    let wstats = Array.init k (fun _ -> fresh_stats ()) in
+    let rows_of = Array.make k [] in
     let deques = Array.init k (fun _ -> Deque.create ()) in
     let in_flight = Atomic.make (Queue.length queue) in
     let ix = ref 0 in
@@ -641,7 +351,7 @@ let explore_ws ~config ~reduction ~domains ~spill ?metrics inst ~successors ~col
         Deque.push_back deques.(!ix mod k) item;
         incr ix)
       queue;
-    (* User-supplied code ([successors], or the kernel under it) may raise
+    (* User-supplied code ([successors], or the step under it) may raise
        inside any worker.  A raise would skip that item's [in_flight]
        decrement, so termination-by-counter alone would leave every other
        worker spinning forever; instead the first error is recorded here,
@@ -667,7 +377,7 @@ let explore_ws ~config ~reduction ~domains ~spill ?metrics inst ~successors ~col
         match
           let fresh = ref [] and n_fresh = ref 0 in
           let row =
-            expand stats item ~push:(fun x ->
+            expand ~config sp stats ~intern item ~push:(fun x ->
                 fresh := x :: !fresh;
                 incr n_fresh)
           in
@@ -701,7 +411,7 @@ let explore_ws ~config ~reduction ~domains ~spill ?metrics inst ~successors ~col
           | None ->
             if Atomic.get in_flight = 0 then ()
             else begin
-              (match try_steal () with
+              match try_steal () with
               | first :: rest ->
                 List.iter (Deque.push_back my) rest;
                 process first;
@@ -711,38 +421,253 @@ let explore_ws ~config ~reduction ~domains ~spill ?metrics inst ~successors ~col
                    spin briefly, then yield the core so the expanding worker
                    can run (essential when domains outnumber cores). *)
                 if idle < 64 then Domain.cpu_relax () else Unix.sleepf 5e-5;
-                loop (min (idle + 1) 1000))
+                loop (min (idle + 1) 1000)
             end
       in
       loop 0;
       rows_of.(wid) <- !rows
     in
     Pool.run (Pool.get ()) ~workers:k worker;
-    match !err with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  end;
-  (* Merge: per-worker buffers into the shared metrics, rows into the
-     adjacency, shard tables into the state array. *)
-  let all_stats = seq_stats :: Array.to_list wstats in
-  let sum f = List.fold_left (fun acc w -> acc + f w) 0 all_stats in
-  merge_stats metrics ~interned:(sum (fun w -> w.s_interned)) all_stats;
-  let n = Atomic.get counter in
-  let states_arr = Array.make n init in
-  Array.iter (fun sh -> StateTbl.iter (fun st i -> states_arr.(i) <- st) sh.tbl) shards;
-  let adj = Array.make n [] in
-  List.iter (fun (i, es) -> adj.(i) <- es) !seq_rows;
-  Array.iter (List.iter (fun (i, es) -> adj.(i) <- es)) rows_of;
+    (match !err with Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ());
+    (* Merge: per-worker buffers into the shared metrics, rows into the
+       adjacency, shard tables into the state array. *)
+    let all_stats = seq_stats :: Array.to_list wstats in
+    let sum f = List.fold_left (fun acc w -> acc + f w) 0 all_stats in
+    merge_stats metrics
+      ~interned:(interned + Array.fold_left (fun acc w -> acc + w.s_interned) 0 wstats)
+      all_stats;
+    let n = Atomic.get counter in
+    let states_arr = Array.make n (snd (Queue.peek queue)) in
+    Array.iter (fun (_, tbl) -> Tbl.iter (fun st i -> states_arr.(i) <- st) tbl) shards;
+    let adj = Array.make n [] in
+    List.iter (fun (i, es) -> adj.(i) <- es) seq_rows;
+    Array.iter (List.iter (fun (i, es) -> adj.(i) <- es)) rows_of;
+    {
+      states = states_arr;
+      adjacency = adj;
+      pruned = sum (fun w -> w.s_pruned) > 0;
+      truncated = sum (fun w -> w.s_truncated) > 0;
+    }
+
+  (* ---------------------------------------------------------------- *)
+  (* The BFS.  The [max_states] bound is enforced at intern time: the
+     graph never holds more than [max_states] states, every held state has
+     an accurate adjacency row, and edges to states beyond the bound are
+     dropped with [truncated] set (symmetric with channel-bound pruning).
+
+     One sequential loop runs on the calling domain.  Without [pool] it
+     runs to the end, writing [checkpoint]s on the way; with
+     [pool = (domains, spill)] it stops once the frontier outgrows
+     [spill], and its table is split into shards for the work-stealing
+     phase ([steal]), so small state spaces never wake a worker.
+
+     Counters accumulate in local buffers and merge into [metrics] once
+     at the end, so a checkpoint can record the exploration's own exact
+     totals even when the caller threads one metrics value through
+     several phases. *)
+
+  let run ?metrics ?checkpoint ?resume ?pool config sp =
+    let max_states = max 1 config.max_states in
+    let index = Tbl.create 1024 in
+    let states = ref [] and n_states = ref 0 in
+    let rows = ref [] in
+    let pruned = ref false and truncated = ref false in
+    let queue = Queue.create () in
+    let stats = fresh_stats () in
+    let intern stats st =
+      match Tbl.find_opt index st with
+      | Some i ->
+        stats.s_dedup <- stats.s_dedup + 1;
+        Some (i, false)
+      | None ->
+        if !n_states >= max_states then begin
+          stats.s_truncated <- stats.s_truncated + 1;
+          None
+        end
+        else begin
+          let i = !n_states in
+          Tbl.add index st i;
+          states := st :: !states;
+          incr n_states;
+          stats.s_interned <- stats.s_interned + 1;
+          Some (i, true)
+        end
+    in
+    (match resume with
+    | Some p ->
+      (* Saved states were interned in normal form; normalizing them again
+         is the identity, and keeps [sp.next]'s invariant by
+         construction. *)
+      let saved = Array.map sp.normalize p.interned in
+      Array.iteri
+        (fun i st ->
+          Tbl.add index st i;
+          states := st :: !states;
+          incr n_states)
+        saved;
+      rows := p.rows;
+      List.iter (fun i -> Queue.add (i, saved.(i)) queue) p.frontier;
+      pruned := p.any_pruned;
+      truncated := p.any_truncated;
+      let c = p.counters in
+      stats.s_interned <- c.Snapshot.interned;
+      stats.s_dedup <- c.Snapshot.dedup;
+      stats.s_edges <- c.Snapshot.edges;
+      stats.s_pruned <- c.Snapshot.pruned_writes;
+      stats.s_truncated <- c.Snapshot.truncated_interns;
+      stats.s_peak <- c.Snapshot.peak_frontier;
+      stats.s_ample <- c.Snapshot.ample;
+      stats.s_canon <- c.Snapshot.canonicalized
+    | None ->
+      let canon = Option.value sp.canon ~default:Fun.id in
+      let init = canon (sp.normalize sp.initial) in
+      (match intern stats init with Some _ -> () | None -> assert false);
+      Queue.add (0, init) queue);
+    let progress () =
+      {
+        interned = Array.of_list (List.rev !states);
+        rows = !rows;
+        frontier = List.rev (Queue.fold (fun acc (i, _) -> i :: acc) [] queue);
+        any_pruned = !pruned || stats.s_pruned > 0;
+        any_truncated = !truncated || stats.s_truncated > 0;
+        counters =
+          {
+            Snapshot.interned = stats.s_interned;
+            dedup = stats.s_dedup;
+            edges = stats.s_edges;
+            pruned_writes = stats.s_pruned;
+            truncated_interns = stats.s_truncated;
+            peak_frontier = stats.s_peak;
+            ample = stats.s_ample;
+            canonicalized = stats.s_canon;
+          };
+      }
+    in
+    let since_checkpoint = ref 0 in
+    (* A checkpoint write is the natural moment to publish progress to the
+       shared metrics, so a concurrent observer (the query daemon
+       streaming job events) sees the interned count advance at checkpoint
+       granularity instead of only at the final merge. *)
+    let m_flushed = ref 0 in
+    let flush_progress () =
+      tick metrics (fun m ->
+          Metrics.add_interned m (stats.s_interned - !m_flushed);
+          m_flushed := stats.s_interned)
+    in
+    let spill = match pool with Some (_, spill) -> spill | None -> max_int in
+    let push x = Queue.add x queue in
+    while (not (Queue.is_empty queue)) && Queue.length queue <= spill do
+      let row = expand ~config sp stats ~intern ~push (Queue.pop queue) in
+      stats.s_peak <- max stats.s_peak (Queue.length queue);
+      rows := row :: !rows;
+      match checkpoint with
+      | Some (every, save) ->
+        incr since_checkpoint;
+        if !since_checkpoint >= every && not (Queue.is_empty queue) then begin
+          since_checkpoint := 0;
+          save (progress ());
+          flush_progress ()
+        end
+      | None -> ()
+    done;
+    let interned = stats.s_interned - !m_flushed in
+    match pool with
+    | Some (domains, _) when not (Queue.is_empty queue) ->
+      steal ?metrics ~domains ~interned config sp index stats queue !rows
+    | _ ->
+      merge_stats metrics ~interned [ stats ];
+      let states_arr = Array.of_list (List.rev !states) in
+      let adj = Array.make (Array.length states_arr) [] in
+      List.iter (fun (i, es) -> adj.(i) <- es) !rows;
+      {
+        states = states_arr;
+        adjacency = adj;
+        pruned = !pruned || stats.s_pruned > 0;
+        truncated = !truncated || stats.s_truncated > 0;
+      }
+end
+
+(* ------------------------------------------------------------------ *)
+(* SPP, the driver's first instance: POR's ample sets, the symmetry
+   canonicaliser and the snapshot codec are its hooks. *)
+
+module D = Driver (State)
+
+type graph = D.graph = {
+  states : State.t array;
+  adjacency : edge list array;
+  pruned : bool;
+  truncated : bool;
+}
+
+type checkpoint = { path : string; every : int }
+
+let snap_edge (e : edge) =
   {
-    states = states_arr;
-    adjacency = adj;
-    pruned = sum (fun w -> w.s_pruned) > 0;
-    truncated = sum (fun w -> w.s_truncated) > 0;
+    Snapshot.dst = e.dst;
+    label =
+      {
+        Snapshot.entry = e.label.Enumerate.entry;
+        l_reads = e.label.Enumerate.reads;
+        l_drops = e.label.Enumerate.drops;
+        l_cleans = e.label.Enumerate.cleans;
+      };
+  }
+
+let unsnap_edge (e : Snapshot.edge) =
+  {
+    dst = e.Snapshot.dst;
+    label =
+      {
+        Enumerate.entry = e.Snapshot.label.Snapshot.entry;
+        reads = e.Snapshot.label.Snapshot.l_reads;
+        drops = e.Snapshot.label.Snapshot.l_drops;
+        cleans = e.Snapshot.label.Snapshot.l_cleans;
+      };
+  }
+
+let save_progress ~path ~config ~reduction inst (p : D.progress) =
+  Snapshot.save ~path inst
+    {
+      Snapshot.channel_bound = config.channel_bound;
+      max_states = config.max_states;
+      reduction = Reduce.to_string reduction;
+      states = p.D.interned;
+      rows = List.map (fun (i, es) -> (i, List.map snap_edge es)) p.D.rows;
+      frontier = p.D.frontier;
+      pruned = p.D.any_pruned;
+      truncated = p.D.any_truncated;
+      counters = p.D.counters;
+    }
+
+let progress_of_snapshot ~config ~reduction (snap : Snapshot.t) =
+  if snap.Snapshot.channel_bound <> config.channel_bound then
+    invalid_arg
+      (Printf.sprintf "Explore: resume snapshot has channel_bound %d, config wants %d"
+         snap.Snapshot.channel_bound config.channel_bound);
+  if snap.Snapshot.max_states <> config.max_states then
+    invalid_arg
+      (Printf.sprintf "Explore: resume snapshot has max_states %d, config wants %d"
+         snap.Snapshot.max_states config.max_states);
+  (* A reduced graph is not a prefix of an unreduced one (nor of a
+     differently-reduced one), so resuming under another reduction would
+     silently weld two incompatible explorations together. *)
+  if snap.Snapshot.reduction <> Reduce.to_string reduction then
+    invalid_arg
+      (Printf.sprintf
+         "Explore: resume snapshot was written under reduction %s, run requests %s"
+         snap.Snapshot.reduction (Reduce.to_string reduction));
+  {
+    D.interned = snap.Snapshot.states;
+    rows = List.map (fun (i, es) -> (i, List.map unsnap_edge es)) snap.Snapshot.rows;
+    frontier = snap.Snapshot.frontier;
+    any_pruned = snap.Snapshot.pruned;
+    any_truncated = snap.Snapshot.truncated;
+    counters = snap.Snapshot.counters;
   }
 
 let explore_with ?(config = default_config) ?(reduction = Reduce.No_reduction)
-    ?domains ?spill ?frontier_spill ?metrics ?checkpoint ?resume inst ~successors
-    ~collapse =
+    ?domains ?spill ?metrics ?checkpoint ?resume inst ~successors ~collapse =
   (match checkpoint with
   | Some { every; _ } when every < 1 ->
     invalid_arg "Explore: checkpoint every must be >= 1"
@@ -756,54 +681,61 @@ let explore_with ?(config = default_config) ?(reduction = Reduce.No_reduction)
     invalid_arg
       "Explore: sym reduction cannot be checkpointed or resumed (orbit \
        representatives are process-local)";
-  if frontier_spill <> None && deterministic then
-    invalid_arg "Explore: frontier_spill is incompatible with checkpoint/resume";
-  (* Checkpoint/resume and the disk-spilled frontier are defined only for
-     the deterministic sequential order (work-stealing numbering is
-     nondeterministic).  An explicit request for parallelism alongside
-     them is a contradiction the caller must resolve; an environment-derived
-     default is downgraded and recorded in the metrics instead of being
-     silently ignored. *)
-  let seq_only = deterministic || frontier_spill <> None in
-  let seq_reason () =
-    if deterministic then "checkpoint/resume" else "frontier_spill"
-  in
+  (* Checkpoint/resume are defined only for the deterministic sequential
+     order (work-stealing numbering is nondeterministic).  An explicit
+     request for parallelism alongside them is a contradiction the caller
+     must resolve; an environment-derived default is downgraded and
+     recorded in the metrics instead of being silently ignored. *)
   let domains =
-    if seq_only then begin
+    if deterministic then begin
       match domains with
       | Some d when d > 1 ->
         invalid_arg
-          (Printf.sprintf "Explore: %s requires sequential exploration (got domains = %d)"
-             (seq_reason ()) d)
+          (Printf.sprintf
+             "Explore: checkpoint/resume requires sequential exploration (got domains \
+              = %d)"
+             d)
       | Some _ -> 1
       | None ->
         let implied = default_domains () in
         if implied > 1 then
           tick metrics (fun m ->
               Metrics.set_downgrade m
-                (Printf.sprintf "%s forced domains = 1 (environment requested %d)"
-                   (seq_reason ()) implied));
+                (Printf.sprintf
+                   "checkpoint/resume forced domains = 1 (environment requested %d)"
+                   implied));
         1
     end
     else match domains with Some d -> max 1 d | None -> default_domains ()
   in
   tick metrics (fun m -> Metrics.set_domains m domains);
-  let spill =
+  let pool =
     if domains = 1 then None
-    else match spill with Some s -> Some (max 0 s) | None -> default_spill ()
+    else
+      Option.map
+        (fun s -> (domains, max 0 s))
+        (match spill with Some _ -> spill | None -> default_spill ())
+  in
+  let resume = Option.map (progress_of_snapshot ~config ~reduction) resume in
+  let checkpoint =
+    Option.map
+      (fun { path; every } -> (every, save_progress ~path ~config ~reduction inst))
+      checkpoint
+  in
+  let space =
+    {
+      D.initial = State.initial inst;
+      normalize = normalize inst ~collapse;
+      successors;
+      next = (fun st entry -> Step.next ~project:true ~collapse inst st entry);
+      ample = (if reduction = Reduce.Por then Some (Reduce.ample inst) else None);
+      canon = (if reduction = Reduce.Sym then Some (Reduce.canonicalizer inst) else None);
+    }
   in
   Metrics.timed ?m:metrics "explore" (fun () ->
-      match spill with
-      | None ->
-        explore_seq ~config ~reduction ?metrics ?checkpoint ?frontier:frontier_spill
-          ?resume inst ~successors ~collapse
-      | Some spill ->
-        explore_ws ~config ~reduction ~domains ~spill ?metrics inst ~successors
-          ~collapse)
+      D.run ?metrics ?checkpoint ?resume ?pool config space)
 
-let explore ?config ?reduction ?domains ?spill ?frontier_spill ?metrics ?checkpoint
-    ?resume inst model =
-  explore_with ?config ?reduction ?domains ?spill ?frontier_spill ?metrics ?checkpoint
-    ?resume inst
+let explore ?config ?reduction ?domains ?spill ?metrics ?checkpoint ?resume inst model =
+  explore_with ?config ?reduction ?domains ?spill ?metrics ?checkpoint ?resume inst
     ~successors:(Enumerate.successors ?metrics inst model)
     ~collapse:(collapses model)

@@ -5,20 +5,21 @@
     so "no oscillation found" verdicts are exhaustive only over the bounded
     space — see DESIGN.md.  Oscillation witnesses are sound regardless.
 
+    The search itself is {!Driver}, shared by every protocol: SPP (this
+    module's {!explore}) and [Gexplore.Make (P)] are its two instances.
     Exploration can run on several OCaml domains ([?domains], or the
-    [DOMAINS] environment variable).  The parallel explorer is adaptive:
-    it starts sequentially on the calling domain and only hands the
-    frontier to the persistent {!Engine.Pool} — per-worker work-stealing
-    deques, an atomic in-flight counter for termination, counter buffers
-    merged at join — once the frontier outgrows a spill threshold, so
-    small state spaces never pay any parallel overhead.  By default the
-    threshold is infinite on hardware without parallelism
-    ([Domain.recommended_domain_count () <= 1], where extra domains only
-    add GC barriers); pass [?spill] to override (0 engages the pool
-    immediately).  The reachable state set, the [pruned]/[truncated]
-    flags, and every verdict derived from the graph are identical across
-    domain counts; only the state numbering (beyond the warm-start
-    prefix) may differ. *)
+    [DOMAINS] environment variable).  {!Driver} runs one sequential loop
+    on the calling domain and only hands the frontier to the persistent
+    {!Engine.Pool} — per-worker work-stealing deques, an atomic in-flight
+    counter for termination, counter buffers merged at join — once the
+    frontier outgrows a spill threshold, so small state spaces never pay
+    any parallel overhead.  By default the threshold is infinite on
+    hardware without parallelism ([Domain.recommended_domain_count () <=
+    1], where extra domains only add GC barriers); pass [?spill] to
+    override (0 engages the pool immediately).  The reachable state set,
+    the [pruned]/[truncated] flags, and every verdict derived from the
+    graph are identical across domain counts; only the state numbering
+    (beyond the sequential prefix) may differ. *)
 
 type config = { channel_bound : int; max_states : int }
 
@@ -41,13 +42,87 @@ val default_spill : unit -> int option
 
 type edge = { dst : int; label : Enumerate.labeled }
 
-type graph = {
-  states : Engine.State.t array;  (** index 0 is the initial state *)
+(** {1 The driver} *)
+
+module type STATE = sig
+  type t
+
+  val equal : t -> t -> bool
+
+  val digest : t -> int
+  (** Must agree with [equal]. *)
+
+  val max_occupancy : t -> int
+  (** The longest channel queue. *)
+end
+
+module Driver (S : STATE) : sig
+  type graph = {
+    states : S.t array;  (** index 0 is the initial state *)
+    adjacency : edge list array;
+    pruned : bool;  (** some write hit the channel bound *)
+    truncated : bool;
+        (** the [max_states] bound discarded at least one fresh successor;
+            the graph itself never exceeds the bound and has no dangling
+            edges *)
+  }
+
+  type space = {
+    initial : S.t;
+    normalize : S.t -> S.t;
+        (** the whole-state normal form, applied only to [initial] and to
+            resumed states; every [next] successor must already be in it *)
+    successors : S.t -> Enumerate.labeled list;
+        (** the entries to expand; must be pure, since the work-stealing
+            phase calls it from several domains *)
+    next : S.t -> Engine.Activation.t -> S.t Engine.Step.successor;
+    ample :
+      (S.t ->
+      (Enumerate.labeled * S.t Engine.Step.successor) list ->
+      (Enumerate.labeled * S.t Engine.Step.successor) list * bool)
+      option;
+        (** partial-order reduction: the pairs to expand, and whether they
+            are a proper subset (counted as [ample_states]) *)
+    canon : (S.t -> S.t) option;
+        (** a symmetry quotient's orbit representative, applied before
+            interning (counted as [canonicalized] when it rewrites) *)
+  }
+  (** One exploration's state space: everything protocol-specific. *)
+
+  type progress = {
+    interned : S.t array;  (** every interned state, index = state id *)
+    rows : (int * edge list) list;  (** expanded rows, newest first *)
+    frontier : int list;  (** queued ids, front of the queue first *)
+    any_pruned : bool;
+    any_truncated : bool;
+    counters : Engine.Snapshot.counters;
+  }
+  (** A sequential exploration's resumable progress. *)
+
+  val run :
+    ?metrics:Engine.Metrics.t ->
+    ?checkpoint:int * (progress -> unit) ->
+    ?resume:progress ->
+    ?pool:int * int ->
+    config ->
+    space ->
+    graph
+  (** Breadth-first exploration from [space.initial] (or from [resume]).
+      [checkpoint = (every, save)] hands [save] the progress after every
+      [every] expanded states while the frontier is not empty.
+      [pool = (domains, spill)] hands the frontier to [domains] pool
+      workers once it outgrows [spill] states; checkpoints are only
+      written before that.  With [metrics], interning, dedup, pruning,
+      frontier and reduction counters are recorded once, at the end. *)
+end
+
+(** {1 SPP} *)
+
+type graph = Driver(Engine.State).graph = {
+  states : Engine.State.t array;
   adjacency : edge list array;
-  pruned : bool;  (** some write hit the channel bound *)
+  pruned : bool;
   truncated : bool;
-      (** the [max_states] bound discarded at least one fresh successor; the
-          graph itself never exceeds the bound and has no dangling edges *)
 }
 
 val collapses : Engine.Model.t -> bool
@@ -74,22 +149,11 @@ type checkpoint = { path : string; every : int }
     states.  No checkpoint is written once the frontier drains — a file
     left behind always resumes to the same final graph. *)
 
-type frontier_spill = { dir : string; chunk : int }
-(** Spill the middle of the BFS frontier to disk in [dir] as checksummed
-    {!Engine.Snapshot} frontier chunks of [chunk] states each, keeping
-    only the two queue ends resident.  Pop order — and hence the explored
-    graph — is bit-identical to the in-memory queue.  Sequential only
-    (like checkpointing), and note the intern table still references
-    every state, so this bounds the frontier's extra copy, not total
-    memory (EXPERIMENTS.md).  [dir] is created if missing; drained chunk
-    files are deleted as they are consumed. *)
-
 val explore :
   ?config:config ->
   ?reduction:Reduce.t ->
   ?domains:int ->
   ?spill:int ->
-  ?frontier_spill:frontier_spill ->
   ?metrics:Engine.Metrics.t ->
   ?checkpoint:checkpoint ->
   ?resume:Engine.Snapshot.t ->
@@ -102,7 +166,6 @@ val explore_with :
   ?reduction:Reduce.t ->
   ?domains:int ->
   ?spill:int ->
-  ?frontier_spill:frontier_spill ->
   ?metrics:Engine.Metrics.t ->
   ?checkpoint:checkpoint ->
   ?resume:Engine.Snapshot.t ->
@@ -113,7 +176,7 @@ val explore_with :
 (** Generalized entry point (heterogeneous models).  [collapse] keeps only
     the last message of every channel; it is exact only when every entry
     [successors] yields is reliable with [M_all] reads (every model
-    {!collapses}).  [successors] must be pure: once the frontier spills it
+    {!collapses}).  [successors] must be pure: once the pool engages it
     is called concurrently from several domains.  With [metrics],
     interning, dedup, pruning and frontier counters are recorded (merged
     once at join on the parallel path), plus an "explore" wall-time
@@ -137,9 +200,8 @@ val explore_with :
     [channel_bound]/[max_states]/[reduction] disagree with this run's;
     [checkpoint.every < 1]; [Sym] is combined with checkpoint/resume
     (orbit representatives are process-local, see {!Reduce.canonicalizer});
-    [?frontier_spill] is combined with checkpoint/resume; or an explicit
-    [?domains] above 1 is combined with any of the sequential-only options
-    (checkpoint, resume, frontier spill).  When those options merely meet
-    an environment-derived ([DOMAINS]) parallelism default, the run is
-    downgraded to one domain and the downgrade is recorded in the metrics
+    or an explicit [?domains] above 1 is combined with checkpoint or
+    resume.  When those options merely meet an environment-derived
+    ([DOMAINS]) parallelism default, the run is downgraded to one domain
+    and the downgrade is recorded in the metrics
     ([Engine.Metrics.downgrade]) rather than silently applied. *)

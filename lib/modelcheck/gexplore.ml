@@ -2,11 +2,13 @@
    (PR 7).
 
    [Make (P)] is {!Explore} + {!Oscillation} for any {!Engine.Protocol.S}:
-   breadth-first exploration of the reachable state graph under a
-   communication model (one canonical activation entry per observational
-   class, via {!Enumerate.memo}), channel-bound pruning and
-   state-count truncation exactly as in the SPP explorer, and the {!Fair}
-   divergence search over drop-stable strongly connected edge sets.
+   the protocol's state space explored by the shared {!Explore.Driver}
+   (one canonical activation entry per observational class, via
+   {!Enumerate.memo}; channel-bound pruning and state-count truncation
+   exactly as for SPP), and the {!Fair} divergence search over
+   drop-stable strongly connected edge sets.  SPP's partial-order and
+   symmetry reductions and its snapshot checkpoints are SPP-only hooks of
+   the driver; [Driver.run ~pool] gives any protocol work stealing.
 
    Differences from the SPP pair, all driven by the protocol hooks:
 
@@ -35,21 +37,16 @@ module Make (P : Engine.Protocol.S) = struct
 
   let default_config = Explore.default_config
 
-  type edge = { dst : int; label : Enumerate.labeled }
+  type edge = Explore.edge = { dst : int; label : Enumerate.labeled }
 
-  type graph = {
+  module Driver = Explore.Driver (E.State)
+
+  type graph = Driver.graph = {
     states : E.State.t array;
     adjacency : edge list array;
     pruned : bool;
     truncated : bool;
   }
-
-  module StateTbl = Hashtbl.Make (struct
-    type t = E.State.t
-
-    let equal = E.State.equal
-    let hash = E.State.digest
-  end)
 
   let collapsible inst (model_of : int -> Engine.Model.t) =
     P.idempotent
@@ -60,70 +57,37 @@ module Make (P : Engine.Protocol.S) = struct
            && m.Engine.Model.msg = Engine.Model.M_all)
          (P.nodes inst)
 
-  (* Sequential BFS, the same queue discipline, intern-time [max_states]
-     bound and post-projection channel-bound check as
-     [Explore.explore_seq] — the state numbering of the path-vector
-     instance must be bit-identical to the legacy explorer's. *)
-  let explore_with ?(config = default_config) inst ~model_of =
-    let max_states = max 1 config.max_states in
+  (* The protocol's state space for the shared driver.  A successor is the
+     whole recorded step, collapsed and projected afterwards; no
+     partial-order or symmetry hook applies to a generic protocol. *)
+  let space inst ~model_of =
     let collapse =
       if collapsible inst model_of then E.State.collapse_last else Fun.id
     in
-    let index = StateTbl.create 1024 in
-    let states = ref [] and n_states = ref 0 in
-    let adjacency = ref [] in
-    let pruned = ref false and truncated = ref false in
-    let queue = Queue.create () in
-    let intern st =
-      match StateTbl.find_opt index st with
-      | Some i -> Some (i, false)
-      | None ->
-        if !n_states >= max_states then begin
-          truncated := true;
-          None
-        end
-        else begin
-          let i = !n_states in
-          StateTbl.add index st i;
-          states := st :: !states;
-          incr n_states;
-          Some (i, true)
-        end
-    in
-    let init = E.State.initial inst in
-    (match intern init with Some _ -> () | None -> assert false);
-    Queue.add (0, init) queue;
+    let normalize st = E.State.project inst (collapse st) in
     let successors =
       Enumerate.memo ~nodes:(P.nodes inst) ~required:(P.in_channels inst) ~model_of ()
     in
-    while not (Queue.is_empty queue) do
-      let i, st = Queue.pop queue in
-      let succs = successors (E.State.channel_length st) in
-      let edges =
-        List.filter_map
-          (fun (labeled : Enumerate.labeled) ->
-            let outcome =
-              E.Step.apply ~check:false inst st labeled.Enumerate.entry
-            in
-            let st' = E.State.project inst (collapse outcome.E.Step.state) in
-            if E.State.max_occupancy st' > config.channel_bound then begin
-              pruned := true;
-              None
-            end
-            else
-              match intern st' with
-              | None -> None
-              | Some (j, fresh) ->
-                if fresh then Queue.add (j, st') queue;
-                Some { dst = j; label = labeled })
-          succs
-      in
-      adjacency := (i, edges) :: !adjacency
-    done;
-    let states_arr = Array.of_list (List.rev !states) in
-    let adj = Array.make (Array.length states_arr) [] in
-    List.iter (fun (i, es) -> adj.(i) <- es) !adjacency;
-    { states = states_arr; adjacency = adj; pruned = !pruned; truncated = !truncated }
+    {
+      Driver.initial = E.State.initial inst;
+      normalize;
+      successors = (fun st -> successors (E.State.channel_length st));
+      next =
+        (fun st entry ->
+          let o = E.Step.apply ~check:false inst st entry in
+          {
+            Engine.Step.after = normalize o.E.Step.state;
+            pushes = o.E.Step.pushed <> [];
+            consumes = o.E.Step.processed <> [];
+          });
+      ample = None;
+      canon = None;
+    }
+
+  (* Sequential, so the numbering is deterministic (the parity suite pins
+     the path-vector instance's to the SPP explorer's). *)
+  let explore_with ?(config = default_config) inst ~model_of =
+    Driver.run config (space inst ~model_of)
 
   let explore ?config inst model =
     explore_with ?config inst ~model_of:(fun _ -> model)

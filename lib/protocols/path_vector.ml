@@ -8,8 +8,10 @@
    smaller-neighbor tie-break, same push-to-all-but-dest announcement rule.
    The parity suite pins [Gexplore.Make (Path_vector)] to the legacy
    explorer's verdicts and state counts on the paper's gadgets across all
-   24 models; the legacy modules remain the specialized hot path (export
-   policies, Pool parallelism, checkpointing live only there). *)
+   24 models.  Both explore through the same driver ({!Modelcheck.Explore.Driver});
+   the legacy modules remain the specialized hot path, and export
+   policies, the POR and symmetry reductions and checkpointing live only
+   there. *)
 
 open Spp
 

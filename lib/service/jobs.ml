@@ -157,8 +157,17 @@ let launch t ~id inst (m : manifest) =
       Atomic.set cell (Finished result)
     | exception e -> Atomic.set cell (Crashed (Printexc.to_string e))
   in
-  job.domain <- Some (Domain.spawn body);
-  Hashtbl.replace t.running id job
+  (* OCaml caps the number of live domains; past the cap [Domain.spawn]
+     raises.  The job is registered only once it runs, and its manifest
+     stays on disk, so a later [job_resume] can retry. *)
+  match Domain.spawn body with
+  | d ->
+    job.domain <- Some d;
+    Hashtbl.replace t.running id job;
+    Ok ()
+  | exception e ->
+    let why = Printexc.to_string e in
+    Error (Error.Internal (Printf.sprintf "job %s: cannot start: %s" id why))
 
 let start t ~instance ~model ~config ~every =
   let* inst = Resolve.find instance in
@@ -170,7 +179,7 @@ let start t ~instance ~model ~config ~every =
     | None ->
       let m = { m_instance = instance; m_model = model; m_config = config; m_every = every } in
       let* () = save_manifest t ~id m in
-      launch t ~id inst m;
+      let* () = launch t ~id inst m in
       Ok (id, None)
 
 let resume t ~id =
@@ -181,7 +190,7 @@ let resume t ~id =
     match store_probe t ~id inst m.m_model m.m_config with
     | Some r -> Ok (Some r)
     | None ->
-      launch t ~id inst m;
+      let* () = launch t ~id inst m in
       Ok None
 
 let status t ~id =

@@ -34,7 +34,9 @@ val start :
 (** Returns the job id, plus the result immediately when the store
     already holds it (no domain is spawned).  Starting an id that is
     already running is idempotent.  A leftover checkpoint for this id is
-    picked up rather than discarded. *)
+    picked up rather than discarded.  [Internal] when no domain can be
+    spawned for the job (OCaml's domain cap); the manifest is kept, so
+    {!resume} can retry. *)
 
 val resume :
   t -> id:string -> (Engine.Metrics.Json.v option, Error.t) result

@@ -9,6 +9,7 @@ type client = {
   inbuf : Buffer.t;  (** bytes read, possibly ending mid-line *)
   out : Buffer.t;  (** response bytes not yet written *)
   mutable closed : bool;
+  mutable hangup : bool;  (** read no more; close once [out] is written *)
 }
 
 type state = {
@@ -231,6 +232,8 @@ let split_lines pending chunk n =
   in
   go [] 0
 
+let max_line = 1 lsl 20
+
 let read_tasks st c =
   let chunk = st.chunk in
   match Unix.read c.fd chunk 0 (Bytes.length chunk) with
@@ -244,20 +247,31 @@ let read_tasks st c =
     []
   | n ->
     let lines = split_lines c.inbuf chunk n in
-    List.filter_map
-      (fun line ->
-        if String.trim line = "" then None
-        else
-          match Protocol.of_line line with
-          | Ok env -> Some (handle st c env)
-          | Error (id, e) ->
-            Some
-              {
-                t_client = c;
-                t_slot = ref (Protocol.error_line ~id e);
-                t_work = None;
-              })
-      lines
+    let error ~id e =
+      { t_client = c; t_slot = ref (Protocol.error_line ~id e); t_work = None }
+    in
+    let tasks =
+      List.filter_map
+        (fun line ->
+          if String.trim line = "" then None
+          else
+            match Protocol.of_line line with
+            | Ok env -> Some (handle st c env)
+            | Error (id, e) -> Some (error ~id e))
+        lines
+    in
+    (* A pending line past the cap is no protocol request: answer once and
+       hang up rather than buffer without limit. *)
+    if Buffer.length c.inbuf <= max_line then tasks
+    else begin
+      Buffer.reset c.inbuf;
+      c.hangup <- true;
+      tasks
+      @ [
+          error ~id:Json.Null
+            (Error.Usage (Printf.sprintf "request line longer than %d bytes" max_line));
+        ]
+    end
 
 let flush_client st c =
   if Buffer.length c.out > 0 then begin
@@ -309,7 +323,9 @@ let run ?(on_ready = fun () -> ()) cfg =
     st.running
     || Hashtbl.fold (fun _ c acc -> acc || Buffer.length c.out > 0) st.clients false
   do
-    let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) st.clients [] in
+    let fds =
+      Hashtbl.fold (fun fd c acc -> if c.hangup then acc else fd :: acc) st.clients []
+    in
     let reads = if st.running then listen_fd :: fds else fds in
     let writes =
       Hashtbl.fold
@@ -324,7 +340,13 @@ let run ?(on_ready = fun () -> ()) cfg =
         | fd, _ ->
           Unix.set_nonblock fd;
           Hashtbl.replace st.clients fd
-            { fd; inbuf = Buffer.create 256; out = Buffer.create 256; closed = false }
+            {
+              fd;
+              inbuf = Buffer.create 256;
+              out = Buffer.create 256;
+              closed = false;
+              hangup = false;
+            }
         | exception Unix.Unix_error (_, _, _) -> ()
       end;
       let tasks =
@@ -346,11 +368,13 @@ let run ?(on_ready = fun () -> ()) cfg =
           | None -> ())
         writable;
       (* Fresh output (batch responses, events) should not wait a select
-         round: opportunistically try every client with pending bytes.
-         (Snapshot the list first — a failed write closes the client and
-         mutates the table.) *)
+         round: opportunistically try every client with pending bytes, and
+         close hung-up clients whose answer is written.  (Snapshot the list
+         first — closing a client mutates the table.) *)
       Hashtbl.fold (fun _ c acc -> c :: acc) st.clients []
-      |> List.iter (fun c -> if Buffer.length c.out > 0 then flush_client st c)
+      |> List.iter (fun c ->
+             if Buffer.length c.out > 0 then flush_client st c;
+             if c.hangup && Buffer.length c.out = 0 then close_client st c)
   done;
   Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) st.clients;
   Unix.close listen_fd;

@@ -30,6 +30,11 @@ val run : ?on_ready:(unit -> unit) -> config -> (unit, Error.t) result
     contradictory fact base — mapping them to exit codes is the
     caller's job. *)
 
+val max_line : int
+(** The longest pending request line a connection may hold (1 MiB).  A
+    client that sends more without a newline gets one [Usage] error line,
+    and the connection is closed. *)
+
 (** {1 Pieces of the loop, exposed for tests} *)
 
 val guard : id:Engine.Metrics.Json.v -> (unit -> string) -> unit -> string

@@ -184,6 +184,36 @@ let test_gossip_timed () =
       Alcotest.(check bool) (Printf.sprintf "mrai=%d converged" i) true r.EG.Timed.converged)
     (EG.Timed.mrai_sweep ~intervals:[ 1; 2; 4 ] inst)
 
+(* Gossip through the shared driver with work stealing forced on (spill 0
+   engages the pool at once, even on one core): the state set, the
+   pruned/truncated flags and the verdict equal the sequential run's, under
+   every model.  Under truncation the kept subset is schedule-dependent, so
+   only the count must agree. *)
+let test_gossip_work_stealing () =
+  let inst = Protocols.Gossip.make (Protocols.Topo.ring 4) in
+  let sorted (g : GG.graph) = List.sort EG.State.compare (Array.to_list g.GG.states) in
+  List.iter
+    (fun m ->
+      let tag = Model.to_string m in
+      let sequential = GG.explore ~config:gossip_config inst m in
+      let parallel =
+        GG.Driver.run ~pool:(3, 0) gossip_config (GG.space inst ~model_of:(fun _ -> m))
+      in
+      Alcotest.(check bool) (tag ^ " pruned") sequential.GG.pruned parallel.GG.pruned;
+      Alcotest.(check bool) (tag ^ " truncated") sequential.GG.truncated
+        parallel.GG.truncated;
+      if sequential.GG.truncated then
+        Alcotest.(check int) (tag ^ " states")
+          (Array.length sequential.GG.states)
+          (Array.length parallel.GG.states)
+      else
+        Alcotest.(check bool) (tag ^ " state set") true
+          (List.equal EG.State.equal (sorted sequential) (sorted parallel));
+      Alcotest.(check string) (tag ^ " verdict")
+        (GG.verdict_name (GG.analyze_graph inst sequential))
+        (GG.verdict_name (GG.analyze_graph inst parallel)))
+    Model.all
+
 (* ------------------------------------------------------------------ *)
 (* Push-sum: mass conservation and drop reconciliation. *)
 
@@ -378,6 +408,8 @@ let () =
           Alcotest.test_case "R converges / U diverges" `Quick test_gossip_verdicts;
           Alcotest.test_case "stuck cycle detected" `Quick test_gossip_cycle_detected;
           Alcotest.test_case "timed MRAI sweep" `Quick test_gossip_timed;
+          Alcotest.test_case "work stealing matches sequential" `Quick
+            test_gossip_work_stealing;
         ] );
       ( "push-sum",
         [

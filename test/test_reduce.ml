@@ -1,8 +1,7 @@
 (* State-space reduction (Modelcheck.Reduce) and its integration with the
    explorer: verdict/assignment parity of POR and the symmetry quotient
    against the exact exploration, witness replay under POR, the
-   sequential-only mode guards, the disk-spilled frontier's bit-identity,
-   and the occupancy-cache invariant the reduction paths must maintain. *)
+   sequential-only mode guards, and the occupancy-cache invariant the reduction paths must maintain. *)
 
 open Spp
 open Engine
@@ -191,7 +190,7 @@ let test_sym_quotients_ring3 () =
     (Array.length reduced.Explore.states * 2 <= Array.length exact.Explore.states)
 
 (* ------------------------------------------------------------------ *)
-(* Sequential-only guards (checkpoint/resume and the spilled frontier):
+(* Sequential-only guards (checkpoint/resume):
    explicit parallelism is a typed error, environment-implied parallelism
    is a recorded downgrade. *)
 
@@ -222,16 +221,9 @@ let test_explicit_domains_rejected () =
       Alcotest.(check bool) "domains>1 + checkpoint" true
         (invalid_arg_raised (fun () ->
              Explore.explore ~domains:3 ~checkpoint:ckpt inst m));
-      let fs = { Explore.dir = Filename.concat dir "spool"; chunk = 4 } in
-      Alcotest.(check bool) "domains>1 + frontier_spill" true
-        (invalid_arg_raised (fun () ->
-             Explore.explore ~domains:3 ~frontier_spill:fs inst m));
       Alcotest.(check bool) "sym + checkpoint" true
         (invalid_arg_raised (fun () ->
-             Explore.explore ~reduction:Reduce.Sym ~checkpoint:ckpt inst m));
-      Alcotest.(check bool) "frontier_spill + checkpoint" true
-        (invalid_arg_raised (fun () ->
-             Explore.explore ~frontier_spill:fs ~checkpoint:ckpt inst m)))
+             Explore.explore ~reduction:Reduce.Sym ~checkpoint:ckpt inst m)))
 
 let test_env_domains_downgraded () =
   let inst = Gadgets.disagree in
@@ -282,66 +274,6 @@ let test_checkpoint_records_reduction () =
       Alcotest.(check int) "resumed run reaches the same graph"
         (Array.length g.Explore.states)
         (Array.length resumed.Explore.states))
-
-(* ------------------------------------------------------------------ *)
-(* Disk-spilled frontier: bit-identical graph, chunks consumed. *)
-
-let test_frontier_spill_bit_identical () =
-  let inst = ring3 in
-  let m = model "UMS" in
-  with_tmpdir (fun dir ->
-      let spool = Filename.concat dir "spool" in
-      let plain = Explore.explore ~domains:1 inst m in
-      let spilled =
-        Explore.explore ~domains:1
-          ~frontier_spill:{ Explore.dir = spool; chunk = 7 }
-          inst m
-      in
-      Alcotest.(check int) "state count"
-        (Array.length plain.Explore.states)
-        (Array.length spilled.Explore.states);
-      Array.iteri
-        (fun i st ->
-          if not (State.equal st spilled.Explore.states.(i)) then
-            Alcotest.failf "state %d differs: spill changed the BFS order" i)
-        plain.Explore.states;
-      Alcotest.(check bool) "adjacency identical" true
-        (plain.Explore.adjacency = spilled.Explore.adjacency);
-      Alcotest.(check bool) "flags identical" true
-        (plain.Explore.pruned = spilled.Explore.pruned
-        && plain.Explore.truncated = spilled.Explore.truncated);
-      Alcotest.(check (array string)) "all chunk files consumed" [||]
-        (Sys.readdir spool))
-
-let test_frontier_chunk_roundtrip () =
-  let inst = ring3 in
-  let m = model "UMS" in
-  let g = Explore.explore ~domains:1 inst m in
-  let items =
-    List.filteri (fun i _ -> i < 9) (Array.to_list g.Explore.states)
-    |> List.mapi (fun i st -> (i * 3, st))
-  in
-  with_tmpdir (fun dir ->
-      let path = Filename.concat dir "chunk" in
-      Snapshot.save_chunk ~path inst items;
-      (match Snapshot.load_chunk ~path inst with
-      | Error e -> Alcotest.failf "load_chunk: %s" (Snapshot.error_to_string e)
-      | Ok loaded ->
-        Alcotest.(check int) "item count" (List.length items) (List.length loaded);
-        List.iter2
-          (fun (i, st) (j, st') ->
-            Alcotest.(check int) "frontier index" i j;
-            Alcotest.(check bool) "state round-trips" true (State.equal st st'))
-          items loaded);
-      (* A corrupted chunk must be detected, not half-loaded. *)
-      let text = In_channel.with_open_bin path In_channel.input_all in
-      let broken = Bytes.of_string text in
-      Bytes.set broken (Bytes.length broken / 2) '\xff';
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_bytes oc broken);
-      match Snapshot.load_chunk ~path inst with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "corrupted chunk loaded successfully")
 
 (* ------------------------------------------------------------------ *)
 (* S2: the cached max-occupancy must survive every mutator, including the
@@ -410,13 +342,6 @@ let () =
         [
           Alcotest.test_case "snapshot records reduction" `Quick
             test_checkpoint_records_reduction;
-        ] );
-      ( "frontier spill",
-        [
-          Alcotest.test_case "bit-identical graph" `Quick
-            test_frontier_spill_bit_identical;
-          Alcotest.test_case "chunk round-trip and corruption" `Quick
-            test_frontier_chunk_roundtrip;
         ] );
       ( "occupancy cache",
         List.map QCheck_alcotest.to_alcotest [ prop_occupancy_cache_exact ] );

@@ -520,14 +520,13 @@ let test_split_lines () =
   Alcotest.(check (list string)) "bytes past n ignored" [ "gh" ]
     (Server.split_lines pending (Bytes.of_string "h\nzz\n") 2)
 
-(* End to end on a live daemon: one request delivered in many small
-   writes, then several requests in one write, answered whole and in
-   order. *)
-let test_daemon_framing () =
-  let dir = tmp_dir "framing" in
+(* A live daemon on its own domain for the duration of [f socket]; [f]
+   must end with a shutdown request. *)
+let with_daemon name f =
+  let dir = tmp_dir name in
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "cr-framing-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "cr-%s-%d.sock" name (Unix.getpid ()))
   in
   let ready = Atomic.make false in
   let daemon =
@@ -543,38 +542,69 @@ let test_daemon_framing () =
   while not (Atomic.get ready) do
     Unix.sleepf 0.005
   done;
-  let ok = function Ok x -> x | Error e -> Alcotest.failf "%s" (Error.to_string e) in
-  let c = ok (Client.connect ~socket) in
-  let id_of j = match Json.member "id" j with Some v -> v | None -> Json.Null in
-  let req = {|{"id":41,"method":"ping"}|} ^ "\n" in
-  String.iteri
-    (fun i ch ->
-      ok (Client.send_raw c (String.make 1 ch));
-      if i mod 4 = 0 then Unix.sleepf 0.002)
-    req;
-  let j = ok (Client.read_json c) in
-  Alcotest.(check bool) "split request answered" true (id_of j = Json.Num 41.);
-  let check =
-    {|{"id":2,"method":"check","params":{"instance":"DISAGREE","model":"R1O","bound":2,"max_states":500}}|}
-  in
-  ok
-    (Client.send_raw c
-       (String.concat "\n"
-          [ {|{"id":1,"method":"ping"}|}; check; {|{"id":3,"method":"ping"}|}; "" ]));
-  List.iter
-    (fun want ->
-      let j = ok (Client.read_json c) in
-      Alcotest.(check bool)
-        (Printf.sprintf "answer %g in order" want)
-        true
-        (id_of j = Json.Num want);
-      Alcotest.(check bool) "ok" true (Json.member "ok" j = Some (Json.Bool true)))
-    [ 1.; 2.; 3. ];
-  ignore (ok (Client.request c { Protocol.id = Json.Num 9.; req = Protocol.Shutdown }));
-  Client.close c;
+  f socket;
   match Domain.join daemon with
   | Ok () -> ()
   | Error e -> Alcotest.failf "daemon: %s" (Error.to_string e)
+
+let ok = function Ok x -> x | Error e -> Alcotest.failf "%s" (Error.to_string e)
+let id_of j = match Json.member "id" j with Some v -> v | None -> Json.Null
+
+let shutdown c =
+  ignore (ok (Client.request c { Protocol.id = Json.Num 9.; req = Protocol.Shutdown }));
+  Client.close c
+
+(* End to end on a live daemon: one request delivered in many small
+   writes, then several requests in one write, answered whole and in
+   order. *)
+let test_daemon_framing () =
+  with_daemon "framing" (fun socket ->
+      let c = ok (Client.connect ~socket) in
+      let req = {|{"id":41,"method":"ping"}|} ^ "\n" in
+      String.iteri
+        (fun i ch ->
+          ok (Client.send_raw c (String.make 1 ch));
+          if i mod 4 = 0 then Unix.sleepf 0.002)
+        req;
+      let j = ok (Client.read_json c) in
+      Alcotest.(check bool) "split request answered" true (id_of j = Json.Num 41.);
+      let check =
+        {|{"id":2,"method":"check","params":{"instance":"DISAGREE","model":"R1O","bound":2,"max_states":500}}|}
+      in
+      ok
+        (Client.send_raw c
+           (String.concat "\n"
+              [ {|{"id":1,"method":"ping"}|}; check; {|{"id":3,"method":"ping"}|}; "" ]));
+      List.iter
+        (fun want ->
+          let j = ok (Client.read_json c) in
+          Alcotest.(check bool)
+            (Printf.sprintf "answer %g in order" want)
+            true
+            (id_of j = Json.Num want);
+          Alcotest.(check bool) "ok" true (Json.member "ok" j = Some (Json.Bool true)))
+        [ 1.; 2.; 3. ];
+      shutdown c)
+
+(* A client that sends more than [Server.max_line] bytes without a newline
+   gets one usage error and is disconnected; another client is still
+   served. *)
+let test_daemon_oversized_line () =
+  with_daemon "oversized" (fun socket ->
+      let other = ok (Client.connect ~socket) in
+      let hog = ok (Client.connect ~socket) in
+      ok (Client.send_raw hog (String.make (Server.max_line + 1) 'x'));
+      let j = ok (Client.read_json hog) in
+      Alcotest.(check string) "usage error" (Error.kind (Error.Usage "")) (error_kind j);
+      (match Client.read_json hog with
+      | Error _ -> ()
+      | Ok j -> Alcotest.failf "hog still connected: %s" (Json.to_string j));
+      Client.close hog;
+      let ping = { Protocol.id = Json.Num 5.; req = Protocol.Ping } in
+      let j = ok (Client.request other ping) in
+      Alcotest.(check bool) "other client served" true
+        (id_of j = Json.Num 5. && Json.member "ok" j = Some (Json.Bool true));
+      shutdown other)
 
 let () =
   Alcotest.run "service"
@@ -613,5 +643,7 @@ let () =
           Alcotest.test_case "line splitting scans new bytes" `Quick test_split_lines;
           Alcotest.test_case "daemon framing: split and batched requests" `Quick
             test_daemon_framing;
+          Alcotest.test_case "oversized line answered and closed" `Quick
+            test_daemon_oversized_line;
         ] );
     ]
