@@ -67,23 +67,30 @@ let chan_ix_exn l c =
 
 let node_exn l v = if v < 0 || v >= l.n then invalid_arg "State: node not in the instance"
 
-(* FNV-style fold with a final avalanche: the shard index of the parallel
-   explorer takes the low bits. *)
-let digest_of d =
+(* FNV-style fold over the first [len] words, with a final avalanche:
+   the shard index of the parallel explorer takes the low bits. *)
+let digest_of d len =
   let h = ref 0x2545F4914F6CDD1D in
-  for i = 0 to Array.length d - 1 do
+  for i = 0 to len - 1 do
     h := (!h lxor Array.unsafe_get d i) * 0x100000001b3
   done;
   let h = !h in
   let h = (h lxor (h lsr 29)) * 0x2127599BF4325C37 in
   (h lxor (h lsr 32)) land max_int
 
-let seal l d =
+let occupancy_of l d =
   let occ = ref 0 in
   for i = o_len l to o_msg l - 1 do
     if Array.unsafe_get d i > !occ then occ := Array.unsafe_get d i
   done;
-  { lay = l; d; dig = digest_of d; max_occ = !occ }
+  !occ
+
+let seal l d = { lay = l; d; dig = digest_of d (Array.length d); max_occ = occupancy_of l d }
+
+(* The first [n] words of [a] and [b] agree from [i] on.  Top level, so a
+   comparison allocates no closure. *)
+let rec same (a : int array) (b : int array) i n =
+  i >= n || (Array.unsafe_get a i = Array.unsafe_get b i && same a b (i + 1) n)
 
 let digest t = t.dig
 let hash = digest
@@ -152,24 +159,24 @@ let assignment inst t = Assignment.make inst (fun v -> pi t v)
    permitted-extension lookup per neighbor (Instance.ext_tbl), no
    interning, no list scans.  The best candidate so far is carried
    unboxed ([best] is epsilon while there is none): lowest rank first,
-   then lowest neighbor. *)
+   then lowest neighbor.  The loop is top level, so it allocates no
+   closure. *)
+let rec best_of inst l d v best best_rank best_u = function
+  | [] -> best
+  | u :: rest -> (
+    let r = Array.unsafe_get d (o_rho l + l.slot.((u * l.n) + v)) in
+    if Arena.is_epsilon r then best_of inst l d v best best_rank best_u rest
+    else
+      match Instance.permitted_extension inst v r with
+      | Some (pid, rank)
+        when Arena.is_epsilon best || rank < best_rank || (rank = best_rank && u <= best_u)
+        ->
+        best_of inst l d v pid rank u rest
+      | _ -> best_of inst l d v best best_rank best_u rest)
+
 let choose inst l d v =
   if v = Instance.dest inst then Instance.trivial_id inst
-  else
-    let rec go best best_rank best_u = function
-      | [] -> best
-      | u :: rest -> (
-        let r = Array.unsafe_get d (o_rho l + l.slot.((u * l.n) + v)) in
-        if Arena.is_epsilon r then go best best_rank best_u rest
-        else
-          match Instance.permitted_extension inst v r with
-          | Some (pid, rank)
-            when Arena.is_epsilon best || rank < best_rank
-                 || (rank = best_rank && u <= best_u) ->
-            go pid rank u rest
-          | _ -> go best best_rank best_u rest)
-    in
-    go Arena.epsilon 0 0 (Instance.neighbors inst v)
+  else best_of inst l d v Arena.epsilon 0 0 (Instance.neighbors inst v)
 
 (* ------------------------------------------------------------------ *)
 
@@ -182,14 +189,41 @@ module Edit = struct
 
   let create () = { lay = { n = 0; k = 0; slot = [||]; ids = [||] }; buf = [||]; len = 0 }
 
+  (* [Array.blit src so dst do n] for int arrays, overlapping ranges
+     included.  The per-domain buffer is long-lived, so it sits in the
+     major heap, where the polymorphic [Array.blit] pays the write barrier
+     ([caml_modify]) on every word; a loop over [int array] compiles to
+     plain stores. *)
+  let move (src : int array) so (dst : int array) d_o n =
+    if so >= d_o then
+      for i = 0 to n - 1 do
+        Array.unsafe_set dst (d_o + i) (Array.unsafe_get src (so + i))
+      done
+    else
+      for i = n - 1 downto 0 do
+        Array.unsafe_set dst (d_o + i) (Array.unsafe_get src (so + i))
+      done
+
   let load e (s : state) =
     let len = Array.length s.d in
     if Array.length e.buf < len + 4 then e.buf <- Array.make (2 * (len + 4)) 0;
-    Array.blit s.d 0 e.buf 0 len;
+    move s.d 0 e.buf 0 len;
     e.len <- len;
-    e.lay <- s.lay
+    if e.lay != s.lay then e.lay <- s.lay
 
-  let seal e = seal e.lay (Array.sub e.buf 0 e.len)
+  (* What the explorers' intern tables need of a successor before they
+     decide to keep it: the digest and occupancy {!seal} would compute,
+     and equality with a stored state, all read off the buffer. *)
+  let digest e = digest_of e.buf e.len
+  let max_occupancy e = occupancy_of e.lay e.buf
+
+  let equal e (s : state) = e.len = Array.length s.d && same e.buf s.d 0 e.len
+
+  let seal ?digest e =
+    let d = Array.sub e.buf 0 e.len in
+    match digest with
+    | None -> seal e.lay d
+    | Some dig -> { lay = e.lay; d; dig; max_occ = occupancy_of e.lay d }
 
   let offset e i =
     let l = e.lay in
@@ -226,17 +260,17 @@ module Edit = struct
     let delta = add - drop in
     if e.len + delta > Array.length e.buf then begin
       let b = Array.make (2 * (e.len + delta + 4)) 0 in
-      Array.blit e.buf 0 b 0 e.len;
+      move e.buf 0 b 0 e.len;
       e.buf <- b
     end;
     let tail = off + len in
     if delta > 0 then begin
-      Array.blit e.buf tail e.buf (tail + delta) (e.len - tail);
-      Array.blit e.buf (off + drop) e.buf off (len - drop)
+      move e.buf tail e.buf (tail + delta) (e.len - tail);
+      move e.buf (off + drop) e.buf off (len - drop)
     end
     else begin
-      Array.blit e.buf (off + drop) e.buf off (len - drop);
-      Array.blit e.buf tail e.buf (tail + delta) (e.len - tail)
+      move e.buf (off + drop) e.buf off (len - drop);
+      move e.buf tail e.buf (tail + delta) (e.len - tail)
     end;
     e.len <- e.len + delta;
     e.buf.(o_len l + i) <- len + delta;
@@ -316,13 +350,8 @@ let is_quiescent inst t =
 let equal a b =
   a == b
   || a.dig = b.dig
-     &&
-     let da = a.d and db = b.d in
-     let n = Array.length da in
-     n = Array.length db
-     &&
-     let rec go i = i >= n || (Array.unsafe_get da i = Array.unsafe_get db i && go (i + 1)) in
-     go 0
+     && Array.length a.d = Array.length b.d
+     && same a.d b.d 0 (Array.length a.d)
 
 (* [compare] is the order the map-based states had — the [Map.compare] of
    π, then ρ, then the announcements, then the queues — so orbit

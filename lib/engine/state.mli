@@ -110,7 +110,8 @@ val pp : Spp.Instance.t -> Format.formatter -> t -> unit
 
     A mutable copy of a state, changed in place and sealed into a new
     state once.  The step kernel ({!Step.next}) keeps one per domain, so a
-    step allocates only the sealed array. *)
+    step allocates at most the sealed array; the explorers look a
+    successor up by its edit and seal only the ones they keep. *)
 
 module Edit : sig
   type state := t
@@ -121,8 +122,19 @@ module Edit : sig
   val load : t -> state -> unit
   (** Make the edit a copy of the state, reusing its buffer. *)
 
-  val seal : t -> state
-  (** A new state with the edit's content; the edit is left unchanged. *)
+  val seal : ?digest:int -> t -> state
+  (** A new state with the edit's content; the edit is left unchanged.
+      [digest], when given, must be {!digest} of the edit, which then is
+      not computed again. *)
+
+  val digest : t -> int
+  (** [State.digest (seal e)], without sealing. *)
+
+  val max_occupancy : t -> int
+  (** [State.max_occupancy (seal e)], without sealing. *)
+
+  val equal : t -> state -> bool
+  (** [State.equal (seal e) s], without sealing. *)
 
   val length : t -> Channel.id -> int
 

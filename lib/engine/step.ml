@@ -35,10 +35,11 @@ type recorder = {
 }
 
 (* One edit per domain: the kernel loads the parent into it, applies the
-   step in place and seals the successor, so a step allocates one array.
-   The kernel takes the edit out of the slot while it runs, so a step
-   re-entered from an export policy works on a fresh one, and an
-   exception costs only the slot's contents. *)
+   step in place and hands the edit to its continuation, which seals it
+   or only looks it up.  The kernel takes the edit out of the slot until
+   the continuation returns, so a step re-entered from an export policy or
+   from the continuation works on a fresh one, and an exception costs only
+   the slot's contents. *)
 let scratch = Domain.DLS.new_key (fun () -> Some (State.Edit.create ()))
 
 (* The step of Def. 2.3, once.  Phase 1 processes the read channels; the
@@ -54,7 +55,7 @@ let scratch = Domain.DLS.new_key (fun () -> Some (State.Edit.create ()))
    push replaces the queue — the read of that channel, if any, emptied it,
    and otherwise it held at most one message — because each active node
    pushes at most once per out-channel (DESIGN.md §3g). *)
-let kernel recorder ~project ~collapse export inst st (entry : Activation.t) =
+let kernel recorder ~project ~collapse export inst st (entry : Activation.t) k =
   let module E = State.Edit in
   let held = Domain.DLS.get scratch in
   let e =
@@ -114,12 +115,17 @@ let kernel recorder ~project ~collapse export inst st (entry : Activation.t) =
         E.set_announced e v p
       end)
     entry.Activation.active;
-  let after = E.seal e in
+  let r = k { after = e; pushes = !pushes; consumes = !consumes } in
   Domain.DLS.set scratch (match held with Some _ -> held | None -> Some e);
-  { after; pushes = !pushes; consumes = !consumes }
+  r
+
+let with_next ~project ~collapse inst st entry k =
+  kernel None ~project ~collapse export_all inst st entry k
+
+let sealed n = { n with after = State.Edit.seal n.after }
 
 let next ~project ~collapse inst st entry =
-  kernel None ~project ~collapse export_all inst st entry
+  kernel None ~project ~collapse export_all inst st entry sealed
 
 let apply ?(check = true) ?(export = export_all) inst state (entry : Activation.t) =
   if check then
@@ -138,7 +144,7 @@ let apply ?(check = true) ?(export = export_all) inst state (entry : Activation.
       on_push = (fun c msg -> pushed := (c, Arena.path msg) :: !pushed);
     }
   in
-  let n = kernel (Some recorder) ~project:false ~collapse:false export inst state entry in
+  let n = kernel (Some recorder) ~project:false ~collapse:false export inst state entry sealed in
   {
     state = n.after;
     processed = List.rev !processed;

@@ -60,6 +60,19 @@ val next :
     without rescanning the state.  With both [false] it is exactly
     [(apply st entry).state]. *)
 
+val with_next :
+  project:bool ->
+  collapse:bool ->
+  Spp.Instance.t ->
+  State.t ->
+  Activation.t ->
+  (State.Edit.t successor -> 'a) ->
+  'a
+(** {!next} without the seal: the continuation sees the successor as the
+    domain's scratch edit, which it may read, look up or seal, and which
+    is reused once the continuation returns.  [next] is [with_next]
+    continued by {!State.Edit.seal}. *)
+
 val relevant : Spp.Instance.t -> Spp.Path.node -> Spp.Arena.id -> bool
 (** [relevant inst v r]: [r] is not epsilon and its extension by [v] is
     permitted at [v].  An irrelevant route in a channel into [v], or known

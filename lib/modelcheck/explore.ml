@@ -100,6 +100,31 @@ module type STATE = sig
   val equal : t -> t -> bool
   val digest : t -> int
   val max_occupancy : t -> int
+
+  type draft
+
+  val draft_digest : draft -> int
+  val draft_occupancy : draft -> int
+  val draft_equal : draft -> t -> bool
+  val seal : draft -> digest:int -> t
+end
+
+module Sealed (S : sig
+  type t
+
+  val equal : t -> t -> bool
+  val digest : t -> int
+  val max_occupancy : t -> int
+end) =
+struct
+  include S
+
+  type draft = t
+
+  let draft_digest = digest
+  let draft_occupancy = max_occupancy
+  let draft_equal = equal
+  let seal d ~digest:_ = d
 end
 
 (* Domain-local counter buffer; padded past a cache line so adjacent
@@ -206,12 +231,55 @@ module Deque = struct
 end
 
 module Driver (S : STATE) = struct
-  module Tbl = Hashtbl.Make (struct
-    type t = S.t
+  (* The intern table: open addressing with linear probing.  Slot [s]
+     holds a state in [keys.(s)] and its id in [ids.(s)] (-1: empty); at
+     most half the slots are used.  A probe compares the stored state's
+     digest first and the state only on a digest match.  It takes the key
+     with its own equality, so a sealed state and a draft go through the
+     same lookup.  Slots start at the digest's bits above the low six,
+     which pick the parallel phase's shard.  The loops are top level, so
+     a probe allocates no closure. *)
+  module Intern = struct
+    type t = { mutable ids : int array; mutable keys : S.t array; mutable count : int }
 
-    let equal = S.equal
-    let hash = S.digest
-  end)
+    (* [slots] is a power of two. *)
+    let create dummy slots =
+      { ids = Array.make slots (-1); keys = Array.make slots dummy; count = 0 }
+
+    let rec probe (ids : int array) keys mask h eq x s =
+      let id = Array.unsafe_get ids s in
+      if id < 0 then -1
+      else
+        let k = Array.unsafe_get keys s in
+        if S.digest k = h && eq x k then id else probe ids keys mask h eq x ((s + 1) land mask)
+
+    let find t h eq x =
+      let mask = Array.length t.keys - 1 in
+      probe t.ids t.keys mask h eq x ((h lsr 6) land mask)
+
+    let rec free (ids : int array) mask s =
+      if ids.(s) < 0 then s else free ids mask ((s + 1) land mask)
+
+    let insert ids keys st id =
+      let mask = Array.length keys - 1 in
+      let s = free ids mask ((S.digest st lsr 6) land mask) in
+      ids.(s) <- id;
+      keys.(s) <- st
+
+    let iter f t = Array.iteri (fun s st -> if t.ids.(s) >= 0 then f st t.ids.(s)) t.keys
+
+    (* [st] must not be in the table yet. *)
+    let add t st id =
+      if 2 * (t.count + 1) > Array.length t.keys then begin
+        let slots = 2 * Array.length t.keys in
+        let ids = Array.make slots (-1) and keys = Array.make slots st in
+        iter (insert ids keys) t;
+        t.ids <- ids;
+        t.keys <- keys
+      end;
+      insert t.ids t.keys st id;
+      t.count <- t.count + 1
+  end
 
   type graph = {
     states : S.t array;
@@ -224,7 +292,7 @@ module Driver (S : STATE) = struct
     initial : S.t;
     normalize : S.t -> S.t;
     successors : S.t -> Enumerate.labeled list;
-    next : S.t -> Activation.t -> S.t Step.successor;
+    next : 'r. S.t -> Activation.t -> (S.draft Step.successor -> 'r) -> 'r;
     ample :
       (S.t ->
       (Enumerate.labeled * S.t Step.successor) list ->
@@ -242,44 +310,94 @@ module Driver (S : STATE) = struct
     counters : Snapshot.counters;
   }
 
-  (* Every successor comes out of [sp.next] already in normal form (for
-     SPP, projected and collapsed at write time: DESIGN.md §3g), so
-     nothing here rescans a state.  [intern] returns the successor's id
-     and whether it is fresh, or [None] when the state bound discards it;
-     [push] receives the fresh ones.  The edges keep the order of
-     [sp.successors]. *)
-  let expand ~config sp stats ~intern ~push (i, st) =
-    let add acc (labeled : Enumerate.labeled) st' =
-      if S.max_occupancy st' > config.channel_bound then begin
-        stats.s_pruned <- stats.s_pruned + 1;
-        acc
+  (* How a loop interns: [intern stats push eq seal key h] looks [key]
+     (digest [h], compared by [eq]) up and returns its id; on a miss it
+     seals the key, adds it under a fresh id and hands it to [push], or
+     returns -1 when the state bound discards it. *)
+  type interner = {
+    intern :
+      'k.
+      wstats ->
+      (int * S.t -> unit) ->
+      ('k -> S.t -> bool) ->
+      ('k -> digest:int -> S.t) ->
+      'k ->
+      int ->
+      int;
+  }
+
+  let keep st ~digest:_ = st
+
+  (* One lookup in [tbl]; a miss takes the id [claim ()] gives, or is
+     discarded when that is -1 (the state bound). *)
+  let intern_in tbl ~claim stats push eq seal key h =
+    let j = Intern.find tbl h eq key in
+    if j >= 0 then begin
+      stats.s_dedup <- stats.s_dedup + 1;
+      j
+    end
+    else
+      let i = claim () in
+      if i < 0 then begin
+        stats.s_truncated <- stats.s_truncated + 1;
+        -1
       end
       else begin
-        let st' =
-          match sp.canon with
-          | None -> st'
-          | Some canon ->
-            let c = canon st' in
-            if not (c == st') && not (S.equal c st') then
-              stats.s_canon <- stats.s_canon + 1;
-            c
-        in
-        match intern stats st' with
-        | None -> acc
-        | Some (j, fresh) ->
-          if fresh then push (j, st');
-          { dst = j; label = labeled } :: acc
+        let st = seal key ~digest:h in
+        Intern.add tbl st i;
+        stats.s_interned <- stats.s_interned + 1;
+        push (i, st);
+        i
       end
+
+  (* Every successor comes out of [sp.next] already in normal form (for
+     SPP, projected and collapsed at write time: DESIGN.md §3g), so
+     nothing here rescans a state.  Without reductions a successor is
+     looked up as the draft [sp.next] hands over and sealed only when it
+     is new; POR's ample sets and the symmetry quotient work on sealed
+     states.  The edges keep the order of [sp.successors]. *)
+  let expand ~config sp stats ~intern ~push (i, st) =
+    let seal d = S.seal d ~digest:(S.draft_digest d) in
+    let prune () =
+      stats.s_pruned <- stats.s_pruned + 1;
+      -1
     in
-    let step (l : Enumerate.labeled) = sp.next st l.Enumerate.entry in
+    let lookup st' =
+      let st' =
+        match sp.canon with
+        | None -> st'
+        | Some canon ->
+          let c = canon st' in
+          if not (c == st') && not (S.equal c st') then stats.s_canon <- stats.s_canon + 1;
+          c
+      in
+      intern.intern stats push S.equal keep st' (S.digest st')
+    in
+    let add_state st' =
+      if S.max_occupancy st' > config.channel_bound then prune () else lookup st'
+    in
+    let add_draft (n : S.draft Step.successor) =
+      let d = n.Step.after in
+      if S.draft_occupancy d > config.channel_bound then prune ()
+      else if Option.is_some sp.canon then lookup (seal d)
+      else intern.intern stats push S.draft_equal S.seal d (S.draft_digest d)
+    in
+    let edge acc labeled j = if j < 0 then acc else { dst = j; label = labeled } :: acc in
     let labels = sp.successors st in
     let rev_edges =
       match sp.ample with
       | Some ample ->
-        let sel, proper = ample st (List.map (fun l -> (l, step l)) labels) in
+        let sealed (n : S.draft Step.successor) = { n with Step.after = seal n.Step.after } in
+        let stepped =
+          List.map (fun (l : Enumerate.labeled) -> (l, sp.next st l.Enumerate.entry sealed)) labels
+        in
+        let sel, proper = ample st stepped in
         if proper then stats.s_ample <- stats.s_ample + 1;
-        List.fold_left (fun acc (l, n) -> add acc l n.Step.after) [] sel
-      | None -> List.fold_left (fun acc l -> add acc l (step l).Step.after) [] labels
+        List.fold_left (fun acc (l, n) -> edge acc l (add_state n.Step.after)) [] sel
+      | None ->
+        List.fold_left
+          (fun acc (l : Enumerate.labeled) -> edge acc l (sp.next st l.Enumerate.entry add_draft))
+          [] labels
     in
     let edges = List.rev rev_edges in
     stats.s_edges <- stats.s_edges + List.length edges;
@@ -306,38 +424,25 @@ module Driver (S : STATE) = struct
   let steal ?metrics ~domains ~interned config sp index seq_stats queue seq_rows =
     let max_states = max 1 config.max_states in
     let n_shards = 64 in
-    let shards = Array.init n_shards (fun _ -> (Mutex.create (), Tbl.create 256)) in
-    Tbl.iter
-      (fun st i -> Tbl.add (snd shards.(S.digest st land (n_shards - 1))) st i)
-      index;
-    let counter = Atomic.make (Tbl.length index) in
-    (* Claim the next state id unless the bound is exhausted. *)
+    let dummy = snd (Queue.peek queue) in
+    let shards = Array.init n_shards (fun _ -> (Mutex.create (), Intern.create dummy 512)) in
+    Intern.iter (fun st i -> Intern.add (snd shards.(S.digest st land (n_shards - 1))) st i) index;
+    let counter = Atomic.make index.Intern.count in
+    (* Claim the next state id, or -1 once the bound is exhausted. *)
     let rec claim_id () =
       let n = Atomic.get counter in
-      if n >= max_states then None
-      else if Atomic.compare_and_set counter n (n + 1) then Some n
+      if n >= max_states then -1
+      else if Atomic.compare_and_set counter n (n + 1) then n
       else claim_id ()
     in
-    let intern stats st =
-      let mu, tbl = shards.(S.digest st land (n_shards - 1)) in
+    let intern stats push eq seal key h =
+      let mu, tbl = shards.(h land (n_shards - 1)) in
       Mutex.lock mu;
-      match Tbl.find_opt tbl st with
-      | Some i ->
-        Mutex.unlock mu;
-        stats.s_dedup <- stats.s_dedup + 1;
-        Some (i, false)
-      | None -> (
-        match claim_id () with
-        | None ->
-          Mutex.unlock mu;
-          stats.s_truncated <- stats.s_truncated + 1;
-          None
-        | Some i ->
-          Tbl.add tbl st i;
-          Mutex.unlock mu;
-          stats.s_interned <- stats.s_interned + 1;
-          Some (i, true))
+      let j = intern_in tbl ~claim:claim_id stats push eq seal key h in
+      Mutex.unlock mu;
+      j
     in
+    let intern = { intern } in
     (* Split the frontier round-robin over per-worker deques and hand off
        to the persistent pool. *)
     let k = min (max 2 domains) (Pool.max_workers + 1) in
@@ -437,8 +542,8 @@ module Driver (S : STATE) = struct
       ~interned:(interned + Array.fold_left (fun acc w -> acc + w.s_interned) 0 wstats)
       all_stats;
     let n = Atomic.get counter in
-    let states_arr = Array.make n (snd (Queue.peek queue)) in
-    Array.iter (fun (_, tbl) -> Tbl.iter (fun st i -> states_arr.(i) <- st) tbl) shards;
+    let states_arr = Array.make n dummy in
+    Array.iter (fun (_, tbl) -> Intern.iter (fun st i -> states_arr.(i) <- st) tbl) shards;
     let adj = Array.make n [] in
     List.iter (fun (i, es) -> adj.(i) <- es) seq_rows;
     Array.iter (List.iter (fun (i, es) -> adj.(i) <- es)) rows_of;
@@ -468,30 +573,25 @@ module Driver (S : STATE) = struct
 
   let run ?metrics ?checkpoint ?resume ?pool config sp =
     let max_states = max 1 config.max_states in
-    let index = Tbl.create 1024 in
+    let index = Intern.create sp.initial 2048 in
     let states = ref [] and n_states = ref 0 in
     let rows = ref [] in
     let pruned = ref false and truncated = ref false in
     let queue = Queue.create () in
     let stats = fresh_stats () in
-    let intern stats st =
-      match Tbl.find_opt index st with
-      | Some i ->
-        stats.s_dedup <- stats.s_dedup + 1;
-        Some (i, false)
-      | None ->
-        if !n_states >= max_states then begin
-          stats.s_truncated <- stats.s_truncated + 1;
-          None
-        end
-        else begin
-          let i = !n_states in
-          Tbl.add index st i;
-          states := st :: !states;
-          incr n_states;
-          stats.s_interned <- stats.s_interned + 1;
-          Some (i, true)
-        end
+    let claim () =
+      if !n_states >= max_states then -1
+      else begin
+        incr n_states;
+        !n_states - 1
+      end
+    in
+    let intern =
+      { intern = (fun stats push eq seal key h -> intern_in index ~claim stats push eq seal key h) }
+    in
+    let push ((_, st) as x) =
+      states := st :: !states;
+      Queue.add x queue
     in
     (match resume with
     | Some p ->
@@ -501,7 +601,7 @@ module Driver (S : STATE) = struct
       let saved = Array.map sp.normalize p.interned in
       Array.iteri
         (fun i st ->
-          Tbl.add index st i;
+          Intern.add index st i;
           states := st :: !states;
           incr n_states)
         saved;
@@ -521,8 +621,7 @@ module Driver (S : STATE) = struct
     | None ->
       let canon = Option.value sp.canon ~default:Fun.id in
       let init = canon (sp.normalize sp.initial) in
-      (match intern stats init with Some _ -> () | None -> assert false);
-      Queue.add (0, init) queue);
+      ignore (intern.intern stats push S.equal keep init (S.digest init)));
     let progress () =
       {
         interned = Array.of_list (List.rev !states);
@@ -555,7 +654,6 @@ module Driver (S : STATE) = struct
           m_flushed := stats.s_interned)
     in
     let spill = match pool with Some (_, spill) -> spill | None -> max_int in
-    let push x = Queue.add x queue in
     while (not (Queue.is_empty queue)) && Queue.length queue <= spill do
       let row = expand ~config sp stats ~intern ~push (Queue.pop queue) in
       stats.s_peak <- max stats.s_peak (Queue.length queue);
@@ -591,7 +689,18 @@ end
 (* SPP, the driver's first instance: POR's ample sets, the symmetry
    canonicaliser and the snapshot codec are its hooks. *)
 
-module D = Driver (State)
+module Spp_state = struct
+  include State
+
+  type draft = State.Edit.t
+
+  let draft_digest = State.Edit.digest
+  let draft_occupancy = State.Edit.max_occupancy
+  let draft_equal = State.Edit.equal
+  let seal e ~digest = State.Edit.seal ~digest e
+end
+
+module D = Driver (Spp_state)
 
 type graph = D.graph = {
   states : State.t array;
@@ -727,7 +836,7 @@ let explore_with ?(config = default_config) ?(reduction = Reduce.No_reduction)
       D.initial = State.initial inst;
       normalize = normalize inst ~collapse;
       successors;
-      next = (fun st entry -> Step.next ~project:true ~collapse inst st entry);
+      next = (fun st entry k -> Step.with_next ~project:true ~collapse inst st entry k);
       ample = (if reduction = Reduce.Por then Some (Reduce.ample inst) else None);
       canon = (if reduction = Reduce.Sym then Some (Reduce.canonicalizer inst) else None);
     }

@@ -54,7 +54,33 @@ module type STATE = sig
 
   val max_occupancy : t -> int
   (** The longest channel queue. *)
+
+  type draft
+  (** A successor before it is sealed into a [t], as [space.next] hands
+      it over (for SPP, the step kernel's scratch {!Engine.State.Edit}).
+      The driver looks it up, and seals it only when it is new. *)
+
+  val draft_digest : draft -> int
+  (** [digest (seal d ~digest:_)]. *)
+
+  val draft_occupancy : draft -> int
+  (** [max_occupancy (seal d ~digest:_)]. *)
+
+  val draft_equal : draft -> t -> bool
+  (** [equal (seal d ~digest:_) s]. *)
+
+  val seal : draft -> digest:int -> t
+  (** [digest] is [draft_digest d], already computed. *)
 end
+
+module Sealed (S : sig
+  type t
+
+  val equal : t -> t -> bool
+  val digest : t -> int
+  val max_occupancy : t -> int
+end) : STATE with type t = S.t and type draft = S.t
+(** A state whose successors come sealed: a draft is the state itself. *)
 
 module Driver (S : STATE) : sig
   type graph = {
@@ -75,7 +101,9 @@ module Driver (S : STATE) : sig
     successors : S.t -> Enumerate.labeled list;
         (** the entries to expand; must be pure, since the work-stealing
             phase calls it from several domains *)
-    next : S.t -> Engine.Activation.t -> S.t Engine.Step.successor;
+    next : 'r. S.t -> Engine.Activation.t -> (S.draft Engine.Step.successor -> 'r) -> 'r;
+        (** the step, handing its successor to the continuation; a draft
+            need not outlive it *)
     ample :
       (S.t ->
       (Enumerate.labeled * S.t Engine.Step.successor) list ->
@@ -118,7 +146,12 @@ end
 
 (** {1 SPP} *)
 
-type graph = Driver(Engine.State).graph = {
+module Spp_state :
+  STATE with type t = Engine.State.t and type draft = Engine.State.Edit.t
+(** SPP states for the driver: a successor is looked up as the step
+    kernel's edit ({!Engine.Step.with_next}) and sealed only when new. *)
+
+type graph = Driver(Spp_state).graph = {
   states : Engine.State.t array;
   adjacency : edge list array;
   pruned : bool;

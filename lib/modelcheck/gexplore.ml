@@ -39,7 +39,7 @@ module Make (P : Engine.Protocol.S) = struct
 
   type edge = Explore.edge = { dst : int; label : Enumerate.labeled }
 
-  module Driver = Explore.Driver (E.State)
+  module Driver = Explore.Driver (Explore.Sealed (E.State))
 
   type graph = Driver.graph = {
     states : E.State.t array;
@@ -73,13 +73,14 @@ module Make (P : Engine.Protocol.S) = struct
       normalize;
       successors = (fun st -> successors (E.State.channel_length st));
       next =
-        (fun st entry ->
+        (fun st entry k ->
           let o = E.Step.apply ~check:false inst st entry in
-          {
-            Engine.Step.after = normalize o.E.Step.state;
-            pushes = o.E.Step.pushed <> [];
-            consumes = o.E.Step.processed <> [];
-          });
+          k
+            {
+              Engine.Step.after = normalize o.E.Step.state;
+              pushes = o.E.Step.pushed <> [];
+              consumes = o.E.Step.processed <> [];
+            });
       ample = None;
       canon = None;
     }

@@ -1,16 +1,30 @@
 module Json = Engine.Metrics.Json
 
-type t = { fd : Unix.file_descr; buf : Buffer.t }
+type t = { fd : Unix.file_descr; buf : Buffer.t; mutable timeout : float option }
 
 let connect ~socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Unix.ADDR_UNIX socket) with
-  | () -> Ok { fd; buf = Buffer.create 256 }
+  | () -> Ok { fd; buf = Buffer.create 256; timeout = None }
   | exception Unix.Unix_error (e, _, _) ->
     Unix.close fd;
     Error (Error.Io { path = socket; message = Unix.error_message e })
 
+let set_timeout t s = t.timeout <- s
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
+
+let io message = Error (Error.Io { path = "<daemon>"; message })
+
+(* Whether the socket has bytes (or end of file) to read before the
+   client's timeout, if it has one. *)
+let rec readable t =
+  match t.timeout with
+  | None -> true
+  | Some s -> (
+    match Unix.select [ t.fd ] [] [] s with
+    | [], _, _ -> false
+    | _ -> true
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> readable t)
 
 let read_line t =
   let chunk = Bytes.create 8192 in
@@ -21,15 +35,16 @@ let read_line t =
       Buffer.clear t.buf;
       Buffer.add_substring t.buf s (i + 1) (String.length s - i - 1);
       Ok (String.sub s 0 i)
+    | None when not (readable t) ->
+      io (Printf.sprintf "no answer within %gs" (Option.get t.timeout))
     | None -> (
       match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-      | 0 -> Error (Error.Io { path = "<daemon>"; message = "connection closed" })
+      | 0 -> io "connection closed"
       | n ->
         Buffer.add_subbytes t.buf chunk 0 n;
         take ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> take ()
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (Error.Io { path = "<daemon>"; message = Unix.error_message e }))
+      | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e))
   in
   take ()
 

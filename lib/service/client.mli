@@ -4,6 +4,14 @@
 type t
 
 val connect : socket:string -> (t, Error.t) result
+(** A connection whose reads wait for an answer without a deadline. *)
+
+val set_timeout : t -> float option -> unit
+(** [set_timeout t (Some s)] bounds every later wait for a line: a read
+    that sees no byte for [s] seconds returns [Error (Io _)] instead of
+    blocking.  [None] (the default) waits without a deadline, as the CLI
+    and a [wait_event] on a deep job need. *)
+
 val close : t -> unit
 
 val request :

@@ -624,6 +624,202 @@ let test_ws_exception_propagates () =
 
 
 (* ------------------------------------------------------------------ *)
+(* Edits and the intern table *)
+
+(* A random instance, its channels and a pool of messages to write: the
+   arena ids of its permitted paths, and epsilon. *)
+let edit_case seed =
+  let inst =
+    Generator.instance
+      { Generator.default with nodes = 4; seed; extra_edges = 1; max_paths_per_node = 2 }
+  in
+  let chans =
+    Array.of_list (List.map (fun (src, dst) -> Channel.id ~src ~dst) (Instance.channels inst))
+  in
+  let msgs =
+    Array.of_list
+      (Arena.epsilon :: List.map (fun (_, p, _) -> Arena.intern p) (Instance.all_permitted inst))
+  in
+  (inst, chans, msgs)
+
+type edit_op =
+  | Push of int * int  (** channel, message *)
+  | Replace of int * int
+  | Consume of int * bool * int * int  (** channel, set ρ, kept message, count *)
+
+(* Pushes outnumber the rest, so queues grow past the buffer's spare
+   room; consumes of more than one message and replaces of long queues
+   move the later queues left, pushes and replaces of empty queues move
+   them right. *)
+let gen_edit_op =
+  QCheck2.Gen.(
+    let* c = int_range 0 99 and* m = int_range 0 99 in
+    frequency
+      [
+        (5, return (Push (c, m)));
+        (2, return (Replace (c, m)));
+        ( 3,
+          let* set = bool and* i = int_range 0 5 in
+          return (Consume (c, set, m, i)) );
+      ])
+
+(* The ops on an edit and on a map model of the channels and ρ. *)
+let apply_ops chans msgs e (q, rho) ops =
+  let ch i = chans.(i mod Array.length chans) and msg i = msgs.(i mod Array.length msgs) in
+  List.fold_left
+    (fun (q, rho) op ->
+      match op with
+      | Push (c, m) ->
+        State.Edit.push e (ch c) (msg m);
+        (Channel.push q (ch c) (msg m), rho)
+      | Replace (c, m) ->
+        State.Edit.replace e (ch c) (msg m);
+        (Channel.push (Channel.drop_first q (ch c) max_int) (ch c) (msg m), rho)
+      | Consume (c, set, m, i) ->
+        State.Edit.consume e (ch c) ~set_rho:set (msg m) i;
+        let rho = if set then Channel.Map.add (ch c) (msg m) rho else rho in
+        (Channel.drop_first q (ch c) i, rho))
+    (q, rho) ops
+
+(* The sealed state against the model, and the edit's own digest,
+   occupancy and comparison against what sealing gives. *)
+let edit_matches chans e (q, rho) =
+  let s = State.Edit.seal e in
+  Channel.Map.equal ( = ) (State.channels s) q
+  && Array.for_all
+       (fun c ->
+         State.rho_id s c
+         = Option.value (Channel.Map.find_opt c rho) ~default:Arena.epsilon)
+       chans
+  && State.max_occupancy s = Channel.max_occupancy q
+  && State.Edit.digest e = State.digest s
+  && State.Edit.max_occupancy e = State.max_occupancy s
+  && State.Edit.equal e s
+  && State.equal (State.Edit.seal ~digest:(State.Edit.digest e) e) s
+
+let prop_edit_copies =
+  QCheck2.Test.make ~name:"edit push/replace/consume = channel-map model" ~count:300
+    QCheck2.Gen.(
+      triple (int_range 0 9_999)
+        (list_size (int_range 0 40) gen_edit_op)
+        (list_size (int_range 0 80) gen_edit_op))
+    (fun (seed, first, second) ->
+      let inst, chans, msgs = edit_case seed in
+      let e = State.Edit.create () in
+      State.Edit.load e (State.initial inst);
+      let model = apply_ops chans msgs e (Channel.empty, Channel.Map.empty) first in
+      edit_matches chans e model
+      &&
+      (* A second round from the sealed state: [load] reuses the buffer. *)
+      let parent = State.Edit.seal e in
+      let f = State.Edit.create () in
+      State.Edit.load f (State.initial inst);
+      State.Edit.load f parent;
+      let model = apply_ops chans msgs f model second in
+      edit_matches chans f model && State.equal parent (State.Edit.seal e))
+
+(* The intern table finds a successor by its edit: the edit's digest must
+   be the sealed state's, and the buffer comparison must agree with
+   [State.equal] against every stored state, or a hit would become a
+   duplicate state. *)
+let prop_probe_agrees_with_seal =
+  QCheck2.Test.make ~name:"edit digest and comparison agree with the sealed state"
+    ~count:20
+    QCheck2.Gen.(pair (int_range 0 9_999) (int_range 0 23))
+    (fun (seed, mi) ->
+      let inst, _, _ = edit_case seed in
+      let m = models.(mi) in
+      let config = { Explore.channel_bound = 2; max_states = 120 } in
+      let g = Explore.explore ~config ~domains:1 inst m in
+      let collapse = Explore.collapses m in
+      Array.for_all
+        (fun st ->
+          List.for_all
+            (fun (l : Enumerate.labeled) ->
+              Step.with_next ~project:true ~collapse inst st l.Enumerate.entry (fun n ->
+                  let e = n.Step.after in
+                  let s = State.Edit.seal e in
+                  State.Edit.digest e = State.digest s
+                  && State.Edit.max_occupancy e = State.max_occupancy s
+                  && Array.for_all
+                       (fun t -> State.Edit.equal e t = State.equal s t)
+                       g.Explore.states))
+            (Enumerate.successors inst m st))
+        g.Explore.states)
+
+(* SPP states whose digest is constant: every probe walks the whole
+   chain of the table (of its shard, in the work-stealing phase). *)
+module Collide = struct
+  include Explore.Spp_state
+
+  let digest _ = 0
+  let draft_digest _ = 0
+  let seal e ~digest:_ = State.Edit.seal e
+end
+
+module DC = Explore.Driver (Collide)
+
+let collide_space ?(reduction = Reduce.No_reduction) inst m =
+  let collapse = Explore.collapses m in
+  {
+    DC.initial = State.initial inst;
+    normalize = (fun st -> Explore.project_state inst (Explore.collapse_state m st));
+    successors = Enumerate.successors inst m;
+    next = (fun st entry k -> Step.with_next ~project:true ~collapse inst st entry k);
+    ample = (if reduction = Reduce.Por then Some (Reduce.ample inst) else None);
+    canon = (if reduction = Reduce.Sym then Some (Reduce.canonicalizer inst) else None);
+  }
+
+let test_collision_chains () =
+  let config = { Explore.channel_bound = 2; max_states = 300 } in
+  let check inst name (want : Explore.graph) (g : DC.graph) ~exact =
+    let got =
+      {
+        Explore.states = g.DC.states;
+        adjacency = g.DC.adjacency;
+        pruned = g.DC.pruned;
+        truncated = g.DC.truncated;
+      }
+    in
+    Alcotest.(check bool) (name ^ ": truncated") want.Explore.truncated got.Explore.truncated;
+    Alcotest.(check int) (name ^ ": states") (Array.length want.Explore.states)
+      (Array.length got.Explore.states);
+    (* Under truncation the work-stealing run keeps a schedule-dependent
+       subset; otherwise the graphs agree up to numbering. *)
+    if exact || not want.Explore.truncated then begin
+      Alcotest.(check bool) (name ^ ": pruned") want.Explore.pruned got.Explore.pruned;
+      Alcotest.(check string) (name ^ ": verdict")
+        (Oscillation.verdict_name (Oscillation.analyze_graph inst want))
+        (Oscillation.verdict_name (Oscillation.analyze_graph inst got));
+      Alcotest.(check bool) (name ^ ": same graph") true
+        (let ws, we = graph_signature want and gs, ge = graph_signature got in
+         List.equal State.equal ws gs && Stdlib.compare we ge = 0)
+    end
+  in
+  List.iter
+    (fun inst ->
+      let check = check inst in
+      List.iter
+        (fun m ->
+          let name = Model.to_string m in
+          let want = Explore.explore ~config ~domains:1 inst m in
+          check (name ^ " sequential") want (DC.run config (collide_space inst m)) ~exact:true;
+          check (name ^ " stealing") want
+            (DC.run ~pool:(3, 0) config (collide_space inst m))
+            ~exact:false;
+          List.iter
+            (fun r ->
+              check
+                (name ^ " " ^ Reduce.to_string r)
+                (Explore.explore ~config ~reduction:r ~domains:1 inst m)
+                (DC.run config (collide_space ~reduction:r inst m))
+                ~exact:true)
+            [ Reduce.Por; Reduce.Sym ])
+        Model.all)
+    [ Gadgets.disagree; Gadgets.bad_gadget ]
+
+
+(* ------------------------------------------------------------------ *)
 (* Cross-validation between independent components *)
 
 let test_reachable_solutions_subset_of_solver () =
@@ -742,6 +938,13 @@ let () =
             test_unreliable_witness_has_drops_covered;
           Alcotest.test_case "explore basics" `Quick test_explore_basics;
           Alcotest.test_case "truncation bound" `Quick test_explore_truncation_bound;
+        ] );
+      ( "intern",
+        [
+          QCheck_alcotest.to_alcotest prop_edit_copies;
+          QCheck_alcotest.to_alcotest prop_probe_agrees_with_seal;
+          Alcotest.test_case "collision chains: same graphs as the real digest" `Quick
+            test_collision_chains;
         ] );
       ( "parallel",
         Alcotest.test_case "pool reused across explorations" `Quick test_pool_reuse

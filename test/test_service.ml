@@ -548,6 +548,13 @@ let with_daemon name f =
   | Error e -> Alcotest.failf "daemon: %s" (Error.to_string e)
 
 let ok = function Ok x -> x | Error e -> Alcotest.failf "%s" (Error.to_string e)
+
+(* A client whose every wait for an answer is bounded, so a daemon that
+   stops answering fails the test instead of hanging it. *)
+let connect socket =
+  let c = ok (Client.connect ~socket) in
+  Client.set_timeout c (Some 30.);
+  c
 let id_of j = match Json.member "id" j with Some v -> v | None -> Json.Null
 
 let shutdown c =
@@ -559,7 +566,7 @@ let shutdown c =
    order. *)
 let test_daemon_framing () =
   with_daemon "framing" (fun socket ->
-      let c = ok (Client.connect ~socket) in
+      let c = connect socket in
       let req = {|{"id":41,"method":"ping"}|} ^ "\n" in
       String.iteri
         (fun i ch ->
@@ -591,8 +598,8 @@ let test_daemon_framing () =
    served. *)
 let test_daemon_oversized_line () =
   with_daemon "oversized" (fun socket ->
-      let other = ok (Client.connect ~socket) in
-      let hog = ok (Client.connect ~socket) in
+      let other = connect socket in
+      let hog = connect socket in
       ok (Client.send_raw hog (String.make (Server.max_line + 1) 'x'));
       let j = ok (Client.read_json hog) in
       Alcotest.(check string) "usage error" (Error.kind (Error.Usage "")) (error_kind j);
@@ -605,6 +612,33 @@ let test_daemon_oversized_line () =
       Alcotest.(check bool) "other client served" true
         (id_of j = Json.Num 5. && Json.member "ok" j = Some (Json.Bool true));
       shutdown other)
+
+(* A socket that accepts connections (the kernel's backlog) but never
+   answers: a bounded read gives up with an I/O error. *)
+let test_client_timeout () =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cr-mute-%d.sock" (Unix.getpid ()))
+  in
+  (try Unix.unlink socket with Unix.Unix_error _ -> ());
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      try Unix.unlink socket with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.bind listener (Unix.ADDR_UNIX socket);
+      Unix.listen listener 4;
+      let c = ok (Client.connect ~socket) in
+      Client.set_timeout c (Some 0.2);
+      let t0 = Unix.gettimeofday () in
+      (match Client.request c { Protocol.id = Json.Num 1.; req = Protocol.Ping } with
+      | Error (Error.Io _) -> ()
+      | Error e -> Alcotest.failf "expected an I/O error, got %s" (Error.to_string e)
+      | Ok j -> Alcotest.failf "a mute socket answered %s" (Json.to_string j));
+      let waited = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) "gave up after the bound" true (waited >= 0.15 && waited < 10.);
+      Client.close c)
 
 let () =
   Alcotest.run "service"
@@ -645,5 +679,7 @@ let () =
             test_daemon_framing;
           Alcotest.test_case "oversized line answered and closed" `Quick
             test_daemon_oversized_line;
+          Alcotest.test_case "bounded read gives up on a mute daemon" `Quick
+            test_client_timeout;
         ] );
     ]
