@@ -110,7 +110,13 @@ let successors_core ~nodes ~required ~length ~(model_of : int -> Model.t) =
    workers on several domains can share one memo: readers never lock, and
    a writer that loses a race retries against the new map.  Two workers
    may both compute a missing entry list; either result is the same
-   function of the key, so whichever lands is correct. *)
+   function of the key, so whichever lands is correct.
+
+   Different keys often give equal labels (under [M_all] reads an entry
+   does not depend on how many messages it takes), so a new list is
+   rebuilt from the labels the memo already handed out: every equal
+   label is one value, which is what lets {!Fair.make} find a label's
+   masks by its physical identity. *)
 module Lengths = Map.Make (struct
   type t = int array
 
@@ -137,6 +143,14 @@ type node_memo = {
 }
 
 let memo ?metrics ~nodes ~required ~(model_of : int -> Model.t) () =
+  let shared = Hashtbl.create 64 and shared_mu = Mutex.create () in
+  let share l =
+    match Hashtbl.find_opt shared l with
+    | Some l -> l
+    | None ->
+      Hashtbl.add shared l l;
+      l
+  in
   let memos =
     List.map
       (fun v ->
@@ -157,7 +171,10 @@ let memo ?metrics ~nodes ~required ~(model_of : int -> Model.t) () =
       match Lengths.find key table with
       | l -> l
       | exception Not_found ->
-        let l = node_entries m.v m.model m.required_l length in
+        let l =
+          Mutex.protect shared_mu (fun () ->
+              List.map share (node_entries m.v m.model m.required_l length))
+        in
         if Atomic.compare_and_set m.table table (Lengths.add key l table) then begin
           (match metrics with Some t -> Metrics.add_enumerations t 1 | None -> ());
           l

@@ -29,15 +29,9 @@ let pi_differs inst a b =
     (fun v -> not (Spp.Arena.equal (State.pi_id a v) (State.pi_id b v)))
     (Instance.nodes inst)
 
-let analyze_graph ?metrics inst graph =
+let analyze_compact ?metrics inst (graph : Explore.compact) =
   let states = graph.Explore.states in
-  let fair =
-    Fair.make ~n:(Array.length states) ~tracked:(tracked_channels inst)
-      ~out:(fun i f ->
-        List.iter
-          (fun (e : Explore.edge) -> f e.Explore.dst e.Explore.label)
-          graph.Explore.adjacency.(i))
-  in
+  let fair = Fair.make ~tracked:(tracked_channels inst) graph.Explore.csr in
   let goal =
     {
       Fair.differs = (fun a b -> pi_differs inst states.(a) states.(b));
@@ -53,6 +47,8 @@ let analyze_graph ?metrics inst graph =
     if graph.Explore.pruned then Unknown "channel bound pruned some writes"
     else if graph.Explore.truncated then Unknown "state limit reached"
     else Converges
+
+let analyze_graph ?metrics inst graph = analyze_compact ?metrics inst (Explore.of_view graph)
 
 (* State-accurate fairness of a repeating cycle: every tracked channel is
    read, and every channel on which a message is actually dropped also has a
@@ -93,8 +89,8 @@ let cycle_fair_from inst state cycle =
   && CS.subset drops cleans
 
 let analyze ?config ?reduction ?domains ?metrics inst model =
-  let graph = Explore.explore ?config ?reduction ?domains ?metrics inst model in
-  Metrics.timed ?m:metrics "analyze" (fun () -> analyze_graph ?metrics inst graph)
+  let graph = Explore.explore_compact ?config ?reduction ?domains ?metrics inst model in
+  Metrics.timed ?m:metrics "analyze" (fun () -> analyze_compact ?metrics inst graph)
 
 let analyze_hetero ?config ?reduction ?domains ?metrics inst hetero =
   (* The symmetry quotient requires one model everywhere: an automorphism
@@ -111,7 +107,7 @@ let analyze_hetero ?config ?reduction ?domains ?metrics inst hetero =
       ~successors:(Enumerate.successors_with ?metrics inst (Hetero.model_of hetero))
       ~collapse:collapsible
   in
-  Metrics.timed ?m:metrics "analyze" (fun () -> analyze_graph ?metrics inst graph)
+  Metrics.timed ?m:metrics "analyze" (fun () -> analyze_compact ?metrics inst graph)
 
 let verify_witness_generic ?max_steps ~valid inst w =
   let max_steps =

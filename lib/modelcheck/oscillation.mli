@@ -25,11 +25,16 @@ val tracked_channels : Spp.Instance.t -> Engine.Channel.id list
 (** The channels a fair execution must read: every channel except those
     into the destination, in instance order. *)
 
-val analyze_graph : ?metrics:Engine.Metrics.t -> Spp.Instance.t -> Explore.graph -> verdict
+val analyze_compact : ?metrics:Engine.Metrics.t -> Spp.Instance.t -> Explore.compact -> verdict
 (** The verdict of an already-explored bounded state graph; lets callers
     reuse one exploration for several analyses (and benchmark the phases
-    separately).  The search is {!Fair.find}; with [metrics] its split
-    and edge counters are recorded. *)
+    separately).  The search is {!Fair.find} over the explorer's CSR
+    graph itself; with [metrics] its split and edge counters are
+    recorded. *)
+
+val analyze_graph : ?metrics:Engine.Metrics.t -> Spp.Instance.t -> Explore.graph -> verdict
+(** {!analyze_compact} of an edge-list graph, converted back to CSR
+    ({!Explore.of_view}). *)
 
 val analyze :
   ?config:Explore.config ->

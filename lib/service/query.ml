@@ -35,15 +35,14 @@ let compute_check ?metrics ?checkpoint ?resume inst model
     { Modelcheck.Explore.channel_bound = c.bound; max_states = c.max_states }
   in
   let graph =
-    Modelcheck.Explore.explore ~config ?metrics ?checkpoint ?resume inst model
+    Modelcheck.Explore.explore_compact ~config ?metrics ?checkpoint ?resume inst
+      model
   in
   let verdict =
     Engine.Metrics.timed ?m:metrics "analyze" (fun () ->
-        Modelcheck.Oscillation.analyze_graph ?metrics inst graph)
+        Modelcheck.Oscillation.analyze_compact ?metrics inst graph)
   in
-  let edges =
-    Array.fold_left (fun n es -> n + List.length es) 0 graph.adjacency
-  in
+  let edges = Array.length graph.csr.Modelcheck.Fair.dst in
   let verdict_fields =
     match verdict with
     | Modelcheck.Oscillation.Converges -> [ ("verdict", Json.Str "converges") ]

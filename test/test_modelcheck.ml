@@ -285,7 +285,7 @@ let test_normal_sym_and_resume () =
          Explore.explore_with ~config ~checkpoint:{ Explore.path; every = 10 } inst
            ~successors:killing ~collapse
        with
-      | (_ : Explore.graph) -> Alcotest.failf "%s: not interrupted" name
+      | (_ : Explore.compact) -> Alcotest.failf "%s: not interrupted" name
       | exception Killed -> ());
       let resume =
         match Snapshot.load ~path inst with
@@ -295,7 +295,7 @@ let test_normal_sym_and_resume () =
       Sys.remove path;
       if not (Array.for_all (normal_form inst m) resume.Snapshot.states) then
         Alcotest.failf "%s: saved state not normal" name;
-      let g = Explore.explore_with ~config ~resume inst ~successors ~collapse in
+      let g = Explore.view (Explore.explore_with ~config ~resume inst ~successors ~collapse) in
       if not (all_normal inst m g) then Alcotest.failf "%s: resumed state not normal" name;
       let direct = Explore.explore ~config ~domains:1 inst m in
       Alcotest.(check int) (name ^ " resumed states") (Array.length direct.Explore.states)
@@ -772,11 +772,11 @@ let collide_space ?(reduction = Reduce.No_reduction) inst m =
 
 let test_collision_chains () =
   let config = { Explore.channel_bound = 2; max_states = 300 } in
-  let check inst name (want : Explore.graph) (g : DC.graph) ~exact =
+  let check inst name (want : Explore.graph) (g : DC.compact) ~exact =
     let got =
       {
         Explore.states = g.DC.states;
-        adjacency = g.DC.adjacency;
+        adjacency = (DC.view g).DC.adjacency;
         pruned = g.DC.pruned;
         truncated = g.DC.truncated;
       }
@@ -818,6 +818,57 @@ let test_collision_chains () =
         Model.all)
     [ Gadgets.disagree; Gadgets.bad_gadget ]
 
+(* What work stealing promises (explore.mli): without truncation, the
+   sequential run's state set, [pruned] flag and verdict; with it, a
+   truncated graph of at most [max_states] states whose CSR has no
+   dangling edge, whichever subset the schedule kept.  The constant
+   digest (slow probes under the shard locks) and the real one both run,
+   at a cap that truncates some models and at one that truncates none. *)
+let test_stealing_contract () =
+  let check inst tag (want : Explore.compact) (got : Explore.compact) =
+    let n = Array.length got.Explore.states in
+    let csr = got.Explore.csr in
+    let m = Array.length csr.Fair.dst in
+    let dangling = Array.exists (fun d -> d < 0 || d >= n) csr.Fair.dst in
+    Alcotest.(check bool) (tag ^ ": truncated") want.Explore.truncated got.Explore.truncated;
+    Alcotest.(check bool) (tag ^ ": CSR shape") true
+      (Array.length csr.Fair.first = n + 1 && csr.Fair.first.(n) = m && not dangling);
+    if want.Explore.truncated then
+      Alcotest.(check int) (tag ^ ": states at the bound") (Array.length want.Explore.states) n
+    else begin
+      let sorted (g : Explore.compact) =
+        List.sort State.compare (Array.to_list g.Explore.states)
+      in
+      Alcotest.(check bool) (tag ^ ": state set") true
+        (List.equal State.equal (sorted want) (sorted got));
+      Alcotest.(check bool) (tag ^ ": pruned") want.Explore.pruned got.Explore.pruned;
+      Alcotest.(check string) (tag ^ ": verdict")
+        (Oscillation.verdict_name (Oscillation.analyze_compact inst want))
+        (Oscillation.verdict_name (Oscillation.analyze_compact inst got))
+    end
+  in
+  List.iter
+    (fun max_states ->
+      let config = { Explore.channel_bound = 2; max_states } in
+      List.iter
+        (fun m ->
+          let inst = Gadgets.disagree in
+          let tag = Printf.sprintf "%s cap %d" (Model.to_string m) max_states in
+          let want = Explore.explore_compact ~config ~domains:1 inst m in
+          Alcotest.(check bool) (tag ^ ": within the bound") true
+            (Array.length want.Explore.states <= max_states);
+          check inst (tag ^ " stealing") want
+            (Explore.explore_compact ~config ~domains:3 ~spill:0 inst m);
+          let c = DC.run ~pool:(3, 0) config (collide_space inst m) in
+          check inst (tag ^ " collide stealing") want
+            {
+              Explore.states = c.DC.states;
+              csr = c.DC.csr;
+              pruned = c.DC.pruned;
+              truncated = c.DC.truncated;
+            })
+        Model.all)
+    [ 300; 20_000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Cross-validation between independent components *)
@@ -945,6 +996,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_probe_agrees_with_seal;
           Alcotest.test_case "collision chains: same graphs as the real digest" `Quick
             test_collision_chains;
+          Alcotest.test_case "work stealing keeps its contract" `Quick test_stealing_contract;
         ] );
       ( "parallel",
         Alcotest.test_case "pool reused across explorations" `Quick test_pool_reuse

@@ -122,12 +122,13 @@ let gossip_monotone =
       let inst = Protocols.Gossip.make ~source:(src mod n) topo in
       let m = List.nth Model.all mi in
       let g = GG.explore ~config:gossip_config inst m in
+      let adjacency = (GG.Driver.view g).GG.Driver.adjacency in
       Array.for_all
         (fun i ->
           let from = infected_set inst g.GG.states.(i) in
           List.for_all
             (fun (e : GG.edge) -> subset from (infected_set inst g.GG.states.(e.GG.dst)))
-            g.GG.adjacency.(i))
+            adjacency.(i))
         (Array.init (Array.length g.GG.states) Fun.id))
 
 (* Reliable models can never lose the rumor: every fair schedule converges.

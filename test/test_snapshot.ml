@@ -290,7 +290,7 @@ let test_kill_and_resume_all_models () =
            ~checkpoint:{ Explore.path; every = 2 }
            inst ~successors:killing ~collapse
        with
-      | (_ : Explore.graph) -> () (* fewer than 5 expansions: ran to completion *)
+      | (_ : Explore.compact) -> () (* fewer than 5 expansions: ran to completion *)
       | exception Killed -> ());
       (* Phase 2: resume from the checkpoint if one was written. *)
       let resume =
@@ -303,7 +303,7 @@ let test_kill_and_resume_all_models () =
               (Snapshot.error_to_string e)
       in
       let resumed = Explore.explore_with ~config ?resume inst ~successors ~collapse in
-      check_same_graph inst name uninterrupted resumed;
+      check_same_graph inst name uninterrupted (Explore.view resumed);
       if Sys.file_exists path then Sys.remove path)
     Model.all
 
@@ -331,7 +331,7 @@ let test_resume_counters_identical () =
   let path = tmp "counters.snap" in
   if Sys.file_exists path then Sys.remove path;
   let metrics_full = Metrics.create () in
-  let (_ : Explore.graph) =
+  let (_ : Explore.compact) =
     Explore.explore_with ~config ~domains:1 ~metrics:metrics_full inst ~successors
       ~collapse
   in
@@ -345,7 +345,7 @@ let test_resume_counters_identical () =
        ~checkpoint:{ Explore.path; every = 2 }
        inst ~successors:killing ~collapse
    with
-  | (_ : Explore.graph) -> ()
+  | (_ : Explore.compact) -> ()
   | exception Killed -> ());
   Alcotest.(check bool) "a checkpoint was written" true (Sys.file_exists path);
   let resume =
@@ -354,7 +354,7 @@ let test_resume_counters_identical () =
     | Error e -> Alcotest.failf "load failed: %s" (Snapshot.error_to_string e)
   in
   let metrics_resumed = Metrics.create () in
-  let (_ : Explore.graph) =
+  let (_ : Explore.compact) =
     Explore.explore_with ~config ~metrics:metrics_resumed ?resume inst ~successors
       ~collapse
   in
