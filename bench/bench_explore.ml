@@ -108,14 +108,14 @@ let run_one ?ckpt ~reduction c ~domains ~spill ~repeat =
     let metrics = Metrics.create () in
     let pool_runs_before = (Pool.stats (Pool.get ())).Pool.runs in
     let graph =
-      Modelcheck.Explore.explore ~config:c.config ~reduction ?domains ?spill ~metrics
+      Modelcheck.Explore.explore_compact ~config:c.config ~reduction ?domains ?spill ~metrics
         ?checkpoint ?resume c.inst c.m
     in
     let engaged = (Pool.stats (Pool.get ())).Pool.runs > pool_runs_before in
     let verdict =
       Metrics.timed ~m:metrics "analyze" (fun () ->
           Modelcheck.Oscillation.verdict_name
-            (Modelcheck.Oscillation.analyze_graph c.inst graph))
+            (Modelcheck.Oscillation.analyze_compact c.inst graph))
     in
     (metrics, graph, verdict, engaged)
   in

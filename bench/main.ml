@@ -408,7 +408,9 @@ let state_space_sizes () =
   Format.printf "  %-5s %-12s %-12s@." "model" "DISAGREE" "GOOD-GADGET";
   List.iter
     (fun m ->
-      let size inst = Array.length (Modelcheck.Explore.explore inst m).Modelcheck.Explore.states in
+      let size inst =
+        Array.length (Modelcheck.Explore.explore_compact inst m).Modelcheck.Explore.states
+      in
       Format.printf "  %-5s %-12d %-12d@." (Model.to_string m) (size Gadgets.disagree)
         (size Gadgets.good_gadget);
       Format.print_flush ())

@@ -1,7 +1,7 @@
 open Engine
 
 let quiescent_assignments ?config ?domains inst model =
-  let graph = Explore.explore ?config ?domains inst model in
+  let graph = Explore.explore_compact ?config ?domains inst model in
   let assignments =
     Array.to_list graph.Explore.states
     |> List.filter (State.is_quiescent inst)
