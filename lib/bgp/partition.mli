@@ -28,7 +28,8 @@ val size_of : t -> int -> int
 
 val border : t -> (Spp.Path.node * Spp.Path.node) list
 (** Directed cut edges [(u, v)] with [owner u <> owner v] and [u, v]
-    adjacent — both directions of each cut link appear.  Sorted. *)
+    adjacent — both directions of each cut link appear.  Sorted.  Computed
+    from the topology's rows on each call, in O(V + E); nothing is stored. *)
 
 val cut_edges : t -> int
 (** Number of undirected topology links whose endpoints live in different

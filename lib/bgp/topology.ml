@@ -2,39 +2,46 @@ type kind = Provider_customer | Peer_peer
 type relationship = Customer | Peer | Provider
 
 (* Adjacency is stored sparsely: per node, neighbor ids sorted ascending
-   with the parallel relationship view.  The seed's dense size x size
-   relationship matrix capped topologies at a few hundred ASes (10k nodes
-   would be 10^8 option cells); per-node arrays keep lookup O(log degree)
-   and memory O(V + E), which is what lets generate_scaled reach 10k-100k
-   nodes. *)
+   with the parallel relationship view and each neighbor's slot for the
+   node (so a simulator delivers to a neighbor without a search).  The
+   seed's dense size x size relationship matrix capped topologies at a few
+   hundred ASes (10k nodes would be 10^8 option cells); per-node arrays
+   keep lookup O(log degree) and memory O(V + E), which is what lets
+   generate_scaled reach 10k-100k nodes. *)
+type rows = {
+  ids : int array array;
+  rel : relationship array array;
+  back : int array array;
+}
+
 type t = {
   size : int;
   names : string array;
   links : (int * int * kind) list;
-  adj_ids : int array array; (* adj_ids.(v): neighbor ids, ascending *)
-  adj_rel : relationship array array; (* adj_rel.(v).(i): how v sees adj_ids.(v).(i) *)
+  rows : rows;
 }
 
 let size t = t.size
 let names t = t.names
 let name t v = t.names.(v)
 let edges t = t.links
+let rows t = t.rows
 
 let relationship t ~of_ v =
-  let ids = t.adj_ids.(of_) in
+  let ids = t.rows.ids.(of_) in
   let rec search lo hi =
     if lo >= hi then None
     else
       let mid = (lo + hi) / 2 in
       let u = ids.(mid) in
-      if u = v then Some t.adj_rel.(of_).(mid)
+      if u = v then Some t.rows.rel.(of_).(mid)
       else if u < v then search (mid + 1) hi
       else search lo mid
   in
   if of_ = v then None else search 0 (Array.length ids)
 
-let neighbors t v = Array.to_list t.adj_ids.(v)
-let degree t v = Array.length t.adj_ids.(v)
+let neighbors t v = Array.to_list t.rows.ids.(v)
+let degree t v = Array.length t.rows.ids.(v)
 
 (* Provider-customer links must form a DAG.  The DFS recursion depth is the
    longest provider chain, which is the tier depth (3 for the generators);
@@ -58,29 +65,28 @@ let check_acyclic size links =
     if color.(v) = 0 then visit v
   done
 
+(* A row entry is first packed as [(u lsl 2) lor code], so an int sort
+   orders the row by neighbor id and a duplicate link shows as two
+   adjacent equal ids. *)
+let code = function Customer -> 0 | Peer -> 1 | Provider -> 2
+let of_code = function 0 -> Customer | 1 -> Peer | _ -> Provider
+
 let make ~names ~links =
   let size = Array.length names in
   let check v = if v < 0 || v >= size then invalid_arg "Topology: node out of range" in
   let deg = Array.make size 0 in
-  let seen = Hashtbl.create (2 * List.length links) in
   List.iter
     (fun (a, b, _) ->
       check a;
       check b;
       if a = b then invalid_arg "Topology: self-link";
-      let key = if a < b then (a, b) else (b, a) in
-      if Hashtbl.mem seen key then invalid_arg "Topology: duplicate link";
-      Hashtbl.add seen key ();
       deg.(a) <- deg.(a) + 1;
       deg.(b) <- deg.(b) + 1)
     links;
-  check_acyclic size links;
-  let adj_ids = Array.init size (fun v -> Array.make deg.(v) 0) in
-  let adj_rel = Array.init size (fun v -> Array.make deg.(v) Peer) in
+  let ids = Array.init size (fun v -> Array.make deg.(v) 0) in
   let fill = Array.make size 0 in
   let add v u r =
-    adj_ids.(v).(fill.(v)) <- u;
-    adj_rel.(v).(fill.(v)) <- r;
+    ids.(v).(fill.(v)) <- (u lsl 2) lor code r;
     fill.(v) <- fill.(v) + 1
   in
   List.iter
@@ -94,20 +100,34 @@ let make ~names ~links =
         add a b Peer;
         add b a Peer)
     links;
-  (* Sort each adjacency row by neighbor id, keeping the relationship
-     parallel. *)
-  for v = 0 to size - 1 do
-    let paired =
-      Array.init (Array.length adj_ids.(v)) (fun i -> (adj_ids.(v).(i), adj_rel.(v).(i)))
-    in
-    Array.sort (fun (a, _) (b, _) -> compare a b) paired;
-    Array.iteri
-      (fun i (u, r) ->
-        adj_ids.(v).(i) <- u;
-        adj_rel.(v).(i) <- r)
-      paired
-  done;
-  { size; names; links; adj_ids; adj_rel }
+  let rel =
+    Array.map
+      (fun row ->
+        Array.sort Int.compare row;
+        let r = Array.map (fun key -> of_code (key land 3)) row in
+        Array.iteri (fun i key -> row.(i) <- key lsr 2) row;
+        for i = 1 to Array.length row - 1 do
+          if row.(i) = row.(i - 1) then invalid_arg "Topology: duplicate link"
+        done;
+        r)
+      ids
+  in
+  (* Duplicates first: a provider link listed in both orientations is a
+     duplicate, not a cycle. *)
+  check_acyclic size links;
+  (* back.(v).(i): the slot of v in the row of its i-th neighbor u.  Rows
+     are ascending and v runs ascending, so u's cursor sits on v's slot
+     when v reaches it. *)
+  let cursor = Array.make size 0 in
+  let back =
+    Array.map
+      (Array.map (fun u ->
+           let slot = cursor.(u) in
+           cursor.(u) <- slot + 1;
+           slot))
+      ids
+  in
+  { size; names; links; rows = { ids; rel; back } }
 
 let digest t =
   let b = Buffer.create (16 * t.size) in

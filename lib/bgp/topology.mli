@@ -13,8 +13,9 @@ val make :
   links:(Spp.Path.node * Spp.Path.node * kind) list ->
   t
 (** In a [Provider_customer] link the first node is the provider.  Raises
-    [Invalid_argument] on duplicate links, self-links, or a cycle in the
-    provider–customer hierarchy. *)
+    [Invalid_argument] on duplicate links (in either orientation, whatever
+    their kinds), self-links, or a cycle in the provider–customer
+    hierarchy; duplicates are reported before cycles. *)
 
 val size : t -> int
 val names : t -> string array
@@ -37,6 +38,18 @@ val relationship : t -> of_:Spp.Path.node -> Spp.Path.node -> relationship optio
     customer of [u]); [None] if not adjacent. *)
 
 val edges : t -> (Spp.Path.node * Spp.Path.node * kind) list
+
+type rows = {
+  ids : int array array;  (** [ids.(v)]: neighbor ids of [v], ascending *)
+  rel : relationship array array;
+      (** [rel.(v).(i)]: how [v] sees [ids.(v).(i)] *)
+  back : int array array;
+      (** [back.(v).(i)]: the index of [v] in [ids.(ids.(v).(i))] *)
+}
+
+val rows : t -> rows
+(** The adjacency rows, built once by {!make}.  They are the topology's
+    own arrays, shared and not copied: callers must not mutate them. *)
 
 type config = {
   tier1 : int;  (** fully peered core ASes *)

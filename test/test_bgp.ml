@@ -51,6 +51,30 @@ let test_topology_rejects_cycles () =
     Alcotest.fail "expected cycle rejection"
   with Invalid_argument _ -> ()
 
+(* Each malformed link list keeps its exact message; a duplicate is a
+   duplicate in either orientation and whatever the kinds, and is reported
+   before the hierarchy is checked for cycles. *)
+let test_topology_rejects_malformed () =
+  let pc = Topology.Provider_customer and pp = Topology.Peer_peer in
+  let expect msg links =
+    match Topology.make ~names:[| "a"; "b"; "c" |] ~links with
+    | _ -> Alcotest.failf "expected %S" msg
+    | exception Invalid_argument got -> Alcotest.(check string) msg msg got
+  in
+  expect "Topology: self-link" [ (0, 1, pc); (2, 2, pp) ];
+  expect "Topology: node out of range" [ (0, 3, pp) ];
+  List.iter
+    (expect "Topology: duplicate link")
+    [
+      [ (0, 1, pc); (0, 1, pc) ];
+      [ (0, 1, pc); (1, 0, pc) ];
+      [ (0, 1, pp); (1, 0, pp) ];
+      [ (0, 1, pc); (0, 1, pp) ];
+      [ (1, 2, pp); (2, 1, pc) ];
+      [ (0, 1, pc); (1, 2, pc); (2, 1, pc) ];
+    ];
+  expect "Topology: provider-customer cycle" [ (0, 1, pc); (1, 2, pc); (2, 0, pc) ]
+
 let test_route_class () =
   let t = small () in
   let p nodes = Path.of_nodes nodes in
@@ -259,10 +283,48 @@ let prop_stub_destination_reachable =
         (fun v -> v = dest || Policy.gr_permitted t ~dest v <> [])
         (List.init (Topology.size t) Fun.id))
 
+(* The shared rows: ascending ids, [back] pointing at the node's own slot
+   in each neighbor's row, and relationships that mirror across a link. *)
+let prop_rows_consistent =
+  QCheck2.Test.make ~name:"rows: back slots and mirrored relationships" ~count:40
+    QCheck2.Gen.(pair gen_seed bool)
+    (fun (seed, scaled) ->
+      let t =
+        if scaled then
+          Topology.generate_scaled
+            { Topology.s_tier1 = 3; s_tier2 = 12; s_stubs = 60; s_peer_links = 8; s_seed = seed }
+        else Topology.generate { Topology.default_config with seed }
+      in
+      let { Topology.ids; rel; back } = Topology.rows t in
+      let mirrored a b =
+        match (a, b) with
+        | Topology.Customer, Topology.Provider
+        | Topology.Provider, Topology.Customer
+        | Topology.Peer, Topology.Peer ->
+          true
+        | _ -> false
+      in
+      let slots = Array.fold_left (fun acc row -> acc + Array.length row) 0 ids in
+      slots = 2 * List.length (Topology.edges t)
+      && List.for_all
+           (fun v ->
+             Topology.neighbors t v = Array.to_list ids.(v)
+             && List.for_all
+                  (fun i ->
+                    let u = ids.(v).(i) in
+                    let j = back.(v).(i) in
+                    (i = 0 || ids.(v).(i - 1) < u)
+                    && ids.(u).(j) = v
+                    && mirrored rel.(v).(i) rel.(u).(j)
+                    && Topology.relationship t ~of_:v u = Some rel.(v).(i))
+                  (List.init (Array.length ids.(v)) Fun.id))
+           (List.init (Topology.size t) Fun.id))
+
 let bgp_properties =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_relationships_dual;
+      prop_rows_consistent;
       prop_permitted_are_exportable_chains;
       prop_customer_routes_first;
       prop_stub_destination_reachable;
@@ -275,6 +337,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_topology_basics;
           Alcotest.test_case "rejects hierarchy cycles" `Quick test_topology_rejects_cycles;
+          Alcotest.test_case "rejects malformed links, exact messages" `Quick
+            test_topology_rejects_malformed;
         ] );
       ( "policy",
         [
