@@ -56,25 +56,24 @@ let pop q =
   q.head <- q.head + 1;
   v
 
-(* Multi-source BFS distance from a seed set, written into [dist] (whose
-   unreached nodes are left at max_int), with [q] as the BFS queue.  Used
-   by farthest-point seeding. *)
-let distances ids seeds ~dist ~q =
-  Array.fill dist 0 (Array.length dist) max_int;
+(* Lower [dist] to the BFS distance from [root] wherever that is shorter,
+   with [q] as the BFS queue.  After the calls for roots r1..rk, [dist] is
+   the multi-source distance from {r1..rk} (max_int where unreached): a
+   node whose distance drops has a neighbour on its path from [root] whose
+   distance drops too, so the walk never leaves the nodes that improve. *)
+let relax ids root ~dist ~q =
   q.head <- 0;
   q.tail <- 0;
-  List.iter
-    (fun s ->
-      dist.(s) <- 0;
-      push q s)
-    seeds;
+  dist.(root) <- 0;
+  push q root;
   while not (is_empty q) do
     let u = pop q in
+    let d = dist.(u) + 1 in
     let row = ids.(u) in
     for i = 0 to Array.length row - 1 do
       let v = row.(i) in
-      if dist.(v) = max_int then begin
-        dist.(v) <- dist.(u) + 1;
+      if d < dist.(v) then begin
+        dist.(v) <- d;
         push q v
       end
     done
@@ -91,10 +90,10 @@ let make ?(seed = 0) ~shards topo =
      roots sit at distance 0 and a non-root always exists (shards <= n),
      so the strict maximum is never a root. *)
   let first = ((seed mod n) + n) mod n in
-  let roots = ref [ first ] in
+  let roots = Array.make shards first in
   let dist = Array.make n max_int and q = queue n in
-  for _ = 2 to shards do
-    distances ids !roots ~dist ~q;
+  relax ids first ~dist ~q;
+  for k = 2 to shards do
     let best = ref (-1) and best_d = ref (-1) in
     for v = 0 to n - 1 do
       let d = dist.(v) in
@@ -103,9 +102,9 @@ let make ?(seed = 0) ~shards topo =
         best_d := d
       end
     done;
-    roots := !best :: !roots
+    roots.(k - 1) <- !best;
+    if k < shards then relax ids !best ~dist ~q
   done;
-  let roots = Array.of_list (List.rev !roots) in
   (* Balanced greedy BFS growth: repeatedly the smallest shard with a
      non-empty frontier claims the next node off its queue.  Nodes already
      claimed by another shard are dropped lazily.  If every frontier dries

@@ -59,8 +59,18 @@ type result = {
    first hop. *)
 let rank = function Topology.Customer -> 0 | Topology.Peer -> 1 | Topology.Provider -> 2
 
-(* Who a route may be exported to. *)
-type export_scope = No_route | All | Customers_only
+(* Who a node's chosen route may be exported to, fixed when it selects:
+   the destination's own route and customer routes go to everyone, peer
+   and provider routes to customers only. *)
+type export = No_route | All | Customers_only
+
+(* Lexicographic order of two node lists of equal length; allocates
+   nothing, unlike a polymorphic [compare] of freshly consed lists. *)
+let rec nodes_less (a : int list) (b : int list) =
+  match (a, b) with
+  | x :: a', y :: b' -> x < y || (x = y && nodes_less a' b')
+  | [], _ :: _ -> true
+  | _, [] -> false
 
 let run ?metrics cfg topo ~dest =
   let n = Topology.size topo in
@@ -74,36 +84,33 @@ let run ?metrics cfg topo ~dest =
      neighbor, and for neighbor i the index of the node in that neighbor's
      own row (so a delivery is one array write, no search). *)
   let { Topology.ids = nbrs; rel; back } = Topology.rows topo in
-  let slot_of w v =
-    (* index of [v] in [nbrs.(w)] (ascending) *)
-    let row = nbrs.(w) in
-    let rec search lo hi =
-      let mid = (lo + hi) / 2 in
-      if row.(mid) = v then mid else if row.(mid) < v then search (mid + 1) hi else search lo mid
-    in
-    search 0 (Array.length row)
-  in
-  (* Routing state.  [rib_in.(v).(i)]: the last announcement received from
-     neighbor [nbrs.(v).(i)] (epsilon = none/withdrawn).  [chosen.(v)]: the
-     route currently selected and announced. *)
+  (* Routing state.  The RIB is flat: [rib.(off.(v) + i)] is the last
+     announcement received from neighbor [nbrs.(v).(i)] (epsilon =
+     none/withdrawn).  [chosen.(v)] is the route currently selected and
+     announced, [scope.(v)] its export class. *)
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + Array.length nbrs.(v)
+  done;
   let eps = Spp.Arena.epsilon in
-  let rib_in = Array.init n (fun v -> Array.make (Array.length nbrs.(v)) eps) in
+  let rib = Array.make off.(n) eps in
   let chosen = Array.make n eps in
+  let scope = Array.make n No_route in
   let trivial = Spp.Arena.of_nodes [ dest ] in
   (* Per-shard worklists of dirty nodes and cross-partition outboxes.
      During the parallel phase a shard touches only its own nodes' state,
-     its own worklist and its own outbox; rib_in rows of other shards are
-     written exclusively by the sequential barrier drain. *)
+     its own worklist and its own outbox; RIB entries of other shards'
+     nodes are written exclusively by the sequential barrier drain. *)
   let dirty = Array.make n false in
   (* A worklist is a ring of the shard's size: [dirty] keeps a node in its
      shard's ring at most once. *)
   let wl = Array.init shards (fun s -> Array.make (Partition.size_of part s) 0) in
   let wl_head = Array.make shards 0 and wl_len = Array.make shards 0 in
-  (* An outbox holds (w, slot, route) triples packed into one int array;
-     [out_len.(s)] is the number of ints in use. *)
+  (* An outbox holds (w, RIB index, route) triples packed into one int
+     array; [out_len.(s)] is the number of ints in use. *)
   let outbox = Array.init shards (fun _ -> Array.make 48 0) in
   let out_len = Array.make shards 0 in
-  let post s w slot route =
+  let post s w at route =
     let len = out_len.(s) in
     if len = Array.length outbox.(s) then begin
       let bigger = Array.make (2 * len) 0 in
@@ -112,7 +119,7 @@ let run ?metrics cfg topo ~dest =
     end;
     let box = outbox.(s) in
     box.(len) <- w;
-    box.(len + 1) <- slot;
+    box.(len + 1) <- at;
     box.(len + 2) <- route;
     out_len.(s) <- len + 3
   in
@@ -129,22 +136,11 @@ let run ?metrics cfg topo ~dest =
       wl_len.(s) <- wl_len.(s) + 1
     end
   in
-  let deliver w slot route =
-    if rib_in.(w).(slot) <> route then begin
-      rib_in.(w).(slot) <- route;
+  let deliver w at route =
+    if rib.(at) <> route then begin
+      rib.(at) <- route;
       enqueue w
     end
-  in
-  let export_scope v p =
-    if Spp.Arena.is_epsilon p then No_route
-    else
-      match Spp.Arena.to_nodes p with
-      | [ _ ] -> All (* the destination's trivial route: Origin class *)
-      | _ :: u :: _ -> (
-        match rel.(v).(slot_of v u) with
-        | Topology.Customer -> All
-        | Topology.Peer | Topology.Provider -> Customers_only)
-      | [] -> No_route
   in
   let effective scope rel_to_nbr p =
     match scope with
@@ -155,8 +151,7 @@ let run ?metrics cfg topo ~dest =
   (* Announce a route change to every neighbor whose effective view of the
      node changed (the engine's Step.apply push rule); the destination
      never receives. *)
-  let announce s v ~old ~now =
-    let scope_old = export_scope v old and scope_now = export_scope v now in
+  let announce s v ~old ~scope_old ~now ~scope_now =
     let row = nbrs.(v) and rels = rel.(v) and backs = back.(v) in
     for i = 0 to Array.length row - 1 do
       let w = row.(i) in
@@ -165,34 +160,38 @@ let run ?metrics cfg topo ~dest =
         let eff_now = effective scope_now rels.(i) now in
         if eff_old <> eff_now then begin
           msgs.(s) <- msgs.(s) + 1;
-          if Partition.owner part w = s then deliver w backs.(i) eff_now
+          let at = off.(w) + backs.(i) in
+          if Partition.owner part w = s then deliver w at eff_now
           else begin
             cross.(s) <- cross.(s) + 1;
-            post s w backs.(i) eff_now
+            post s w at eff_now
           end
         end
       end
     done
   in
+  (* The neighbor slot of v's best simple extension of its received
+     announcements, or -1 if there is none: an exported route is
+     valley-free by induction on the export chain, so v.p is permitted iff
+     it is simple.  Ties on rank and length go to the lexicographically
+     smaller v.p. *)
   let select v =
-    (* Best simple extension of the received announcements: an exported
-       route is valley-free by induction on the export chain, so v.p is
-       permitted iff it is simple. *)
-    let row = nbrs.(v) and rels = rel.(v) and rib = rib_in.(v) in
-    let best = ref eps and best_rank = ref max_int and best_len = ref max_int in
+    let row = nbrs.(v) and rels = rel.(v) and base = off.(v) in
+    let best = ref (-1) and best_r = ref eps in
+    let best_rank = ref max_int and best_len = ref max_int in
     for i = 0 to Array.length row - 1 do
-      let r = rib.(i) in
+      let r = rib.(base + i) in
       if (not (Spp.Arena.is_epsilon r)) && not (Spp.Arena.contains v r) then begin
-        let rk = rank rels.(i) and len = 1 + Spp.Arena.length r in
-        let better =
+        let rk = rank rels.(i) and len = Spp.Arena.length r in
+        if
           rk < !best_rank
-          || (rk = !best_rank
+          || rk = !best_rank
              && (len < !best_len
-                || (len = !best_len
-                   && compare (v :: Spp.Arena.to_nodes r) (Spp.Arena.to_nodes !best) < 0)))
-        in
-        if better then begin
-          best := Spp.Arena.extend v r;
+                || len = !best_len
+                   && nodes_less (Spp.Arena.to_nodes r) (Spp.Arena.to_nodes !best_r))
+        then begin
+          best := i;
+          best_r := r;
           best_rank := rk;
           best_len := len
         end
@@ -204,15 +203,30 @@ let run ?metrics cfg topo ~dest =
     if v = dest then begin
       if Spp.Arena.is_epsilon chosen.(dest) then begin
         chosen.(dest) <- trivial;
-        announce s dest ~old:eps ~now:trivial
+        scope.(dest) <- All;
+        announce s dest ~old:eps ~scope_old:No_route ~now:trivial ~scope_now:All
       end
     end
     else begin
-      let now = select v in
+      let i = select v in
       let old = chosen.(v) in
+      let now =
+        if i < 0 then eps
+        else
+          let r = rib.(off.(v) + i) in
+          (* an unchanged route costs no intern lookup *)
+          if (not (Spp.Arena.is_epsilon old)) && Spp.Arena.suffix old = r then old
+          else Spp.Arena.extend v r
+      in
       if now <> old then begin
+        let scope_old = scope.(v) in
+        let scope_now =
+          if i < 0 then No_route
+          else match rel.(v).(i) with Topology.Customer -> All | _ -> Customers_only
+        in
         chosen.(v) <- now;
-        announce s v ~old ~now
+        scope.(v) <- scope_now;
+        announce s v ~old ~scope_old ~now ~scope_now
       end
     end
   in
@@ -236,6 +250,10 @@ let run ?metrics cfg topo ~dest =
     done;
     acts.(s) <- acts.(s) + !processed
   in
+  (* For a lossy flush, [newest.(at)] is the position of the newest
+     message on RIB entry [at]'s channel.  Each flush writes the entries of
+     its own channels before reading them, so the array is never cleared. *)
+  let newest = if cfg.lossy_every = 0 then [||] else Array.make off.(n) 0 in
   let drain s =
     let len = out_len.(s) and box = outbox.(s) in
     if len > 0 then begin
@@ -246,17 +264,14 @@ let run ?metrics cfg topo ~dest =
           deliver box.(3 * j) box.((3 * j) + 1) box.((3 * j) + 2)
         done
       else begin
-        (* The newest message per (dst, slot) channel always survives a
-           lossy flush, so drops shed traffic without changing the
-           fixpoint. *)
-        let channel j = (box.(3 * j) * n) + box.((3 * j) + 1) in
-        let last = Hashtbl.create 64 in
+        (* The newest message per channel always survives a lossy flush,
+           so drops shed traffic without changing the fixpoint. *)
         for j = 0 to (len / 3) - 1 do
-          Hashtbl.replace last (channel j) j
+          newest.(box.((3 * j) + 1)) <- j
         done;
         for j = 0 to (len / 3) - 1 do
           let dropped =
-            Hashtbl.find last (channel j) <> j
+            newest.(box.((3 * j) + 1)) <> j
             && begin
                  incr lossy_count;
                  !lossy_count mod cfg.lossy_every = 0
@@ -274,8 +289,11 @@ let run ?metrics cfg topo ~dest =
   done;
   let workers = max 1 (min cfg.workers shards) in
   let pool_engaged = ref false in
+  (* Only a Per_epoch phase is worth a pool dispatch: an [Every k] phase
+     runs at most k activations per shard, less work than the dispatch. *)
   let parallel_phase () =
-    if workers > 1 then begin
+    match cfg.batching with
+    | Per_epoch when workers > 1 ->
       pool_engaged := true;
       Pool.run (Pool.get ()) ~workers (fun wid ->
           let s = ref wid in
@@ -283,8 +301,7 @@ let run ?metrics cfg topo ~dest =
             phase !s;
             s := !s + workers
           done)
-    end
-    else
+    | Per_epoch | Every _ ->
       for s = 0 to shards - 1 do
         phase s
       done
@@ -321,7 +338,7 @@ let run ?metrics cfg topo ~dest =
     cross_messages = total cross;
     flushes = !flushes;
     drops = !drops;
-    routes = Array.copy chosen;
+    routes = chosen;
     partition = part;
     pool_engaged = !pool_engaged;
   }

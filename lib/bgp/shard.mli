@@ -31,7 +31,10 @@ type config = {
   model : Engine.Model.t;  (** recorded in results; see {!config_for} *)
   shards : int;
   batching : batching;
-  workers : int;  (** domains for the parallel phase, via {!Engine.Pool} *)
+  workers : int;
+      (** domains for the parallel phase, via {!Engine.Pool}.  Only
+          {!Per_epoch} phases use them: an [Every k] phase holds at most
+          [k] activations per shard and runs on the caller. *)
   max_epochs : int;
   lossy_every : int;
       (** 0: deliver everything.  [k > 0]: every [k]-th cross-partition

@@ -34,16 +34,31 @@ let info i = (Atomic.get dir).(i)
    any instance this engine can explore. *)
 let n_stripes = 64
 
-type stripe = { mu : Mutex.t; tbl : (int, id) Hashtbl.t }
-
-let stripes =
-  Array.init n_stripes (fun _ -> { mu = Mutex.create (); tbl = Hashtbl.create 256 })
-
 let key ~head ~tail = (head lsl 40) lor tail
 
-let stripe_of k =
-  let h = (k lxor (k lsr 17)) * 0x2545F4914F6CDD1D in
-  (h lsr 32) land (n_stripes - 1)
+(* Many heads share one tail, and their keys differ only above bit 40;
+   many tails share one head, and theirs differ only in the low bits.  The
+   mix folds the high bits down and multiplies twice, so both spread: a
+   key's stripe comes from bits 32-37 of the mix, its bucket from the low
+   bits. *)
+let mix k =
+  let h = (k lxor (k lsr 32)) * 0x2545F4914F6CDD1D in
+  let h = (h lxor (h lsr 29)) * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 32)) land max_int
+
+let stripe_of k = (mix k lsr 32) land (n_stripes - 1)
+
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = mix
+end)
+
+type stripe = { mu : Mutex.t; tbl : id Tbl.t }
+
+let stripes =
+  Array.init n_stripes (fun _ -> { mu = Mutex.create (); tbl = Tbl.create 256 })
 
 let alloc inf =
   Mutex.lock alloc_mu;
@@ -68,7 +83,7 @@ let cons v tail =
   let k = key ~head:v ~tail in
   let s = stripes.(stripe_of k) in
   Mutex.lock s.mu;
-  match Hashtbl.find_opt s.tbl k with
+  match Tbl.find_opt s.tbl k with
   | Some i ->
     Mutex.unlock s.mu;
     i
@@ -84,7 +99,7 @@ let cons v tail =
       }
     in
     let i = alloc inf in
-    Hashtbl.add s.tbl k i;
+    Tbl.add s.tbl k i;
     Mutex.unlock s.mu;
     i
 
@@ -115,10 +130,12 @@ let extend v i =
   if is_epsilon i then invalid_arg "Arena.extend: cannot extend the empty path"
   else cons v i
 
+let rec mem (v : int) = function [] -> false | u :: rest -> u = v || mem v rest
+
 let contains v i =
   let inf = info i in
   if v >= 0 && v < mask_overflow then inf.mask land (1 lsl v) <> 0
-  else inf.mask land (1 lsl mask_overflow) <> 0 && List.mem v inf.nodes
+  else inf.mask land (1 lsl mask_overflow) <> 0 && mem v inf.nodes
 
 let suffix i =
   if is_epsilon i then invalid_arg "Arena.suffix: epsilon has no suffix"

@@ -52,8 +52,10 @@ val extend : Path.node -> id -> id
     [Invalid_argument] on {!epsilon}, like {!Path.extend}. *)
 
 val contains : Path.node -> id -> bool
-(** O(1) for node ids below 62 (a bitmask is stored per path); falls back
-    to an O(length) walk above that. *)
+(** O(1) for node ids below 62 (a bitmask is stored per path).  Above
+    that, O(1) when the path holds no node of 62 or more (one overflow bit
+    records whether it does), else an O(length) walk over the stored node
+    list that allocates nothing. *)
 
 val suffix : id -> id
 (** The path minus its source node ({!epsilon} for one-node paths).

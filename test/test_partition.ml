@@ -294,6 +294,42 @@ let test_shard_partition_fresh () =
   same_as_fresh "A, other shard count" a ~seed:5 ~shards:2;
   same_as_fresh "B, other seed" b ~seed:1 ~shards:2
 
+(* All 24 models at K = 4 on the 444-node topology, toward tier-1 AS 1,
+   against counts recorded before the routing loop moved to a flat RIB.
+   Node ids exceed the arena's 62-bit mask, so [contains] walks node
+   lists; equal-rank, equal-length candidates exercise the lexicographic
+   tie-break; and the polling-flavoured unreliable models drop messages in
+   lossy flushes. *)
+let test_shard_counts_pinned () =
+  let topo = Topology.generate_scaled scaled_small in
+  let digest = "c02db623bc853bb7055224be6b877d67" in
+  (* epochs, activations, messages, cross messages, drops *)
+  let o = (334, 797, 714, 131, 0) and s = (84, 809, 714, 131, 0) in
+  let fa = (3, 850, 714, 131, 0) and fa_lossy = (3, 850, 714, 131, 8) in
+  List.iter
+    (fun (mname, (epochs, acts, msgs, cross, drops)) ->
+      let r = Shard.run (Shard.config_for ~shards:4 ~workers:1 (model mname)) topo ~dest:1 in
+      let check what = Alcotest.(check int) (mname ^ " " ^ what) in
+      Alcotest.(check bool) (mname ^ " converged") true r.Shard.converged;
+      check "epochs" epochs r.Shard.epochs;
+      check "activations" acts r.Shard.activations;
+      check "messages" msgs r.Shard.messages;
+      check "cross messages" cross r.Shard.cross_messages;
+      check "drops" drops r.Shard.drops;
+      Alcotest.(check string) (mname ^ " routes") digest (Shard.route_digest r))
+    (List.concat_map
+       (fun rel ->
+         List.concat_map
+           (fun (msg, counts) ->
+             List.map (fun nbr -> (rel ^ nbr ^ msg, counts rel)) [ "1"; "M"; "E" ])
+           [
+             ("O", fun _ -> o);
+             ("S", fun _ -> s);
+             ("F", fun rel -> if rel = "U" then fa_lossy else fa);
+             ("A", fun rel -> if rel = "U" then fa_lossy else fa);
+           ])
+       [ "R"; "U" ])
+
 (* ------------------------------------------------------------------ *)
 (* Lossy batching: drops really happen, and never change the fixpoint *)
 
@@ -432,6 +468,8 @@ let () =
             test_lossy_drops_superseded;
           Alcotest.test_case "run's partition = fresh partition" `Quick
             test_shard_partition_fresh;
+          Alcotest.test_case "24 models' counts pinned at 444 nodes" `Quick
+            test_shard_counts_pinned;
         ] );
       ( "metrics",
         [

@@ -520,6 +520,34 @@ let prop_arena_intern_roundtrip =
       && Arena.compare_structural id (Arena.intern p) = 0
       && List.for_all (fun v -> Arena.contains v id = Path.contains v p) (0 :: nodes))
 
+(* Node ids up to the key's 22-bit cap, small ones too (the bitmask
+   path), and many heads on one shared tail: such keys differ only in
+   their high bits, which the intern table's hash must still spread. *)
+let prop_arena_ids_canonical =
+  let node = QCheck2.Gen.(oneof [ int_range 0 70; int_range 0 ((1 lsl 22) - 1) ]) in
+  QCheck2.Test.make ~name:"arena ids canonical, accessors agree with the lists" ~count:200
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 5) node)
+        (list_size (int_range 1 40) node)
+        (list_size (int_range 0 12) (list_size (int_range 0 4) (oneof [ int_range 0 3; node ]))))
+    (fun (tail, heads, others) ->
+      let lists = (tail :: List.map (fun h -> h :: tail) heads) @ others in
+      let ids = List.map Arena.of_nodes lists in
+      let probes = List.sort_uniq compare (List.concat lists) in
+      let agrees l id =
+        Arena.to_nodes id = l
+        && Arena.length id = max 0 (List.length l - 1)
+        && (match l with
+           | [] -> Arena.is_epsilon id
+           | _ :: rest -> Arena.to_nodes (Arena.suffix id) = rest)
+        && List.for_all (fun v -> Arena.contains v id = List.mem v l) probes
+      in
+      List.for_all2 agrees lists ids
+      && List.for_all2
+           (fun l id -> List.for_all2 (fun l' id' -> (l = l') = (id = id')) lists ids)
+           lists ids)
+
 let () =
   Alcotest.run "spp"
     [
@@ -536,6 +564,7 @@ let () =
           Alcotest.test_case "canonical ids" `Quick test_arena_canonical_ids;
           Alcotest.test_case "extend/suffix/contains" `Quick test_arena_extend_suffix;
           QCheck_alcotest.to_alcotest prop_arena_intern_roundtrip;
+          QCheck_alcotest.to_alcotest prop_arena_ids_canonical;
         ] );
       ( "instance",
         [
