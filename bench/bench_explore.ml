@@ -3,8 +3,8 @@
    Runs each (instance, model) case once sequentially (domains=1) and once
    on a worker pool (domains=N), checks that verdicts and reachable-state
    counts agree, and renders everything as BENCH_explore.json so the perf
-   trajectory is tracked across PRs.  Schema: see EXPERIMENTS.md.  [main]
-   owns all flag parsing and the [DEEP] env handling. *)
+   trajectory is tracked over time.  Schema: see EXPERIMENTS.md.  The
+   flag table at the bottom owns the [DEEP] env handling. *)
 
 open Spp
 open Engine
@@ -77,14 +77,13 @@ type run = {
 }
 
 (* One timed exploration.  With [repeat > 1] the case runs that many times
-   and the fastest wall time is kept (fresh metrics each time, so counters
-   never accumulate across repetitions): min-of-N measures the code, not
-   the scheduler's mood, which matters once speedups are gated.  Pool
-   engagement is detected per repetition from the persistent pool's [runs]
-   counter: a parallel setting whose exploration never bumped it silently
-   took the sequential path (e.g. [default_spill] is infinite on 1-core
-   hosts), and reporting its time as a parallel measurement would be a
-   lie — see [speedup_of]. *)
+   and the fastest run is kept ([Kit.best_of]; fresh metrics each time, so
+   counters never accumulate across repetitions), and every repetition
+   must agree on verdict and state count.  Pool engagement is detected per
+   repetition from the persistent pool's [runs] counter: a parallel
+   setting whose exploration never bumped it silently took the sequential
+   path (e.g. [default_spill] is infinite on 1-core hosts), and reporting
+   its time as a parallel measurement would be a lie — see [speedup_of]. *)
 let run_one ?ckpt ~reduction c ~domains ~spill ~repeat =
   let checkpoint, resume =
     match ckpt with
@@ -119,14 +118,13 @@ let run_one ?ckpt ~reduction c ~domains ~spill ~repeat =
     in
     (metrics, graph, verdict, engaged)
   in
-  let best = ref (once ()) in
-  for _ = 2 to max 1 repeat do
-    let ((m, _, _, _) as r) = once () in
-    let best_m, _, _, _ = !best in
-    if Metrics.phase_time m "explore" < Metrics.phase_time best_m "explore" then
-      best := r
-  done;
-  let metrics, graph, verdict, pool_engaged = !best in
+  let (metrics, graph, verdict, pool_engaged), _ =
+    Kit.best_of ~repeat
+      ~digest:(fun (_, (g : Modelcheck.Explore.compact), v, _) ->
+        Printf.sprintf "%s/%d" v (Array.length g.states))
+      (Printf.sprintf "%s/%s" c.instance_name (Model.to_string c.m))
+      once
+  in
   {
     domains = Metrics.domains metrics;
     states = Array.length graph.Modelcheck.Explore.states;
@@ -272,7 +270,7 @@ let run_all_checkpointed ~reduction ~deep ~spill ~base ~every ~resume =
       cr)
     cases
 
-let to_json ?baseline ~reduction ~deep ~domains ~spill ~repeat results =
+let to_json ~reduction ~deep ~domains ~spill ~repeat results =
   let pool_stats =
     let s = Pool.stats (Pool.get ()) in
     Json.Obj
@@ -290,20 +288,19 @@ let to_json ?baseline ~reduction ~deep ~domains ~spill ~repeat results =
     | None, None -> Json.Null
   in
   Json.Obj
-    ([
-       ("schema", Json.Str schema);
-       ("repr", Json.Str repr);
-       ("reduction", Json.Str (Modelcheck.Reduce.to_string reduction));
-       ("deep", Json.Bool deep);
-       ("domains_compared", Json.List [ Json.Num 1.; Json.Num (float_of_int domains) ]);
-       ("repeat", Json.Num (float_of_int repeat));
-       ("spill_threshold", spill_threshold);
-       ("cases", Json.List (List.map json_of_case_result results));
-       ("pool", pool_stats);
-       ("vm_hwm_kb", Json.Num (float_of_int (vm_hwm_kb ())));
-       ("arena_paths", Json.Num (float_of_int (Arena.size ())));
-     ]
-    @ match baseline with None -> [] | Some b -> [ ("baseline", b) ])
+    [
+      ("schema", Json.Str schema);
+      ("repr", Json.Str repr);
+      ("reduction", Json.Str (Modelcheck.Reduce.to_string reduction));
+      ("deep", Json.Bool deep);
+      ("domains_compared", Json.List [ Json.Num 1.; Json.Num (float_of_int domains) ]);
+      ("repeat", Json.Num (float_of_int repeat));
+      ("spill_threshold", spill_threshold);
+      ("cases", Json.List (List.map json_of_case_result results));
+      ("pool", pool_stats);
+      ("vm_hwm_kb", Json.Num (float_of_int (vm_hwm_kb ())));
+      ("arena_paths", Json.Num (float_of_int (Arena.size ())));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The artifact as the comparer sees it, for the kill-and-resume CI gate:
@@ -315,9 +312,7 @@ let to_json ?baseline ~reduction ~deep ~domains ~spill ~repeat results =
    deliberately volatile — a resumed reduced run restores them from the
    snapshot, but what makes a reduced-vs-unreduced comparison fail is the
    semantic content: the top-level "reduction" tag and the state/edge
-   counts, which are never blanked.  The embedded "baseline" is a verbatim
-   copy of a previously emitted artifact of any schema version, so it is
-   opaque to the unknown-field check. *)
+   counts, which are never blanked. *)
 
 let artifact =
   {
@@ -366,7 +361,7 @@ let artifact =
         "size";
         "spawned_total";
       ];
-    opaque_keys = [ "baseline" ];
+    opaque_keys = [];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -445,26 +440,24 @@ let parity_failures ~against ~min_reduction results =
 
 (* Runs the suite, writes [path], validates that the artifact re-parses and
    that every case agreed across domain counts.  Returns the failures.
-   [baseline] embeds a previously emitted artifact (any schema version)
-   under a "baseline" key, recording the before/after perf comparison in
-   the artifact itself.  [parity] is a parsed unreduced artifact paired
-   with an optional state-reduction floor (see [parity_failures]). *)
-let emit ~path ?baseline ~repeat ?min_speedup ?spill ?checkpoint ~resume ?parity
+   [parity] is a parsed unreduced artifact paired with an optional
+   state-reduction floor (see [parity_failures]). *)
+let emit ~path ~repeat ?min_speedup ?spill ~(checkpoint : Kit.checkpoint) ?parity
     ~reduction ~deep ~domains () =
   (* Checkpointing is sequential-only (a resumed run must match an
      uninterrupted one, which only the deterministic order guarantees), so
-     the artifact records domains=1 and a single run per case. *)
-  let domains = if checkpoint <> None then 1 else domains in
-  let repeat = if checkpoint = None then repeat else 1 in
+     the artifact records domains=1; the CLI refuses --repeat with it. *)
+  let domains = if checkpoint.path <> None then 1 else domains in
   let results =
-    match checkpoint with
-    | Some (base, every) ->
-      run_all_checkpointed ~reduction ~deep ~spill ~base ~every ~resume
+    match checkpoint.path with
+    | Some base ->
+      run_all_checkpointed ~reduction ~deep ~spill ~base ~every:checkpoint.every
+        ~resume:checkpoint.resume
     | None -> run_all ~reduction ~deep ~domains ~spill ~repeat
   in
   let parse_failure =
     Kit.write_artifact path
-      (to_json ?baseline ~reduction ~deep ~domains ~spill ~repeat results)
+      (to_json ~reduction ~deep ~domains ~spill ~repeat results)
   in
   let disagreements =
     List.filter_map
@@ -529,149 +522,65 @@ let pp_summary ppf results =
 (* The CLI.  Exits 1 if the artifact fails to parse or the domain settings
    disagree on any verdict/state count, 2 on bad arguments (see Kit). *)
 
-let usage =
-  "usage: bench_explore [-o FILE] [--domains N|auto] [--repeat N] [--deep|--fast]\n\
-  \                    [--reduction por|sym|none] [--baseline FILE]\n\
-  \                    [--min-speedup X] [--spill N]\n\
-  \                    [--parity-against FILE [--min-reduction X]]\n\
-  \                    [--checkpoint PATH [--checkpoint-every N] [--resume]]\n\
-  \                    [--compare-ignoring-timings A B]\n\
-   \  -o FILE          artifact path (default BENCH_explore.json)\n\
-   \  --domains N      parallel domain count to compare against domains=1 (N >= 2,\n\
-   \                   or \"auto\" for recommended_domain_count - 1, at least 2);\n\
-   \                   incompatible with --checkpoint\n\
-   \  --repeat N       run each (case, domains) N times, keep the fastest (default 1)\n\
-   \  --deep           include the Fig. 6 exhaustive polling cases (default;\n\
-   \                   also controlled by the DEEP env var: DEEP=0 disables)\n\
-   \  --fast           fast subset only (same as DEEP=0)\n\
-   \  --reduction R    explore under a state-space reduction: por (ample sets),\n\
-   \                   sym (symmetry quotient; incompatible with --checkpoint),\n\
-   \                   or none (default, the exact legacy exploration)\n\
-   \  --baseline FILE  embed a previously emitted artifact under \"baseline\"\n\
-   \  --min-speedup X  exit 1 if any deep case's speedup falls below X\n\
-   \  --spill N        force the work-stealing cutover threshold (frontier size);\n\
-   \                   overrides the hardware-aware default, so the pool engages\n\
-   \                   even on hosts where that default would stay sequential\n\
-   \  --parity-against FILE  exit 1 unless every case's verdict matches the same\n\
-   \                   (instance, model) case in the unreduced artifact FILE\n\
-   \  --min-reduction X  with --parity-against: exit 1 if any deep case visits\n\
-   \                   fewer than X times fewer states than the baseline case\n\
-   \  --checkpoint PATH  write crash-safe per-case checkpoints to PATH.<case>\n\
-   \                   (sequential-only; files are deleted as cases complete)\n\
-   \  --checkpoint-every N  expanded states between checkpoints (default 2000)\n\
-   \  --resume         resume each case from its checkpoint file if present\n\
-   \  --compare-ignoring-timings A B  exit 0 iff artifacts A and B are identical\n\
-   \                   after blanking wall times, rates, memory, pool stats and\n\
-   \                   the reduction work counters; unknown fields are an error\n"
-
-let main () =
+let () =
   let path = ref "BENCH_explore.json" in
-  let domains = ref (par_domains ()) in
-  let domains_given = ref false in
+  let domains = ref None in
   let repeat = ref 1 in
+  let deep = ref (deep_env ()) in
   let reduction = ref Modelcheck.Reduce.No_reduction in
-  let baseline_path = ref None in
   let min_speedup = ref None in
   let spill = ref None in
   let parity_path = ref None in
   let min_reduction = ref None in
-  let checkpoint = ref None in
-  let checkpoint_every = ref 2000 in
-  let resume = ref false in
-  (* DEEP env sets the default; --deep/--fast flags override. *)
-  let deep = ref (deep_env ()) in
-  let bad msg = Kit.usagef "%s" msg in
-  let rec parse_args = function
-    | [] -> ()
-    | "-o" :: p :: rest ->
-      path := p;
-      parse_args rest
-    | "--domains" :: n :: rest ->
-      (if String.lowercase_ascii (String.trim n) = "auto" then
-         domains := max 2 (Modelcheck.Explore.auto_domains ())
-       else
-         match int_of_string_opt n with
-         | Some d when d >= 2 -> domains := d
-         | _ -> bad "--domains expects an int >= 2 or \"auto\"");
-      domains_given := true;
-      parse_args rest
-    | "--reduction" :: r :: rest ->
-      (match Modelcheck.Reduce.of_string r with
-      | Some red -> reduction := red
-      | None -> bad "--reduction expects por, sym or none");
-      parse_args rest
-    | "--repeat" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some r when r >= 1 -> repeat := r
-      | _ -> bad "--repeat expects an int >= 1");
-      parse_args rest
-    | "--deep" :: rest ->
-      deep := true;
-      parse_args rest
-    | "--fast" :: rest ->
-      deep := false;
-      parse_args rest
-    | "--baseline" :: p :: rest ->
-      baseline_path := Some p;
-      parse_args rest
-    | "--min-speedup" :: x :: rest ->
-      (match float_of_string_opt x with
-      | Some f when f > 0. -> min_speedup := Some f
-      | _ -> bad "--min-speedup expects a positive float");
-      parse_args rest
-    | "--spill" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some s when s >= 0 -> spill := Some s
-      | _ -> bad "--spill expects an int >= 0");
-      parse_args rest
-    | "--parity-against" :: p :: rest ->
-      parity_path := Some p;
-      parse_args rest
-    | "--min-reduction" :: x :: rest ->
-      (match float_of_string_opt x with
-      | Some f when f > 0. -> min_reduction := Some f
-      | _ -> bad "--min-reduction expects a positive float");
-      parse_args rest
-    | "--checkpoint" :: p :: rest ->
-      checkpoint := Some p;
-      parse_args rest
-    | "--checkpoint-every" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some e when e >= 1 -> checkpoint_every := e
-      | _ -> bad "--checkpoint-every expects an int >= 1");
-      parse_args rest
-    | "--resume" :: rest ->
-      resume := true;
-      parse_args rest
-    | arg :: _ -> bad (Printf.sprintf "unknown argument %s" arg)
+  let checkpoint_flags, checkpoint = Kit.checkpoint ~unit:"expanded states" ~every:2000 in
+  let flags =
+    [
+      Kit.output path;
+      Kit.domains ~floor:2 domains;
+      Kit.repeat repeat;
+      ("--deep", Arg.Set deep, " include the Fig. 6 exhaustive polling cases (default unless DEEP=0)");
+      Kit.reduction reduction;
+      Kit.min_speedup min_speedup "exit 1 if any deep case's speedup falls below X";
+      ( "--spill",
+        Arg.String (fun s -> spill := Some (Kit.int_arg ~floor:0 "--spill" s)),
+        "N force the work-stealing cutover threshold (frontier size)" );
+      Kit.string "--parity-against" parity_path
+        "FILE exit 1 unless every case's verdict matches FILE's unreduced artifact";
+      Kit.threshold "--min-reduction" min_reduction
+        "X with --parity-against: exit 1 unless every deep case visits X times fewer states";
+    ]
+    @ checkpoint_flags
   in
-  parse_args (List.tl (Array.to_list Sys.argv));
-  if !resume && !checkpoint = None then bad "--resume requires --checkpoint PATH";
-  (* S1: a parallel domain request combined with the sequential-only
+  Kit.run ~artifact ~flags "bench_explore" @@ fun () ->
+  let bad msg = Kit.usagef "%s" msg in
+  let ck = checkpoint () in
+  (* A parallel domain request combined with the sequential-only
      checkpoint mode is a contradiction; refuse it here (the library raises
      the same way) so the artifact never quietly records a different
      setting than asked. *)
-  if !domains_given && !checkpoint <> None then
-    bad "--domains is incompatible with --checkpoint (checkpointed runs use one domain)";
-  if !checkpoint <> None && !min_speedup <> None then
-    bad "--min-speedup needs parallel runs; incompatible with --checkpoint";
-  if !checkpoint <> None && !reduction = Modelcheck.Reduce.Sym then
-    bad
-      "--reduction sym cannot be checkpointed or resumed (orbit representatives are \
-       process-local)";
+  if ck.path <> None then begin
+    if !domains <> None then
+      bad "--domains is incompatible with --checkpoint (checkpointed runs use one domain)";
+    if !repeat > 1 then
+      bad "--repeat is incompatible with --checkpoint (checkpointed runs run each case once)";
+    if !min_speedup <> None then
+      bad "--min-speedup needs parallel runs; incompatible with --checkpoint";
+    if !reduction = Modelcheck.Reduce.Sym then
+      bad
+        "--reduction sym cannot be checkpointed or resumed (orbit representatives are \
+         process-local)"
+  end;
   if !min_reduction <> None && !parity_path = None then
     bad "--min-reduction requires --parity-against FILE";
-  let baseline = Option.map Kit.load !baseline_path in
+  let domains = Option.value !domains ~default:(par_domains ()) in
   let parity = Option.map (fun p -> (Kit.load p, !min_reduction)) !parity_path in
-  let checkpoint = Option.map (fun p -> (p, !checkpoint_every)) !checkpoint in
   let results, failures =
-    emit ~path:!path ?baseline ~repeat:!repeat ?min_speedup:!min_speedup ?spill:!spill
-      ?checkpoint ~resume:!resume ?parity ~reduction:!reduction ~deep:!deep
-      ~domains:!domains ()
+    emit ~path:!path ~repeat:!repeat ?min_speedup:!min_speedup ?spill:!spill ~checkpoint:ck
+      ?parity ~reduction:!reduction ~deep:!deep ~domains ()
   in
   let mode =
-    if checkpoint <> None then "sequential, checkpointed"
-    else Printf.sprintf "domains 1 vs %d" !domains
+    if ck.path <> None then "sequential, checkpointed"
+    else Printf.sprintf "domains 1 vs %d" domains
   in
   Format.printf "explore bench (%s, reduction %s):@." mode
     (Modelcheck.Reduce.to_string !reduction);
@@ -682,5 +591,3 @@ let main () =
   | fs ->
     List.iter (fun f -> Printf.eprintf "FAIL: %s\n" f) fs;
     Kit.gate_failed ()
-
-let () = Kit.run ~usage ~artifact "bench_explore" main

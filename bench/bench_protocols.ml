@@ -480,39 +480,17 @@ let emit ~budget ~path =
 
 (* ------------------------------------------------------------------ *)
 
-let usage =
-  "usage: bench_protocols [-o FILE] [--budget smoke|full]\n\
-  \                      [--compare-ignoring-timings A B]\n\
-   \  -o FILE          artifact path (default BENCH_protocols.json)\n\
-   \  --budget B       smoke (default; the committed-artifact budget: n=4\n\
-   \                   topologies, 2k step cap) or full (adds n=5/6\n\
-   \                   topologies and a 20k step cap; exhaustive verdicts\n\
-   \                   stay on tractable topologies — see EXPERIMENTS.md)\n\
-   \  --compare-ignoring-timings A B  exit 0 iff artifacts A and B are\n\
-   \                   identical after blanking wall times; unknown fields\n\
-   \                   are an error\n"
-
-let bad msg = Kit.usagef "%s" msg
-
-let main () =
+let () =
   let path = ref "BENCH_protocols.json" in
   let budget = ref Smoke in
-  let rec parse = function
-    | [] -> ()
-    | "-o" :: file :: rest ->
-      path := file;
-      parse rest
-    | [ "-o" ] -> bad "-o needs a file argument"
-    | "--budget" :: b :: rest ->
-      (match b with
-      | "smoke" -> budget := Smoke
-      | "full" -> budget := Full
-      | other -> bad (Printf.sprintf "unknown budget %S (expected smoke or full)" other));
-      parse rest
-    | [ "--budget" ] -> bad "--budget needs an argument (smoke or full)"
-    | arg :: _ -> bad (Printf.sprintf "unknown argument %S" arg)
+  let flags =
+    [
+      Kit.output path;
+      Kit.budget budget budget_name [ Smoke; Full ]
+        "smoke: the committed artifact's n=4 topologies; full adds n=5/6 and a 20k step cap";
+    ]
   in
-  parse (List.tl (Array.to_list Sys.argv));
+  Kit.run ~artifact ~flags "bench_protocols" @@ fun () ->
   let results, failures = emit ~budget:!budget ~path:!path in
   Fmt.pr "protocol sweep (%s budget):@.%a" (budget_name !budget) pp_summary results;
   Fmt.pr "wrote %s@." !path;
@@ -520,5 +498,3 @@ let main () =
     List.iter (fun f -> Printf.eprintf "bench_protocols: %s\n" f) failures;
     Kit.gate_failed ()
   end
-
-let () = Kit.run ~usage ~artifact "bench_protocols" main

@@ -94,25 +94,17 @@ let batching_name = function
   | Bgp.Shard.Per_epoch -> "epoch"
   | Bgp.Shard.Every n -> string_of_int n
 
+let case_key tag model shards = Printf.sprintf "%s/%s/%d" tag (Model.to_string model) shards
+
+(* Repeats keep the best wall time and must agree on the route digest. *)
 let run_case ~workers ~seed ~batch ~repeat tag topo model shards =
   let cfg =
     { (Bgp.Shard.config_for ~shards ~workers ?batching:batch model) with Bgp.Shard.seed }
   in
-  let best_wall = ref infinity and result = ref None in
-  for _ = 1 to max 1 repeat do
-    let t0 = Unix.gettimeofday () in
-    let r = Bgp.Shard.run cfg topo ~dest:(Bgp.Topology.size topo - 1) in
-    let wall = Unix.gettimeofday () -. t0 in
-    if wall < !best_wall then best_wall := wall;
-    match !result with
-    | None -> result := Some r
-    | Some prev ->
-      (* repeats must be bit-identical; anything else is a determinism bug *)
-      if Bgp.Shard.route_digest prev <> Bgp.Shard.route_digest r then
-        Kit.gatef "nondeterministic repeat on %s/%s/%d" tag (Model.to_string model)
-          shards
-  done;
-  let r = Option.get !result in
+  let r, wall_s =
+    Kit.best_of ~repeat ~digest:Bgp.Shard.route_digest (case_key tag model shards) (fun () ->
+        Bgp.Shard.run cfg topo ~dest:(Bgp.Topology.size topo - 1))
+  in
   {
     topology = tag;
     model;
@@ -128,13 +120,11 @@ let run_case ~workers ~seed ~batch ~repeat tag topo model shards =
     drops = r.Bgp.Shard.drops;
     digest = Bgp.Shard.route_digest r;
     pool_engaged = r.Bgp.Shard.pool_engaged;
-    wall_s = !best_wall;
+    wall_s;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Journal codec: one record per finished case. *)
-
-let case_key tag model shards = Printf.sprintf "%s/%s/%d" tag (Model.to_string model) shards
 
 let record_of_case c =
   [
@@ -471,8 +461,8 @@ let pp_summary ppf (topo_rows, parity, cases, sp, degraded) =
       (geomean sp)
       (if degraded then " [degraded: no parallel capacity, not a parallel speedup]" else "")
 
-let emit ~budget ~shard_k ~seed ~workers ~batch ~repeat ~models_filter ~checkpoint
-    ~checkpoint_every ~resume ~path =
+let emit ~budget ~shard_k ~seed ~workers ~batch ~repeat ~models_filter
+    ~(checkpoint : Kit.checkpoint) ~path =
   let restrict models =
     match models_filter with
     | None -> models
@@ -488,13 +478,13 @@ let emit ~budget ~shard_k ~seed ~workers ~batch ~repeat ~models_filter ~checkpoi
   in
   if built = [] then Kit.inputf "--models filtered every case away";
   let journal =
-    match checkpoint with
+    match checkpoint.path with
     | None -> None
     | Some jpath ->
       let fp = fingerprint ~budget ~shard_k ~seed ~batch built in
       let writer, records =
-        Journal.open_ ~path:jpath ~magic:journal_magic ~fingerprint:fp ~resume
-          ~flush_every:checkpoint_every
+        Journal.open_ ~path:jpath ~magic:journal_magic ~fingerprint:fp
+          ~resume:checkpoint.resume ~flush_every:checkpoint.every
       in
       let done_ = Hashtbl.create 64 in
       List.iter
@@ -544,36 +534,7 @@ let emit ~budget ~shard_k ~seed ~workers ~batch ~repeat ~models_filter ~checkpoi
 
 (* ------------------------------------------------------------------ *)
 
-let usage =
-  "usage: bgp_scale [-o FILE] [--budget smoke|default|deep] [--models CSV]\n\
-  \                 [--shards K] [--workers N] [--seed N] [--batch epoch|N]\n\
-  \                 [--repeat N] [--checkpoint FILE] [--checkpoint-every N]\n\
-  \                 [--resume] [--min-speedup X]\n\
-  \                 [--compare-ignoring-timings A B]\n\
-   \  -o FILE          artifact path (default BENCH_bgp.json)\n\
-   \  --budget B       smoke (~450-node topology), default (10k nodes, all 24\n\
-   \                   models; the committed-artifact budget) or deep (adds a\n\
-   \                   100k-node block over the model-grid corners)\n\
-   \  --models CSV     restrict the sweep to these models (e.g. RMS,U1O)\n\
-   \  --shards K       sweep shard counts {1, K} (default 2 for smoke, 8 else)\n\
-   \  --workers N      domains for the parallel phase (default 1)\n\
-   \  --seed N         partition seed (default 0)\n\
-   \  --batch B        override model-derived batching: 'epoch' or a count\n\
-   \  --repeat N       run each case N times, keep the best wall time\n\
-   \  --checkpoint F   journal finished cases to F (crash-tolerant)\n\
-   \  --checkpoint-every N  flush cadence in cases (default 1)\n\
-   \  --resume         replay a matching journal instead of re-running\n\
-   \  --min-speedup X  exit 1 if the K-shard geomean speedup on the largest\n\
-   \                   topology is below X; skipped (with a [degraded] note)\n\
-   \                   when the pool never engages, so 1-core runs record\n\
-   \                   honest numbers instead of failing\n\
-   \  --compare-ignoring-timings A B  exit 0 iff artifacts A and B are\n\
-   \                   identical after blanking wall times and machine-\n\
-   \                   dependent fields; unknown fields are an error\n"
-
-let bad msg = Kit.usagef "%s" msg
-
-let main () =
+let () =
   let path = ref "BENCH_bgp.json" in
   let budget = ref Default in
   let models = ref None in
@@ -582,83 +543,51 @@ let main () =
   let seed = ref 0 in
   let batch = ref None in
   let repeat = ref 1 in
-  let checkpoint = ref None in
-  let checkpoint_every = ref 1 in
-  let resume = ref false in
   let min_speedup = ref None in
-  let int_arg name v k =
-    match int_of_string_opt v with Some n -> k n | None -> bad (name ^ " needs an integer")
+  let checkpoint_flags, checkpoint = Kit.checkpoint ~unit:"finished cases" ~every:1 in
+  let flags =
+    [
+      Kit.output path;
+      Kit.budget budget budget_name [ Smoke; Default; Deep ]
+        "smoke: ~450 nodes; default: 10k nodes, 24 models; deep adds 100k nodes";
+      ( "--models",
+        Arg.String
+          (fun csv ->
+            models :=
+              Some
+                (List.map
+                   (fun n ->
+                     match Model.of_string n with
+                     | Some m -> m
+                     | None -> Kit.usagef "unknown model %S" n)
+                   (String.split_on_char ',' csv))),
+        "CSV restrict the sweep to these models (e.g. RMS,U1O)" );
+      ( "--shards",
+        Arg.String (fun s -> shard_k := Some (Kit.int_arg ~floor:2 "--shards" s)),
+        "K sweep shard counts {1, K} (default 2 for smoke, 8 else)" );
+      Kit.int ~floor:1 "--workers" workers "N domains for the parallel phase (default 1)";
+      Kit.int "--seed" seed "N partition seed (default 0)";
+      ( "--batch",
+        Arg.String
+          (fun v ->
+            match (v, int_of_string_opt v) with
+            | "epoch", _ -> batch := Some Bgp.Shard.Per_epoch
+            | _, Some n when n >= 1 -> batch := Some (Bgp.Shard.Every n)
+            | _ -> Kit.usagef "--batch expects \"epoch\" or an int >= 1"),
+        "epoch|N override the model-derived batching" );
+      Kit.repeat repeat;
+      Kit.min_speedup min_speedup
+        "exit 1 if the K-shard geomean speedup on the largest topology is below X \
+         (not gated when the pool never engages)";
+    ]
+    @ checkpoint_flags
   in
-  let rec parse = function
-    | [] -> ()
-    | "-o" :: file :: rest ->
-      path := file;
-      parse rest
-    | "--budget" :: b :: rest ->
-      (match b with
-      | "smoke" -> budget := Smoke
-      | "default" -> budget := Default
-      | "deep" -> budget := Deep
-      | other -> bad (Printf.sprintf "unknown budget %S" other));
-      parse rest
-    | "--models" :: csv :: rest ->
-      let names = String.split_on_char ',' csv in
-      let parsed =
-        List.map
-          (fun n -> match Model.of_string n with Some m -> m | None -> bad ("unknown model " ^ n))
-          names
-      in
-      models := Some parsed;
-      parse rest
-    | "--shards" :: v :: rest ->
-      int_arg "--shards" v (fun n ->
-          if n < 2 then bad "--shards must be at least 2 (1-shard baseline is implicit)";
-          shard_k := Some n);
-      parse rest
-    | "--workers" :: v :: rest ->
-      int_arg "--workers" v (fun n -> workers := max 1 n);
-      parse rest
-    | "--seed" :: v :: rest ->
-      int_arg "--seed" v (fun n -> seed := n);
-      parse rest
-    | "--batch" :: v :: rest ->
-      (match v with
-      | "epoch" -> batch := Some Bgp.Shard.Per_epoch
-      | v ->
-        int_arg "--batch" v (fun n ->
-            if n < 1 then bad "--batch count must be positive";
-            batch := Some (Bgp.Shard.Every n)));
-      parse rest
-    | "--repeat" :: v :: rest ->
-      int_arg "--repeat" v (fun n -> repeat := max 1 n);
-      parse rest
-    | "--checkpoint" :: file :: rest ->
-      checkpoint := Some file;
-      parse rest
-    | "--checkpoint-every" :: v :: rest ->
-      int_arg "--checkpoint-every" v (fun n -> checkpoint_every := max 1 n);
-      parse rest
-    | "--resume" :: rest ->
-      resume := true;
-      parse rest
-    | "--min-speedup" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some f -> min_speedup := Some f
-      | None -> bad "--min-speedup needs a number");
-      parse rest
-    | [ ("-o" | "--budget" | "--models" | "--shards" | "--workers" | "--seed" | "--batch"
-        | "--repeat" | "--checkpoint" | "--checkpoint-every" | "--min-speedup") as flag ] ->
-      bad (flag ^ " needs an argument")
-    | arg :: _ -> bad (Printf.sprintf "unknown argument %S" arg)
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  if !resume && !checkpoint = None then bad "--resume needs --checkpoint";
+  Kit.run ~artifact ~flags "bgp_scale" @@ fun () ->
   let budget = !budget in
   let shard_k = match !shard_k with Some k -> k | None -> default_shards budget in
   let results, resumed, failures =
     emit ~budget ~shard_k ~seed:!seed ~workers:!workers ~batch:!batch ~repeat:!repeat
-      ~models_filter:!models ~checkpoint:!checkpoint ~checkpoint_every:!checkpoint_every
-      ~resume:!resume ~path:!path
+      ~models_filter:!models ~checkpoint:(checkpoint ()) ~path:!path
   in
   let _, _, _, sp, degraded = results in
   Fmt.pr "bgp scale sweep (%s budget, K=%d, %d workers):@.%a" (budget_name budget) shard_k
@@ -682,5 +611,3 @@ let main () =
         Kit.gatef "geomean speedup %.2fx below the --min-speedup %.2fx gate" g thr
       else Fmt.pr "speedup gate: %.2fx >= %.2fx@." g thr
     end
-
-let () = Kit.run ~usage ~artifact "bgp_scale" main

@@ -75,105 +75,58 @@ let write_samples dir =
       | _ -> ())
     (Conformance.Trial.negatives ())
 
-let main () =
+let () =
   let seeds = ref 5 in
-  let budget = ref "default" in
-  let domains = ref (Modelcheck.Explore.default_domains ()) in
-  let emit = ref "" in
-  let replay = ref "" in
-  let samples = ref "" in
+  let budget = ref Conformance.Fuzz.Default in
+  let domains = ref None in
+  let emit = ref None in
+  let replay = ref None in
+  let samples = ref None in
   let quiet = ref false in
-  let checkpoint = ref "" in
-  let checkpoint_every = ref 1 in
-  let resume = ref false in
   let reduction = ref Modelcheck.Reduce.No_reduction in
-  let spec =
+  let checkpoint_flags, checkpoint = Kit.checkpoint ~unit:"trials" ~every:1 in
+  let flags =
     [
-      ( "--seeds",
-        Arg.Set_int seeds,
-        "N generated instances joining the gadget pool (default 5)" );
-      ( "--budget",
-        Arg.Set_string budget,
-        "smoke|default|deep negative-fact cost classes to run (default: default)" );
-      ( "--domains",
-        Arg.String
-          (fun s ->
-            if String.lowercase_ascii (String.trim s) = "auto" then
-              domains := Modelcheck.Explore.auto_domains ()
-            else
-              match int_of_string_opt s with
-              | Some d when d >= 1 -> domains := d
-              | _ -> raise (Arg.Bad ("--domains expects an int >= 1 or \"auto\": " ^ s))),
-        "N|auto worker domains for the positive sweep (default: DOMAINS env, 1 \
-         otherwise; auto = recommended cores - 1)" );
-      ("--emit", Arg.Set_string emit, "DIR serialize shrunk counterexamples to DIR");
-      ( "--replay",
-        Arg.Set_string replay,
-        "DIR re-check every corpus entry in DIR and exit" );
-      ( "--write-samples",
-        Arg.Set_string samples,
-        "DIR regenerate the committed sample corpus entries and exit" );
+      Kit.int ~floor:0 "--seeds" seeds "N generated instances joining the gadget pool (default 5)";
+      Kit.budget budget Conformance.Fuzz.budget_to_string
+        Conformance.Fuzz.[ Smoke; Default; Deep ]
+        "negative-fact cost classes to run";
+      Kit.domains ~floor:1 domains;
+      Kit.string "--emit" emit "DIR serialize shrunk counterexamples to DIR";
+      Kit.string "--replay" replay "DIR re-check every corpus entry in DIR and exit";
+      Kit.string "--write-samples" samples
+        "DIR regenerate the committed sample corpus entries and exit";
       ("--quiet", Arg.Set quiet, " suppress per-trial progress lines");
-      ( "--reduction",
-        Arg.String
-          (fun s ->
-            match Modelcheck.Reduce.of_string s with
-            | Some Modelcheck.Reduce.Sym ->
-              raise
-                (Arg.Bad
-                   "--reduction sym is not supported here: separation checks \
-                    replay witnesses, which a symmetry quotient only preserves \
-                    up to relabeling")
-            | Some r -> reduction := r
-            | None -> raise (Arg.Bad ("--reduction expects por|none: " ^ s))),
-        "por|none state-space reduction for negative-check explorations \
-         (default none)" );
-      ( "--checkpoint",
-        Arg.Set_string checkpoint,
-        "PATH journal every finished trial to PATH, so a killed sweep can resume" );
-      ( "--checkpoint-every",
-        Arg.Set_int checkpoint_every,
-        "N flush the journal to disk every N trials (default 1)" );
-      ( "--resume",
-        Arg.Set resume,
-        " skip trials already recorded in the --checkpoint journal (same \
-         seeds/budget only)" );
+      Kit.reduction reduction;
     ]
+    @ checkpoint_flags
   in
-  Arg.parse spec
-    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "conformance [options]";
-  if !replay <> "" then
-    Kit.replay_dir !replay (fun path ->
+  Kit.run ~flags "conformance" @@ fun () ->
+  match (!replay, !samples) with
+  | Some dir, _ ->
+    Kit.replay_dir dir (fun path ->
         let o = Conformance.replay_file path in
         (o.Conformance.Corpus.ok, o.name, o.detail))
-  else if !samples <> "" then write_samples !samples
-  else begin
-    let budget =
-      match Conformance.Fuzz.budget_of_string !budget with
-      | Some b -> b
-      | None -> Kit.usagef "unknown budget %S (smoke|default|deep)" !budget
-    in
-    if !resume && !checkpoint = "" then
-      Kit.usagef "--resume requires --checkpoint PATH";
-    if !checkpoint_every < 1 then
-      Kit.usagef "--checkpoint-every expects an int >= 1";
+  | None, Some dir -> write_samples dir
+  | None, None ->
+    let ck = checkpoint () in
+    if !reduction = Modelcheck.Reduce.Sym then
+      Kit.usagef
+        "--reduction sym is not supported here: separation checks replay witnesses, which \
+         a symmetry quotient only preserves up to relabeling";
     let cfg =
       {
         Conformance.Fuzz.seeds = !seeds;
-        budget;
-        domains = !domains;
+        budget = !budget;
+        domains = Option.value !domains ~default:(Modelcheck.Explore.default_domains ());
         reduction = !reduction;
-        emit_dir = (if !emit = "" then None else Some !emit);
-        journal = (if !checkpoint = "" then None else Some !checkpoint);
-        journal_every = !checkpoint_every;
-        resume = !resume;
+        emit_dir = !emit;
+        journal = ck.path;
+        journal_every = ck.every;
+        resume = ck.resume;
         log = (if !quiet then ignore else fun s -> Fmt.epr "%s@." s);
       }
     in
     let report = Conformance.Fuzz.run cfg in
     Fmt.pr "%a" Conformance.Fuzz.pp_report report;
     if not (Conformance.Fuzz.ok report) then Kit.gate_failed ()
-  end
-
-let () = Kit.run "conformance" main

@@ -100,112 +100,69 @@ let artifact_of_report (r : Hunt.Search.report) ~wall_s =
       ("wall_s", Json.Num wall_s);
     ]
 
-let main () =
+let () =
   let seeds = ref 5 in
-  let budget = ref "smoke" in
-  let domains = ref (Modelcheck.Explore.default_domains ()) in
-  let emit = ref "" in
+  let budget = ref Hunt.Search.Smoke in
+  let domains = ref None in
+  let emit = ref None in
   let out = ref "" in
-  let replay = ref "" in
-  let checkpoint = ref "" in
-  let checkpoint_every = ref 1 in
-  let resume = ref false in
+  let replay = ref None in
   let quiet = ref false in
   let min_findings = ref 0 in
-  let min_skip_ratio = ref 0. in
-  let spec =
+  let min_skip_ratio = ref None in
+  let checkpoint_flags, checkpoint = Kit.checkpoint ~unit:"candidates" ~every:1 in
+  let flags =
     [
-      ( "--seeds",
-        Arg.Set_int seeds,
-        "N perturbation-candidate batches to generate (default 5)" );
-      ( "--budget",
-        Arg.Set_string budget,
-        "smoke|default|deep explorer budget class (default: smoke)" );
-      ( "--domains",
-        Arg.String
-          (fun s ->
-            if String.lowercase_ascii (String.trim s) = "auto" then
-              domains := Modelcheck.Explore.auto_domains ()
-            else
-              match int_of_string_opt s with
-              | Some d when d >= 1 -> domains := d
-              | _ ->
-                raise (Arg.Bad ("--domains expects an int >= 1 or \"auto\": " ^ s))),
-        "N|auto pool workers checking candidates (default: DOMAINS env, 1 \
-         otherwise)" );
-      ( "--emit",
-        Arg.Set_string emit,
-        "DIR serialize shrunk findings to DIR (atomic writes)" );
-      ("-o", Arg.Set_string out, "PATH write the run artifact JSON to PATH");
-      ( "--replay",
-        Arg.Set_string replay,
-        "DIR re-check every corpus entry in DIR and exit" );
-      ( "--checkpoint",
-        Arg.Set_string checkpoint,
-        "PATH journal every finished candidate to PATH, so a killed hunt can \
-         resume" );
-      ( "--checkpoint-every",
-        Arg.Set_int checkpoint_every,
-        "N flush the journal to disk every N candidates (default 1)" );
-      ( "--resume",
-        Arg.Set resume,
-        " skip candidates already recorded in the --checkpoint journal (same \
-         seeds/budget only)" );
+      Kit.int ~floor:1 "--seeds" seeds "N perturbation-candidate batches to generate (default 5)";
+      Kit.budget budget Hunt.Search.budget_to_string Hunt.Search.[ Smoke; Default; Deep ]
+        "explorer budget class";
+      Kit.domains ~floor:1 domains;
+      Kit.string "--emit" emit "DIR serialize shrunk findings to DIR (atomic writes)";
+      Kit.output out;
+      Kit.string "--replay" replay "DIR re-check every corpus entry in DIR and exit";
       ("--quiet", Arg.Set quiet, " suppress per-candidate progress lines");
-      ( "--min-findings",
-        Arg.Set_int min_findings,
-        "N exit 1 unless at least N findings were made (default 0)" );
-      ( "--min-skip-ratio",
-        Arg.Set_float min_skip_ratio,
-        "X exit 1 unless the static prefilter skipped at least fraction X of \
-         candidates (default 0)" );
+      Kit.int ~floor:0 "--min-findings" min_findings
+        "N exit 1 unless at least N findings were made (default 0)";
+      Kit.threshold "--min-skip-ratio" min_skip_ratio
+        "X exit 1 unless the static prefilter skipped at least fraction X of candidates";
     ]
+    @ checkpoint_flags
   in
-  Arg.parse spec
-    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "hunt [options]\n\
-     hunt --compare-ignoring-timings A B  compare two run artifacts, ignoring \
-     wall times and resume counts; exit 0 iff they agree";
-  if !replay <> "" then
-    Kit.replay_dir !replay (fun path ->
+  Kit.run ~artifact ~flags "hunt" @@ fun () ->
+  match !replay with
+  | Some dir ->
+    Kit.replay_dir dir (fun path ->
         let o = Hunt.replay_file path in
         (o.Hunt.Corpus.ok, o.name, o.detail))
-  else
-  let budget =
-    match Hunt.Search.budget_of_string !budget with
-    | Some b -> b
-    | None -> Kit.usagef "unknown budget %S (smoke|default|deep)" !budget
-  in
-  if !resume && !checkpoint = "" then Kit.usagef "--resume requires --checkpoint PATH";
-  if !checkpoint_every < 1 then Kit.usagef "--checkpoint-every expects an int >= 1";
-  if !seeds < 1 then Kit.usagef "--seeds expects an int >= 1";
-  let cfg =
-    {
-      Hunt.Search.seeds = !seeds;
-      budget;
-      domains = !domains;
-      emit_dir = (if !emit = "" then None else Some !emit);
-      journal = (if !checkpoint = "" then None else Some !checkpoint);
-      journal_every = !checkpoint_every;
-      resume = !resume;
-      log = (if !quiet then ignore else fun s -> Fmt.epr "%s@." s);
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let report = Hunt.Search.run cfg in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  Fmt.pr "%a@." Hunt.Search.pp_report report;
-  if !out <> "" then begin
-    Engine.Snapshot.write_atomic !out
-      (Json.to_string (artifact_of_report report ~wall_s) ^ "\n");
-    Fmt.pr "wrote %s@." !out
-  end;
-  let nfindings = List.length (Hunt.Search.findings report) in
-  let ratio = Hunt.Search.skip_ratio report in
-  if nfindings < !min_findings then
-    Kit.gatef "only %d finding(s), --min-findings %d" nfindings !min_findings;
-  if ratio < !min_skip_ratio then
-    Kit.gatef "static skip ratio %.2f below --min-skip-ratio %.2f" ratio
+  | None ->
+    let ck = checkpoint () in
+    let cfg =
+      {
+        Hunt.Search.seeds = !seeds;
+        budget = !budget;
+        domains = Option.value !domains ~default:(Modelcheck.Explore.default_domains ());
+        emit_dir = !emit;
+        journal = ck.path;
+        journal_every = ck.every;
+        resume = ck.resume;
+        log = (if !quiet then ignore else fun s -> Fmt.epr "%s@." s);
+      }
+    in
+    let t0 = Unix.gettimeofday () in
+    let report = Hunt.Search.run cfg in
+    let wall_s = Unix.gettimeofday () -. t0 in
+    Fmt.pr "%a@." Hunt.Search.pp_report report;
+    if !out <> "" then begin
+      Engine.Snapshot.write_atomic !out
+        (Json.to_string (artifact_of_report report ~wall_s) ^ "\n");
+      Fmt.pr "wrote %s@." !out
+    end;
+    let nfindings = List.length (Hunt.Search.findings report) in
+    let ratio = Hunt.Search.skip_ratio report in
+    if nfindings < !min_findings then
+      Kit.gatef "only %d finding(s), --min-findings %d" nfindings !min_findings;
+    Option.iter
+      (fun floor ->
+        if ratio < floor then
+          Kit.gatef "static skip ratio %.2f below --min-skip-ratio %.2f" ratio floor)
       !min_skip_ratio
-
-let () = Kit.run ~artifact "hunt" main

@@ -7,7 +7,7 @@
      the full exploration, the second is one framed-file read; the gate
      (--min-speedup, default 10) fails the run if memoization does not
      buy at least that factor.
-   - "clients": N forked client processes (default 8) each issue the
+   - "clients": [clients] forked client processes each issue the
      same request mix (checks, a batched sweep, a realization, a sharded
      BGP run) concurrently and digest the result bytes they got back.
      All digests must be identical, and identical to the digest of the
@@ -29,6 +29,9 @@ let schema = "commrouting/bench_serve/v1"
 (* ------------------------------------------------------------------ *)
 (* Workload. *)
 
+(* Concurrent client processes, and the daemon's worker domains. *)
+let clients = 8
+let workers = 2
 let deep_instance = "FIG6"
 let deep_model = "R1A"
 let qc = Protocol.default_query_config
@@ -191,7 +194,7 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let run ~clients ~workers =
+let run () =
   let pid = Unix.getpid () in
   let socket = Printf.sprintf "/tmp/serve-bench-%d.sock" pid in
   let store_dir = Printf.sprintf "/tmp/serve-bench-store-%d" pid in
@@ -262,7 +265,7 @@ let run ~clients ~workers =
 (* ------------------------------------------------------------------ *)
 (* Artifact. *)
 
-let to_json ~clients m =
+let to_json m =
   let speedup = if m.warm_s > 0. then m.cold_s /. m.warm_s else infinity in
   let digest = match m.client_digests with d :: _ -> d | [] -> "" in
   let deterministic =
@@ -315,57 +318,19 @@ let artifact =
 
 (* ------------------------------------------------------------------ *)
 
-let usage =
-  "usage: serve_bench [-o FILE] [--clients N] [--workers N] [--min-speedup X]\n\
-  \                   [--compare-ignoring-timings A B]\n\
-   \  -o FILE          artifact path (default BENCH_serve.json)\n\
-   \  --clients N      concurrent client processes (default 8)\n\
-   \  --workers N      daemon worker domains (default 2)\n\
-   \  --min-speedup X  exit 1 unless warm/cold speedup >= X (default 10;\n\
-   \                   0 disables the gate)\n\
-   \  --compare-ignoring-timings A B  exit 0 iff artifacts A and B are\n\
-   \                   identical after blanking wall times; unknown fields\n\
-   \                   are an error\n"
-
-let main () =
+let () =
   let path = ref "BENCH_serve.json" in
-  let clients = ref 8 in
-  let workers = ref 2 in
-  let min_speedup = ref 10. in
-  let int_arg name v k =
-    match int_of_string_opt v with
-    | Some n -> k n
-    | None -> Kit.usagef "%s needs an integer" name
+  let min_speedup = ref (Some 10.) in
+  let flags =
+    [ Kit.output path; Kit.min_speedup min_speedup "exit 1 unless warm/cold speedup >= X (default 10)" ]
   in
-  let rec parse = function
-    | [] -> ()
-    | "-o" :: file :: rest ->
-      path := file;
-      parse rest
-    | "--clients" :: v :: rest ->
-      int_arg "--clients" v (fun n -> clients := max 1 n);
-      parse rest
-    | "--workers" :: v :: rest ->
-      int_arg "--workers" v (fun n -> workers := max 1 n);
-      parse rest
-    | "--min-speedup" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some f -> min_speedup := f
-      | None -> Kit.usagef "--min-speedup needs a number");
-      parse rest
-    | [ (("-o" | "--clients" | "--workers" | "--min-speedup") as flag) ] ->
-      Kit.usagef "%s needs an argument" flag
-    | arg :: _ -> Kit.usagef "unknown argument %S" arg
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let m = run ~clients:!clients ~workers:!workers in
-  let j = to_json ~clients:!clients m in
-  Engine.Snapshot.write_atomic !path (Json.to_string j);
+  Kit.run ~artifact ~flags "serve_bench" @@ fun () ->
+  let m = run () in
+  Engine.Snapshot.write_atomic !path (Json.to_string (to_json m));
   let speedup = if m.warm_s > 0. then m.cold_s /. m.warm_s else infinity in
   Fmt.pr "deep query %s/%s: cold %.3fs, warm %.6fs (%.0fx)@." deep_instance
     deep_model m.cold_s m.warm_s speedup;
-  Fmt.pr "%d concurrent clients, %d requests each@." !clients
-    (List.length client_requests);
+  Fmt.pr "%d concurrent clients, %d requests each@." clients (List.length client_requests);
   Fmt.pr "wrote %s@." !path;
   (match m.client_digests with
   | [] -> Kit.gatef "no client digests collected"
@@ -375,12 +340,10 @@ let main () =
     if not (String.equal d m.ref_digest) then
       Kit.gatef "daemon results differ from the in-process reference (%s vs %s)" d
         m.ref_digest;
-    Fmt.pr "determinism: %d clients identical, equal to the one-shot reference@."
-      !clients);
-  if !min_speedup > 0. && speedup < !min_speedup then
-    Kit.gatef "warm speedup %.1fx below the --min-speedup %.1fx gate" speedup
-      !min_speedup
-  else if !min_speedup > 0. then
-    Fmt.pr "speedup gate: %.0fx >= %.0fx@." speedup !min_speedup
-
-let () = Kit.run ~usage ~artifact "serve_bench" main
+    Fmt.pr "determinism: %d clients identical, equal to the one-shot reference@." clients);
+  Option.iter
+    (fun floor ->
+      if speedup < floor then
+        Kit.gatef "warm speedup %.1fx below the --min-speedup %.1fx gate" speedup floor
+      else Fmt.pr "speedup gate: %.0fx >= %.0fx@." speedup floor)
+    !min_speedup

@@ -253,7 +253,8 @@ val explore :
   Spp.Instance.t ->
   Engine.Model.t ->
   graph
-(** [view (explore_compact ...)], for callers that walk edge lists. *)
+(** [view (explore_compact ...)], for callers that walk edge lists.  Its
+    one caller outside the tests is perfbench's traced check. *)
 
 val explore_with :
   ?config:config ->

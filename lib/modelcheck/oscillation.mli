@@ -44,7 +44,7 @@ val analyze :
   Spp.Instance.t ->
   Engine.Model.t ->
   verdict
-(** [reduction]/[domains]/[metrics] are forwarded to {!Explore.explore};
+(** [reduction]/[domains]/[metrics] are forwarded to {!Explore.explore_compact};
     with [metrics] the graph analysis is additionally timed as an
     "analyze" phase and counted ({!Engine.Metrics.fair_splits}).  Both reductions preserve the verdict of a clean
     (unpruned, untruncated) exploration; when the exact run prunes at the

@@ -1,6 +1,6 @@
-(* The bench kit's artifact comparer: scrubbing, the unknown-field check,
-   difference paths, and which failures are input errors (exit 2) rather
-   than failed gates (exit 1). *)
+(* The bench kit: the artifact comparer (scrubbing, the unknown-field
+   check, difference paths, and which failures are input errors, exit 2,
+   rather than failed gates, exit 1), the flag table and min-of-N. *)
 
 module Json = Engine.Metrics.Json
 
@@ -96,6 +96,75 @@ let test_failures () =
     [ good; {|{"schema":"test/v1","cases":[],"mystery":1}|} ];
   check "a semantic difference fails the gate" "gate" [ good; cases [ case ~states:8 () ] ]
 
+(* ------------------------------------------------------------------ *)
+(* The flag table. *)
+
+let parse flags args () = Kit.parse "t" flags args
+
+let test_flags () =
+  let n = ref 0 in
+  let table = [ Kit.int ~floor:1 "--n" n "N a count" ] in
+  let check what expected args =
+    Alcotest.(check string) what expected (outcome (parse table args))
+  in
+  check "a value at its floor" "ok" [ "--n"; "1" ];
+  Alcotest.(check int) "it is stored" 1 !n;
+  check "an unknown flag" "usage" [ "--m"; "1" ];
+  check "a missing argument" "usage" [ "--n" ];
+  check "a value below its floor" "usage" [ "--n"; "0" ];
+  check "not an int" "usage" [ "--n"; "x" ];
+  check "a stray argument" "usage" [ "x" ];
+  let ck_flags, ck = Kit.checkpoint ~unit:"cases" ~every:1 in
+  let checkpoint args () =
+    Kit.parse "t" ck_flags args;
+    ignore (ck ())
+  in
+  Alcotest.(check string) "--resume without --checkpoint" "usage"
+    (outcome (checkpoint [ "--resume" ]));
+  Alcotest.(check string) "--resume with --checkpoint" "ok"
+    (outcome (checkpoint [ "--checkpoint"; "j"; "--resume" ]));
+  Alcotest.(check string) "--checkpoint-every 0" "usage"
+    (outcome (checkpoint [ "--checkpoint-every"; "0" ]))
+
+let test_domains () =
+  let domains floor args =
+    let r = ref None in
+    Kit.parse "t" [ Kit.domains ~floor r ] args;
+    !r
+  in
+  Alcotest.(check (option int)) "auto is raised to the floor" (Some 1000)
+    (domains 1000 [ "--domains"; "auto" ]);
+  Alcotest.(check (option int)) "auto at floor 1"
+    (Some (Modelcheck.Explore.auto_domains ()))
+    (domains 1 [ "--domains"; "auto" ]);
+  Alcotest.(check string) "a count below the floor" "usage"
+    (outcome (fun () -> ignore (domains 2 [ "--domains"; "1" ])))
+
+(* ------------------------------------------------------------------ *)
+(* Min-of-N. *)
+
+(* [f] returns its call number, sleeping on the calls in [slow]. *)
+let counted ?(slow = []) () =
+  let calls = ref 0 in
+  ( calls,
+    fun () ->
+      incr calls;
+      if List.mem !calls slow then Unix.sleepf 0.05;
+      !calls )
+
+let test_best_of () =
+  let calls, f = counted ~slow:[ 1; 3 ] () in
+  let best, wall = Kit.best_of ~repeat:3 ~digest:(fun _ -> "same") "case" f in
+  Alcotest.(check int) "the fastest run is kept" 2 best;
+  Alcotest.(check bool) "with its own wall time" true (wall < 0.05);
+  Alcotest.(check int) "every repeat runs" 3 !calls;
+  let calls, f = counted () in
+  ignore (Kit.best_of ~repeat:1 ~digest:(fun _ -> assert false) "case" f);
+  Alcotest.(check int) "repeat 1 runs once" 1 !calls;
+  let _, f = counted () in
+  Alcotest.(check string) "a differing repeat fails the gate" "gate"
+    (outcome (fun () -> ignore (Kit.best_of ~repeat:2 ~digest:string_of_int "case" f)))
+
 let () =
   Alcotest.run "kit"
     [
@@ -106,4 +175,10 @@ let () =
           Alcotest.test_case "first_diff paths" `Quick test_first_diff;
           Alcotest.test_case "input errors are not gate failures" `Quick test_failures;
         ] );
+      ( "flags",
+        [
+          Alcotest.test_case "bad values are usage failures" `Quick test_flags;
+          Alcotest.test_case "--domains auto respects the floor" `Quick test_domains;
+        ] );
+      ("best_of", [ Alcotest.test_case "min-of-N" `Quick test_best_of ]);
     ]
