@@ -92,6 +92,10 @@ let run_one ?ckpt ~reduction c ~domains ~spill ~repeat =
       let snap =
         if resume && Sys.file_exists path then
           match Snapshot.load ~path c.inst with
+          | Ok s when s.Snapshot.reduction <> Modelcheck.Reduce.to_string reduction ->
+            (* The reduced graph is not a prefix of the unreduced one. *)
+            Kit.inputf "%s was written under --reduction %s; resume it with that flag" path
+              s.Snapshot.reduction
           | Ok s -> Some s
           | Error e ->
             (* An existing but unloadable checkpoint is a real finding
@@ -252,8 +256,9 @@ let run_all ~reduction ~deep ~domains ~spill ~repeat =
 (* Checkpointed variant: exploration order must be deterministic for a
    resumed run to be bit-identical, so only the sequential setting runs
    (one checkpoint file per case, derived from [base]).  A case's file is
-   deleted once it completes — a file left behind always marks unfinished
-   work, and [--resume] after a fully successful run starts fresh. *)
+   deleted once it completes, with any temp file a killed write left — a
+   file left behind always marks unfinished work, and [--resume] after a
+   fully successful run starts fresh. *)
 let ckpt_file base c =
   Printf.sprintf "%s.%s-%s" base c.instance_name (Model.to_string c.m)
 
@@ -267,6 +272,7 @@ let run_all_checkpointed ~reduction ~deep ~spill ~base ~every ~resume =
           ~spill ~repeat:1 c
       in
       if Sys.file_exists file then Sys.remove file;
+      Snapshot.remove_stale_temps file;
       cr)
     cases
 

@@ -27,23 +27,17 @@
      a speedup.
 
    A killed sweep resumes: --checkpoint journals each finished case
-   (conformance's Generic journal: append-only, crash-tolerant,
-   fingerprinted by the sweep configuration) and --resume replays the
-   journal instead of re-running finished cases. *)
+   (Engine.Journal: append-only, crash-tolerant, fingerprinted by the
+   sweep configuration) and --resume replays the journal instead of
+   re-running finished cases. *)
 
 open Engine
 module Json = Metrics.Json
-module Journal = Conformance.Journal.Generic
 
 let schema = "commrouting/bench_bgp/v1"
-let journal_magic = "commrouting/bench_bgp_journal/v1"
 
 (* ------------------------------------------------------------------ *)
-(* Budgets. *)
-
-type budget = Smoke | Default | Deep
-
-let budget_name = function Smoke -> "smoke" | Default -> "default" | Deep -> "deep"
+(* Budgets (Engine.Journal.budget). *)
 
 let scaled_small =
   { Bgp.Topology.s_tier1 = 4; s_tier2 = 40; s_stubs = 400; s_peer_links = 30; s_seed = 3 }
@@ -63,11 +57,11 @@ let corner_models =
    list with shard counts [1; K]. *)
 let blocks budget =
   match budget with
-  | Smoke -> [ ("scaled-small", scaled_small, Model.all) ]
+  | Journal.Smoke -> [ ("scaled-small", scaled_small, Model.all) ]
   | Default -> [ ("scaled-10k", scaled_10k, Model.all) ]
   | Deep -> [ ("scaled-10k", scaled_10k, Model.all); ("scaled-100k", scaled_100k, corner_models) ]
 
-let default_shards = function Smoke -> 2 | Default | Deep -> 8
+let default_shards = function Journal.Smoke -> 2 | Default | Deep -> 8
 
 (* ------------------------------------------------------------------ *)
 (* Cases. *)
@@ -126,7 +120,7 @@ let run_case ~workers ~seed ~batch ~repeat tag topo model shards =
 (* ------------------------------------------------------------------ *)
 (* Journal codec: one record per finished case. *)
 
-let record_of_case c =
+let encode c =
   [
     c.topology;
     Model.to_string c.model;
@@ -145,7 +139,7 @@ let record_of_case c =
     Printf.sprintf "%.6f" c.wall_s;
   ]
 
-let case_of_record = function
+let decode = function
   | [
       topology; model; shards; batching; lossy; converged; epochs; activations; messages;
       cross; flushes; drops; digest; pool; wall;
@@ -175,6 +169,8 @@ let case_of_record = function
       with Failure _ -> None))
   | _ -> None
 
+let codec = { Journal.magic = "commrouting/bench_bgp_journal/v1"; encode; decode }
+
 (* The journal only resumes a sweep over the same case set: budget,
    topologies, models, shard counts, partition seed and batching
    override all participate in the fingerprint.  Worker count and
@@ -182,7 +178,7 @@ let case_of_record = function
 let fingerprint ~budget ~shard_k ~seed ~batch topos =
   let b = Buffer.create 256 in
   Buffer.add_string b schema;
-  Buffer.add_string b (budget_name budget);
+  Buffer.add_string b (Journal.budget_name budget);
   Buffer.add_string b (string_of_int shard_k);
   Buffer.add_string b (string_of_int seed);
   Buffer.add_string b (match batch with None -> "-" | Some bt -> batching_name bt);
@@ -342,7 +338,7 @@ let to_json ~budget ~shard_k ~seed ~workers ~cores ~degraded topo_rows parity ca
   Json.Obj
     [
       ("schema", Json.Str schema);
-      ("budget", Json.Str (budget_name budget));
+      ("budget", Json.Str (Journal.budget_name budget));
       ("shard_k", Json.Num (float_of_int shard_k));
       ("seed", Json.Num (float_of_int seed));
       ("workers", Json.Num (float_of_int workers));
@@ -482,17 +478,12 @@ let emit ~budget ~shard_k ~seed ~workers ~batch ~repeat ~models_filter
     | None -> None
     | Some jpath ->
       let fp = fingerprint ~budget ~shard_k ~seed ~batch built in
-      let writer, records =
-        Journal.open_ ~path:jpath ~magic:journal_magic ~fingerprint:fp
-          ~resume:checkpoint.resume ~flush_every:checkpoint.every
+      let writer, cases =
+        Journal.open_ codec ~path:jpath ~fingerprint:fp ~resume:checkpoint.resume
+          ~flush_every:checkpoint.every
       in
       let done_ = Hashtbl.create 64 in
-      List.iter
-        (fun r ->
-          match case_of_record r with
-          | Some c -> Hashtbl.replace done_ (case_key c.topology c.model c.shards) c
-          | None -> ())
-        records;
+      List.iter (fun c -> Hashtbl.replace done_ (case_key c.topology c.model c.shards) c) cases;
       Some (writer, done_)
   in
   let resumed = ref 0 in
@@ -505,7 +496,7 @@ let emit ~budget ~shard_k ~seed ~workers ~batch ~repeat ~models_filter
     | _ ->
       let c = run_case ~workers ~seed ~batch ~repeat tag topo model shards in
       (match journal with
-      | Some (writer, _) -> Journal.record writer (record_of_case c)
+      | Some (writer, _) -> Journal.record writer c
       | None -> ());
       c
   in
@@ -536,7 +527,7 @@ let emit ~budget ~shard_k ~seed ~workers ~batch ~repeat ~models_filter
 
 let () =
   let path = ref "BENCH_bgp.json" in
-  let budget = ref Default in
+  let budget = ref Journal.Default in
   let models = ref None in
   let shard_k = ref None in
   let workers = ref 1 in
@@ -548,7 +539,7 @@ let () =
   let flags =
     [
       Kit.output path;
-      Kit.budget budget budget_name [ Smoke; Default; Deep ]
+      Kit.budget budget Journal.budget_name Journal.budgets
         "smoke: ~450 nodes; default: 10k nodes, 24 models; deep adds 100k nodes";
       ( "--models",
         Arg.String
@@ -590,7 +581,7 @@ let () =
       ~models_filter:!models ~checkpoint:(checkpoint ()) ~path:!path
   in
   let _, _, _, sp, degraded = results in
-  Fmt.pr "bgp scale sweep (%s budget, K=%d, %d workers):@.%a" (budget_name budget) shard_k
+  Fmt.pr "bgp scale sweep (%s budget, K=%d, %d workers):@.%a" (Journal.budget_name budget) shard_k
     !workers pp_summary results;
   if resumed > 0 then Fmt.pr "resumed %d finished case(s) from the journal@." resumed;
   Fmt.pr "wrote %s@." !path;

@@ -4,13 +4,14 @@
    kit's: 0 no drift was detected (skipped-as-inconclusive negatives do
    not fail the run), 1 drift or a replay failure, 2 bad usage. *)
 
-let ( / ) = Filename.concat
-
 (* The committed sample corpus: one positive trial per realization level
    (expectations recorded from the actual verdict, so a drifting engine
    fails replay, not generation) and the fast appendix refutations. *)
 let write_samples dir =
   Conformance.Trial.force_routes ();
+  let emit (e : Conformance.Corpus.t) =
+    Fmt.pr "wrote %s@." (Filename.basename (Conformance.Corpus.emit dir e.name e))
+  in
   let level_fact level =
     List.find_opt
       (fun (f : Realization.Facts.positive) -> f.Realization.Facts.level = level)
@@ -38,9 +39,7 @@ let write_samples dir =
           (Engine.Model.to_string f.Realization.Facts.realizer)
           (Engine.Model.to_string f.Realization.Facts.realized)
       in
-      Conformance.Corpus.save (dir / (name ^ ".json"))
-        (Conformance.Corpus.positive ~name ~expect trial);
-      Fmt.pr "wrote %s@." (name ^ ".json"))
+      emit (Conformance.Corpus.positive ~name ~expect trial))
     Realization.Relation.[ Oscillation; Subsequence; Repetition; Exact ];
   List.iter
     (fun (n : Conformance.Trial.negative) ->
@@ -54,7 +53,7 @@ let write_samples dir =
             (String.lowercase_ascii (Realization.Relation.to_string r.level))
         in
         let cfg = Modelcheck.Explore.default_config in
-        Conformance.Corpus.save (dir / (name ^ ".json"))
+        emit
           {
             Conformance.Corpus.name;
             case =
@@ -70,14 +69,13 @@ let write_samples dir =
                   channel_bound = cfg.Modelcheck.Explore.channel_bound;
                   max_states = cfg.Modelcheck.Explore.max_states;
                 };
-          };
-        Fmt.pr "wrote %s@." (name ^ ".json")
+          }
       | _ -> ())
     (Conformance.Trial.negatives ())
 
 let () =
   let seeds = ref 5 in
-  let budget = ref Conformance.Fuzz.Default in
+  let budget = ref Engine.Journal.Default in
   let domains = ref None in
   let emit = ref None in
   let replay = ref None in
@@ -88,8 +86,7 @@ let () =
   let flags =
     [
       Kit.int ~floor:0 "--seeds" seeds "N generated instances joining the gadget pool (default 5)";
-      Kit.budget budget Conformance.Fuzz.budget_to_string
-        Conformance.Fuzz.[ Smoke; Default; Deep ]
+      Kit.budget budget Engine.Journal.budget_name Engine.Journal.budgets
         "negative-fact cost classes to run";
       Kit.domains ~floor:1 domains;
       Kit.string "--emit" emit "DIR serialize shrunk counterexamples to DIR";

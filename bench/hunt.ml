@@ -77,7 +77,7 @@ let artifact_of_report (r : Hunt.Search.report) ~wall_s =
     [
       ("schema", Json.Str artifact.Kit.schema);
       ("seeds", Json.Num (float_of_int r.Hunt.Search.seeds));
-      ("budget", Json.Str (Hunt.Search.budget_to_string r.Hunt.Search.budget));
+      ("budget", Json.Str (Engine.Journal.budget_name r.Hunt.Search.budget));
       ( "models",
         Json.List
           (List.map
@@ -102,7 +102,7 @@ let artifact_of_report (r : Hunt.Search.report) ~wall_s =
 
 let () =
   let seeds = ref 5 in
-  let budget = ref Hunt.Search.Smoke in
+  let budget = ref Engine.Journal.Smoke in
   let domains = ref None in
   let emit = ref None in
   let out = ref "" in
@@ -114,8 +114,7 @@ let () =
   let flags =
     [
       Kit.int ~floor:1 "--seeds" seeds "N perturbation-candidate batches to generate (default 5)";
-      Kit.budget budget Hunt.Search.budget_to_string Hunt.Search.[ Smoke; Default; Deep ]
-        "explorer budget class";
+      Kit.budget budget Engine.Journal.budget_name Engine.Journal.budgets "explorer budget class";
       Kit.domains ~floor:1 domains;
       Kit.string "--emit" emit "DIR serialize shrunk findings to DIR (atomic writes)";
       Kit.output out;

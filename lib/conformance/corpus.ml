@@ -63,6 +63,12 @@ let int_field name j =
   | Some (Json.Num f) -> Ok (int_of_float f)
   | _ -> Error (Fmt.str "field %S: expected a number" name)
 
+let model_field name j =
+  let* s = str_field name j in
+  match Model.of_string s with
+  | Some m -> Ok m
+  | None -> Error (Fmt.str "field %S: unknown model %S" name s)
+
 let list_field name j =
   match Json.member name j with
   | Some (Json.List l) -> Ok l
@@ -241,11 +247,6 @@ let level_of_json name j =
   | Some l -> Ok l
   | None -> Error (Fmt.str "field %S: no such level %d" name i)
 
-let model_of_string name s =
-  match Model.of_string s with
-  | Some m -> Ok m
-  | None -> Error (Fmt.str "field %S: unknown model %S" name s)
-
 let termination_to_string = function
   | Modelcheck.Refute.Prefix -> "prefix"
   | Modelcheck.Refute.Forever -> "forever"
@@ -316,10 +317,8 @@ let of_json j =
     match kind with
     | "positive" ->
       let* fact = field "fact" j in
-      let* realizer = str_field "realizer" fact in
-      let* realizer = model_of_string "realizer" realizer in
-      let* realized = str_field "realized" fact in
-      let* realized = model_of_string "realized" realized in
+      let* realizer = model_field "realizer" fact in
+      let* realized = model_field "realized" fact in
       let* level = level_of_json "level" fact in
       let* source = str_field "source" fact in
       let* inst_name = str_field "instance_name" j in
@@ -346,10 +345,8 @@ let of_json j =
                 expect );
         }
     | "negative_refutation" ->
-      let* non_realizer = str_field "non_realizer" j in
-      let* non_realizer = model_of_string "non_realizer" non_realizer in
-      let* target_model = str_field "target_model" j in
-      let* target_model = model_of_string "target_model" target_model in
+      let* non_realizer = model_field "non_realizer" j in
+      let* target_model = model_field "target_model" j in
       let* level = level_of_json "level" j in
       let* termination = str_field "termination" j in
       let* termination = termination_of_string termination in
@@ -379,31 +376,56 @@ let of_json j =
         }
     | k -> Error (Fmt.str "unknown corpus entry kind %S" k)
 
-let save path t =
-  (* Atomic: a crash mid-write must never corrupt a committed artifact in
-     place. *)
-  Snapshot.write_atomic path (Json.to_string (to_json t) ^ "\n")
-
-let load path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | contents ->
-    Result.map_error
-      (fun e -> Fmt.str "%s: %s" path e)
-      (let n = String.length contents in
-       (* [save] always ends the file with '\n' and the JSON body contains
-          no raw newline, so requiring it makes every strict byte-prefix of
-          a valid file fail instead of parsing as a shorter document. *)
-       let* () =
-         if n > 0 && contents.[n - 1] = '\n' then Ok ()
-         else Error "truncated entry (missing trailing newline)"
-       in
-       let* j = Json.parse contents in
-       of_json j)
-
 (* ------------------------------------------------------------------ *)
+(* The corpus file codec every schema shares: one JSON document per file,
+   ended by a newline. *)
 
 type outcome = { name : string; ok : bool; detail : string }
+
+module type ENTRY = sig
+  type t
+
+  val to_json : t -> Json.v
+  val of_json : Json.v -> (t, string) result
+  val replay : t -> outcome
+end
+
+module File (E : ENTRY) = struct
+  (* Atomic: a crash mid-write must never corrupt a committed artifact in
+     place. *)
+  let save path e = Snapshot.write_atomic path (Json.to_string (E.to_json e) ^ "\n")
+
+  let load path =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error msg -> Error msg
+    | contents ->
+      Result.map_error
+        (fun e -> Fmt.str "%s: %s" path e)
+        (let n = String.length contents in
+         (* [save] always ends the file with '\n' and the JSON body contains
+            no raw newline, so requiring it makes every strict byte-prefix
+            of a valid file fail instead of parsing as a shorter document. *)
+         let* () =
+           if n > 0 && contents.[n - 1] = '\n' then Ok ()
+           else Error "truncated entry (missing trailing newline)"
+         in
+         let* j = Json.parse contents in
+         E.of_json j)
+
+  let emit dir name e =
+    Snapshot.mkdir_p dir;
+    let path = Filename.concat dir (name ^ ".json") in
+    save path e;
+    Snapshot.remove_stale_temps path;
+    path
+
+  let replay_file path =
+    match load path with
+    | Ok e -> E.replay e
+    | Error e -> { name = Filename.basename path; ok = false; detail = "parse: " ^ e }
+end
+
+(* ------------------------------------------------------------------ *)
 
 let replay t =
   match t.case with
@@ -468,7 +490,10 @@ let replay t =
           detail = "committed budget now inconclusive: " ^ reason;
         }))
 
-let replay_file path =
-  match load path with
-  | Ok t -> replay t
-  | Error e -> { name = Filename.basename path; ok = false; detail = "parse: " ^ e }
+include File (struct
+  type nonrec t = t
+
+  let to_json = to_json
+  let of_json = of_json
+  let replay = replay
+end)

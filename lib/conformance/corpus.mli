@@ -38,6 +38,13 @@ val positive : name:string -> expect:expect -> Trial.positive -> t
 
 (** {1 JSON} *)
 
+val str_field : string -> Json.v -> (string, string) result
+val int_field : string -> Json.v -> (int, string) result
+
+val model_field : string -> Json.v -> (Engine.Model.t, string) result
+(** Field readers shared by every corpus schema; an error names the
+    field. *)
+
 val instance_to_json : Spp.Instance.t -> Json.v
 val instance_of_json : Json.v -> (Spp.Instance.t, string) result
 val entries_to_json : Spp.Instance.t -> Engine.Activation.t list -> Json.v
@@ -50,24 +57,50 @@ val entries_of_json :
 val to_json : t -> Json.v
 val of_json : Json.v -> (t, string) result
 
-val save : string -> t -> unit
-(** Atomic (temp file + rename, {!Engine.Snapshot.write_atomic}): a crash
-    mid-write never corrupts the artifact in place. *)
+(** {1 Files and replay}
 
-val load : string -> (t, string) result
-(** Total, and strict: errors carry the file path (and the entry index
-    for per-element failures), and any strict byte-prefix of a valid file
-    — including the whole JSON body without its trailing newline — is an
-    [Error], never a half-loaded entry. *)
-
-(** {1 Replay} *)
+    Every corpus schema (this one and {!Hunt.Corpus}'s) shares the file
+    codec {!File}: one JSON document per file, ended by a newline. *)
 
 type outcome = { name : string; ok : bool; detail : string }
 
-val replay : t -> outcome
-(** Re-runs the entry's check and compares with its expectation.  For a
-    refutation entry, [Refute.Unknown] is a failure (the committed budget
-    no longer suffices), never a pass. *)
+module type ENTRY = sig
+  type t
 
+  val to_json : t -> Json.v
+  val of_json : Json.v -> (t, string) result
+
+  val replay : t -> outcome
+  (** Re-runs the entry's check and compares with its expectation. *)
+end
+
+module File (E : ENTRY) : sig
+  val save : string -> E.t -> unit
+  (** Atomic (temp file + rename, {!Engine.Snapshot.write_atomic}): a
+      crash mid-write never corrupts the artifact in place. *)
+
+  val load : string -> (E.t, string) result
+  (** Total, and strict: errors carry the file path (and the entry index
+      for per-element failures), and any strict byte-prefix of a valid
+      file — including the whole JSON body without its trailing newline —
+      is an [Error], never a half-loaded entry. *)
+
+  val emit : string -> string -> E.t -> string
+  (** [emit dir name e] creates [dir] and its parents when missing, saves
+      [e] to [dir/name.json] and returns that path.  Temp files a killed
+      writer of that path left behind are removed. *)
+
+  val replay_file : string -> outcome
+  (** {!load} composed with [E.replay]; parse errors become failed
+      outcomes. *)
+end
+
+val replay : t -> outcome
+(** For a refutation entry, [Refute.Unknown] is a failure (the committed
+    budget no longer suffices), never a pass. *)
+
+val save : string -> t -> unit
+val load : string -> (t, string) result
+val emit : string -> string -> t -> string
 val replay_file : string -> outcome
-(** {!load} composed with {!replay}; parse errors become failed outcomes. *)
+(** This schema's {!File} codec. *)

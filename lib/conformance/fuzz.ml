@@ -1,21 +1,6 @@
-open Engine
-
-type budget = Smoke | Default | Deep
-
-let budget_of_string = function
-  | "smoke" -> Some Smoke
-  | "default" -> Some Default
-  | "deep" -> Some Deep
-  | _ -> None
-
-let budget_to_string = function
-  | Smoke -> "smoke"
-  | Default -> "default"
-  | Deep -> "deep"
-
 type config = {
   seeds : int;
-  budget : budget;
+  budget : Engine.Journal.budget;
   domains : int;
   reduction : Modelcheck.Reduce.t;
   emit_dir : string option;
@@ -28,7 +13,7 @@ type config = {
 let default_config =
   {
     seeds = 5;
-    budget = Default;
+    budget = Engine.Journal.Default;
     domains = Modelcheck.Explore.default_domains ();
     reduction = Modelcheck.Reduce.No_reduction;
     emit_dir = None;
@@ -78,7 +63,7 @@ let instance_pool ~seeds =
   Spp.Gadgets.all_named () @ generated
 
 let schedule inst model ~seed ~len =
-  Scheduler.prefix len (Scheduler.random inst model ~seed)
+  Engine.Scheduler.prefix len (Engine.Scheduler.random inst model ~seed)
 
 let trials ~seeds =
   List.concat_map
@@ -92,33 +77,8 @@ let trials ~seeds =
         Realization.Facts.positives)
     (instance_pool ~seeds)
 
-(* ------------------------------------------------------------------ *)
-(* Worker pool: trials are independent, so a shared atomic index over a
-   results array is all the coordination needed (the engine's shared
-   structures — the path arena, frozen instances — are domain-safe).
-   Workers come from the persistent {!Engine.Pool}: a full sweep runs
-   thousands of trials over many [run] calls, and spawning domains per
-   call (the PR 1 scheme) cost an all-domain rendezvous each time. *)
-
-let parallel_mapi ~domains f arr =
-  let n = Array.length arr in
-  let results = Array.make n None in
-  let next = Atomic.make 0 in
-  let worker _ =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <- Some (f i arr.(i));
-        loop ()
-      end
-    in
-    loop ()
-  in
-  Pool.run (Pool.get ()) ~workers:(max 1 (min domains n)) worker;
-  Array.map Option.get results
-
 let in_budget budget (cost : Trial.cost) =
-  match (budget, cost) with
+  match ((budget : Engine.Journal.budget), cost) with
   | _, Trial.Fast -> true
   | (Default | Deep), Trial.Slow -> true
   | Deep, Trial.Deep -> true
@@ -146,10 +106,10 @@ let run cfg =
       let fp =
         Journal.fingerprint
           ~reduction:(Modelcheck.Reduce.to_string cfg.reduction)
-          ~seeds:cfg.seeds ~budget:(budget_to_string cfg.budget) ()
+          ~seeds:cfg.seeds ~budget:(Engine.Journal.budget_name cfg.budget) ()
       in
       let w, entries =
-        Journal.open_ ~path ~fingerprint:fp ~resume:cfg.resume
+        Engine.Journal.open_ Journal.codec ~path ~fingerprint:fp ~resume:cfg.resume
           ~flush_every:cfg.journal_every
       in
       List.iter
@@ -166,7 +126,7 @@ let run cfg =
              (List.length entries));
       Some w
   in
-  let journal_record e = match journal with Some w -> Journal.record w e | None -> () in
+  let journal_record e = match journal with Some w -> Engine.Journal.record w e | None -> () in
   let check_positive i t =
     if prior_pos.(i) then Trial.Holds
     else begin
@@ -177,7 +137,14 @@ let run cfg =
       v
     end
   in
-  let verdicts = parallel_mapi ~domains:(max 1 cfg.domains) check_positive ts in
+  (* Trials are independent, so they share the persistent pool (the
+     engine's shared structures — the path arena, frozen instances — are
+     domain-safe). *)
+  let verdicts =
+    Engine.Pool.map (Engine.Pool.get ()) ~workers:cfg.domains
+      (fun i -> check_positive i ts.(i))
+      (Array.init (Array.length ts) Fun.id)
+  in
   let held = ref 0 in
   let violations = ref [] in
   Array.iteri
@@ -203,12 +170,11 @@ let run cfg =
       (fun i (p, v) ->
         let name =
           Fmt.str "violation-%03d-%s-realizes-%s-%s" i
-            (Model.to_string p.Trial.realizer)
-            (Model.to_string p.Trial.realized)
+            (Engine.Model.to_string p.Trial.realizer)
+            (Engine.Model.to_string p.Trial.realized)
             (Trial.violation_name v)
         in
-        let file = Filename.concat dir (name ^ ".json") in
-        Corpus.save file (Corpus.positive ~name ~expect:(Corpus.Expect_violated v) p);
+        let file = Corpus.emit dir name (Corpus.positive ~name ~expect:(Corpus.Expect_violated v) p) in
         cfg.log (Fmt.str "  wrote %s" file))
       violations);
   let all_negs = Trial.negatives () in
@@ -232,7 +198,7 @@ let run cfg =
         { neg = n; verdict })
       in_scope
   in
-  (match journal with Some w -> Journal.close w | None -> ());
+  Option.iter Engine.Journal.close journal;
   (* The symbolic closure is part of conformance too: a contradictory fact
      base is reported as a finding, not an exception ending the sweep. *)
   let closure_contradiction =

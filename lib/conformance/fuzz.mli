@@ -14,17 +14,13 @@
     serialized to a corpus directory.  Negative facts are then re-checked
     within the budget's cost classes. *)
 
-type budget =
-  | Smoke  (** {!Trial.Fast} negatives only — what [@conformance-smoke] runs *)
-  | Default  (** adds {!Trial.Slow}; seconds of model checking *)
-  | Deep  (** adds {!Trial.Deep}; minutes (FIG6 under R1A/RMA) *)
-
-val budget_of_string : string -> budget option
-val budget_to_string : budget -> string
-
 type config = {
   seeds : int;  (** number of generated instances joining the gadget pool *)
-  budget : budget;
+  budget : Engine.Journal.budget;
+      (** the negative-fact cost classes checked: [Smoke] only
+          {!Trial.Fast} ones (what [@conformance-smoke] runs), [Default]
+          adds {!Trial.Slow} (seconds of model checking), [Deep] adds
+          {!Trial.Deep} (minutes: FIG6 under R1A/RMA) *)
   domains : int;  (** worker domains for the positive sweep *)
   reduction : Modelcheck.Reduce.t;
       (** state-space reduction for the negative checks' explorations;

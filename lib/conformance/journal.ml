@@ -1,103 +1,8 @@
-let magic = "commrouting/journal/v1"
-
-(* ------------------------------------------------------------------ *)
-(* Generic keyed journal: one record per line, tab-separated
-   [String.escaped] fields, under a caller-chosen magic + configuration
-   fingerprint header.  The conformance sweep's journal below and the
-   divergence hunter's per-candidate journal are both instances. *)
-
-module Generic = struct
-  type writer = {
-    oc : out_channel;
-    mu : Mutex.t;
-    flush_every : int;
-    mutable since_flush : int;
-  }
-
-  let record_line fields =
-    String.concat "\t" (List.map String.escaped fields) ^ "\n"
-
-  let parse_line line =
-    let unescape s = try Some (Scanf.unescaped s) with _ -> None in
-    if line = "" then None
-    else
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | f :: rest -> (
-          match unescape f with
-          | Some f -> go (f :: acc) rest
-          | None -> None)
-      in
-      go [] (String.split_on_char '\t' line)
-
-  (* The complete records of an existing journal, or [] when the file is
-     missing, unreadable, or written under a different magic/fingerprint.
-     A partial trailing line (crash mid-append) and anything after the
-     first malformed line are dropped. *)
-  let load ~path ~magic ~fingerprint:fp =
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error _ -> []
-    | contents -> (
-      match String.index_opt contents '\n' with
-      | None -> []
-      | Some nl ->
-        if String.sub contents 0 nl <> magic ^ "\t" ^ fp then []
-        else
-          let body =
-            String.sub contents (nl + 1) (String.length contents - nl - 1)
-          in
-          let rec complete_lines acc = function
-            | [] | [ _ ] -> List.rev acc (* last chunk: empty or partial *)
-            | line :: rest -> (
-              match parse_line line with
-              | Some fields -> complete_lines (fields :: acc) rest
-              | None -> List.rev acc)
-          in
-          complete_lines [] (String.split_on_char '\n' body))
-
-  let open_ ~path ~magic ~fingerprint:fp ~resume ~flush_every =
-    let records = if resume then load ~path ~magic ~fingerprint:fp else [] in
-    (* Rewrite the compacted journal atomically before appending: this
-       drops any partial trailing line, so appends always start at a line
-       boundary, and a fresh open never leaves a stale journal behind. *)
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf (magic ^ "\t" ^ fp ^ "\n");
-    List.iter (fun fs -> Buffer.add_string buf (record_line fs)) records;
-    Engine.Snapshot.write_atomic path (Buffer.contents buf);
-    let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
-    ( {
-        oc;
-        mu = Mutex.create ();
-        flush_every = max 1 flush_every;
-        since_flush = 0;
-      },
-      records )
-
-  let record w fields =
-    let line = record_line fields in
-    Mutex.lock w.mu;
-    output_string w.oc line;
-    w.since_flush <- w.since_flush + 1;
-    if w.since_flush >= w.flush_every then begin
-      w.since_flush <- 0;
-      flush w.oc
-    end;
-    Mutex.unlock w.mu
-
-  let close w =
-    Mutex.lock w.mu;
-    (try close_out w.oc with Sys_error _ -> ());
-    Mutex.unlock w.mu
-end
-
-(* ------------------------------------------------------------------ *)
-(* The conformance sweep's journal, as a Generic instance. *)
-
 type entry =
   | Positive of { index : int; held : bool }
   | Negative of { name : string; verdict : Trial.negative_verdict }
 
-type writer = Generic.writer
+let magic = "commrouting/journal/v1"
 
 let fingerprint ?(reduction = "none") ~seeds ~budget () =
   Digest.to_hex
@@ -108,7 +13,7 @@ let fingerprint ?(reduction = "none") ~seeds ~budget () =
           (List.length Realization.Facts.positives)
           (List.length Realization.Facts.negatives)))
 
-let fields_of_entry = function
+let encode = function
   | Positive { index; held } ->
     [ "P"; string_of_int index; (if held then "H" else "V") ]
   | Negative { name; verdict } -> (
@@ -117,7 +22,7 @@ let fields_of_entry = function
     | Trial.Skipped s -> [ "N"; name; "S"; s ]
     | Trial.Falsely_passed s -> [ "N"; name; "F"; s ])
 
-let entry_of_fields = function
+let decode = function
   | [ "P"; idx; held ] -> (
     match (int_of_string_opt idx, held) with
     | Some index, "H" -> Some (Positive { index; held = true })
@@ -130,19 +35,4 @@ let entry_of_fields = function
     Some (Negative { name; verdict = Trial.Falsely_passed detail })
   | _ -> None
 
-let open_ ~path ~fingerprint:fp ~resume ~flush_every =
-  let w, records = Generic.open_ ~path ~magic ~fingerprint:fp ~resume ~flush_every in
-  (* Anything after the first undecodable record is dropped, matching the
-     line-level strictness: a journal can only make a resumed sweep skip
-     work it has a complete, well-formed record for. *)
-  let rec decode acc = function
-    | [] -> List.rev acc
-    | fields :: rest -> (
-      match entry_of_fields fields with
-      | Some e -> decode (e :: acc) rest
-      | None -> List.rev acc)
-  in
-  (w, decode [] records)
-
-let record w e = Generic.record w (fields_of_entry e)
-let close = Generic.close
+let codec = { Engine.Journal.magic; encode; decode }

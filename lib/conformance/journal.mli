@@ -1,10 +1,9 @@
-(** Append-only progress journal for a conformance sweep.
+(** The conformance sweep's progress journal: the {!codec} and fingerprint
+    of an {!Engine.Journal}.
 
-    A sweep is thousands of independent trials; the journal records each
-    finished (fact, seed) trial as one line appended and periodically
-    flushed, so a killed [--budget deep] run restarts at the first
-    incomplete pair instead of from scratch.  The file is tab-separated
-    text with [String.escaped] fields:
+    A sweep is thousands of independent trials; each finished (fact, seed)
+    trial is one record, so a killed [--budget deep] run restarts at the
+    first incomplete pair instead of from scratch:
 
     {v
     commrouting/journal/v1\t<fingerprint>
@@ -12,46 +11,10 @@
     N\t<escaped negative name>\t<C|S\t<detail>|F\t<detail>>
     v}
 
-    Loading tolerates a crash mid-append: a partial trailing line (no
-    ['\n']) and anything after the first malformed line are ignored, and a
-    header whose fingerprint does not match the requested configuration
-    discards the whole file — a journal can make a resumed sweep skip
-    work, never import results from a different configuration.
-
     Positive trials journal only whether they held: a violated trial is
     re-checked on resume to regain the violation payload (re-checking a
     handful of violations is cheap next to the sweep).  Negative verdicts
     are journaled in full. *)
-
-(** {1 Generic keyed journal}
-
-    The line format and crash-tolerance machinery, reusable by any
-    resumable sweep (the divergence hunter journals per-candidate progress
-    through this): records are lists of [String.escaped] fields on one
-    tab-separated line under a caller-chosen magic + fingerprint header.
-    Loading applies the same tolerance rules as the conformance journal:
-    partial trailing lines and anything after the first malformed line are
-    ignored, and a magic/fingerprint mismatch discards the whole file. *)
-
-module Generic : sig
-  type writer
-  (** Appends under a mutex, so pool workers can record concurrently. *)
-
-  val open_ :
-    path:string ->
-    magic:string ->
-    fingerprint:string ->
-    resume:bool ->
-    flush_every:int ->
-    writer * string list list
-  (** Open [path] and return the complete already-journaled records (empty
-      unless [resume] finds a matching journal).  The file is first
-      compacted to complete lines, atomically, so appends always start at
-      a line boundary. *)
-
-  val record : writer -> string list -> unit
-  val close : writer -> unit
-end
 
 type entry =
   | Positive of { index : int; held : bool }
@@ -60,26 +23,9 @@ type entry =
   | Negative of { name : string; verdict : Trial.negative_verdict }
       (** keyed by {!Trial.negative_name} *)
 
-type writer
-(** Appends under a mutex, so pool workers can record concurrently. *)
-
 val fingerprint : ?reduction:string -> seeds:int -> budget:string -> unit -> string
 (** Digest of the sweep configuration and the fact-base shape; journals
     written under a different fingerprint are ignored on load. *)
 
-val open_ :
-  path:string ->
-  fingerprint:string ->
-  resume:bool ->
-  flush_every:int ->
-  writer * entry list
-(** Open [path] for journaling and return the already-journaled entries.
-    With [resume] and a matching existing journal, the complete entries
-    are returned and appending continues after them (the file is first
-    compacted to complete lines, atomically).  Otherwise the file is
-    started fresh (atomically) and the entry list is empty.  [flush_every]
-    is the number of records between [flush]es (clamped to >= 1); {!close}
-    always flushes. *)
-
-val record : writer -> entry -> unit
-val close : writer -> unit
+val codec : entry Engine.Journal.codec
+(** Magic ["commrouting/journal/v1"]. *)

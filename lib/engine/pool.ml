@@ -137,3 +137,24 @@ let run t ~workers f =
     | Some e, _ | None, Some e -> raise e
     | None, None -> ()
   end
+
+(* Items are pulled off a shared atomic index, so a slow item never holds
+   back the rest; each result lands in its own slot. *)
+let map t ~workers f items =
+  let n = Array.length items in
+  let workers = min workers n in
+  if workers <= 1 then Array.map f items
+  else begin
+    let out = Array.make n None in
+    let next = Atomic.make 0 in
+    run t ~workers (fun _ ->
+        let rec loop () =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            out.(i) <- Some (f items.(i));
+            loop ()
+          end
+        in
+        loop ());
+    Array.map Option.get out
+  end

@@ -37,6 +37,15 @@ val run : t -> workers:int -> (int -> unit) -> unit
     or more instances of [f] raise, one of the exceptions is re-raised
     after all instances have finished. *)
 
+val map : t -> workers:int -> ('a -> 'b) -> 'a array -> 'b array
+(** [map t ~workers f items] is [Array.map f items], computed by up to
+    [workers] (clamped to the item count) {!run} instances that pull items
+    off a shared atomic index.  With one worker it is [Array.map f items]
+    on the calling domain, with no synchronization.  Each item is passed
+    to [f] once; if [f] raises, the worker stops, the others finish the
+    remaining items, and one of the exceptions is re-raised once every
+    worker has finished. *)
+
 type stats = {
   size : int;  (** worker domains alive now *)
   spawned_total : int;  (** domains ever spawned (growth events) *)

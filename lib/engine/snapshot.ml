@@ -76,6 +76,28 @@ let write_atomic path contents =
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
 
+(* A writer killed between creating its temp file and the rename leaves
+   [path.tmp.<pid>.*] behind.  Temps of the calling process may belong to a
+   write in flight on another domain, so only other pids' are removed. *)
+let remove_stale_temps path =
+  let prefix = Filename.basename path ^ ".tmp." in
+  let mine = Printf.sprintf "%s%d." prefix (Unix.getpid ()) in
+  match Sys.readdir (Filename.dirname path) with
+  | names ->
+    Array.iter
+      (fun name ->
+        if String.starts_with ~prefix name && not (String.starts_with ~prefix:mine name) then
+          try Sys.remove (Filename.concat (Filename.dirname path) name) with Sys_error _ -> ())
+      names
+  | exception Sys_error _ -> ()
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then mkdir_p parent;
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 (* ------------------------------------------------------------------ *)
 
 let fingerprint inst =

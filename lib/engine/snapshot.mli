@@ -66,6 +66,15 @@ val write_atomic : string -> string -> unit
     other's partial writes.  Raises [Sys_error] on I/O failure (the temp
     file is removed). *)
 
+val remove_stale_temps : string -> unit
+(** [remove_stale_temps path] removes the {!write_atomic} temp files of
+    [path] that other processes left behind (a writer SIGKILLed before
+    its rename).  Best effort: errors are ignored. *)
+
+val mkdir_p : string -> unit
+(** Creates a directory and its missing parents; an existing directory
+    is fine.  Raises [Unix.Unix_error] when one cannot be made. *)
+
 val framed : magic:string -> string -> string
 (** [framed ~magic payload] is the checksummed on-disk framing every
     snapshot-format artifact uses: one header line

@@ -1,10 +1,12 @@
 (* Committed counterexample corpus: minimal divergent / model-separating
    gadgets found by the hunt, serialized as self-contained JSON (schema
    "commrouting/hunt/v1") and replayed deterministically by @hunt-smoke on
-   every test run.  Instance serialization is shared with the conformance
-   corpus, so node references are by name and survive id renumbering. *)
+   every test run.  Instance serialization, the field readers and the file
+   codec are the conformance corpus's, so node references are by name and
+   survive id renumbering. *)
 
 module Json = Engine.Metrics.Json
+module C = Conformance.Corpus
 
 let schema = "commrouting/hunt/v1"
 
@@ -65,43 +67,27 @@ let to_json f =
      ]
     @ kind_fields
     @ [
-        ("instance", Conformance.Corpus.instance_to_json f.inst);
+        ("instance", C.instance_to_json f.inst);
         ("channel_bound", Json.Num (float_of_int f.channel_bound));
         ("max_states", Json.Num (float_of_int f.max_states));
       ])
 
-let str_field name j =
-  match Json.member name j with
-  | Some (Json.Str s) -> Ok s
-  | _ -> Error (Fmt.str "field %S: expected a string" name)
-
-let int_field name j =
-  match Json.member name j with
-  | Some (Json.Num f) -> Ok (int_of_float f)
-  | _ -> Error (Fmt.str "field %S: expected a number" name)
-
-let model_field name j =
-  let* s = str_field name j in
-  match Engine.Model.of_string s with
-  | Some m -> Ok m
-  | None -> Error (Fmt.str "field %S: unknown model %S" name s)
-
 let of_json j =
-  let* s = str_field "schema" j in
+  let* s = C.str_field "schema" j in
   if s <> schema then Error (Fmt.str "unknown schema %S (want %S)" s schema)
   else
-    let* name = str_field "name" j in
-    let* seed = int_field "seed" j in
-    let* descr = str_field "descr" j in
-    let* kind_s = str_field "kind" j in
+    let* name = C.str_field "name" j in
+    let* seed = C.int_field "seed" j in
+    let* descr = C.str_field "descr" j in
+    let* kind_s = C.str_field "kind" j in
     let* kind =
       match kind_s with
       | "divergence" ->
-        let* model = model_field "oscillates_in" j in
+        let* model = C.model_field "oscillates_in" j in
         Ok (Divergence { model })
       | "separation" ->
-        let* oscillates_in = model_field "oscillates_in" j in
-        let* converges_in = model_field "converges_in" j in
+        let* oscillates_in = C.model_field "oscillates_in" j in
+        let* converges_in = C.model_field "converges_in" j in
         Ok (Separation { oscillates_in; converges_in })
       | k -> Error (Fmt.str "unknown kind %S" k)
     in
@@ -110,30 +96,15 @@ let of_json j =
       | Some v -> Ok v
       | None -> Error "missing field \"instance\""
     in
-    let* inst = Conformance.Corpus.instance_of_json inst_j in
-    let* channel_bound = int_field "channel_bound" j in
-    let* max_states = int_field "max_states" j in
+    let* inst = C.instance_of_json inst_j in
+    let* channel_bound = C.int_field "channel_bound" j in
+    let* max_states = C.int_field "max_states" j in
     Ok { name; seed; descr; inst; kind; channel_bound; max_states }
-
-let save path f =
-  Engine.Snapshot.write_atomic path (Json.to_string (to_json f) ^ "\n")
-
-let load path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents -> (
-    if String.length contents = 0 || contents.[String.length contents - 1] <> '\n'
-    then Error (Fmt.str "%s: truncated (missing trailing newline)" path)
-    else
-      match Json.parse (String.sub contents 0 (String.length contents - 1)) with
-      | Error e -> Error (Fmt.str "%s: %s" path e)
-      | Ok j ->
-        Result.map_error (fun e -> Fmt.str "%s: %s" path e) (of_json j))
 
 (* ------------------------------------------------------------------ *)
 (* Replay *)
 
-type outcome = { name : string; ok : bool; detail : string }
+type outcome = C.outcome = { name : string; ok : bool; detail : string }
 
 let analyze ~config inst model =
   Modelcheck.Oscillation.analyze ~config ~domains:1 inst model
@@ -186,7 +157,10 @@ let replay f =
             (Modelcheck.Oscillation.verdict_name vy);
       })
 
-let replay_file path =
-  match load path with
-  | Error e -> { name = Filename.basename path; ok = false; detail = e }
-  | Ok f -> replay f
+include C.File (struct
+  type t = finding
+
+  let to_json = to_json
+  let of_json = of_json
+  let replay = replay
+end)

@@ -4,9 +4,10 @@
     oscillation behavior the hunt recorded and the explorer budget it was
     established at.  Serialized as self-contained JSON, schema
     ["commrouting/hunt/v1"] (documented in EXPERIMENTS.md); instance
-    serialization is shared with {!Conformance.Corpus}, so node references
-    are by name.  [results/hunt/*.json] is replayed deterministically by
-    the [@hunt-smoke] alias on every test run: every committed gadget
+    serialization and the file codec ({!Conformance.Corpus.File}) are
+    shared with the conformance corpus, so node references are by name.
+    [results/hunt/*.json] is replayed deterministically by the
+    [@hunt-smoke] alias on every test run: every committed gadget
     permanently grows the regression suite. *)
 
 module Json = Engine.Metrics.Json
@@ -39,14 +40,11 @@ val pp_kind : Format.formatter -> kind -> unit
 val to_json : finding -> Json.v
 val of_json : Json.v -> (finding, string) result
 
-val save : string -> finding -> unit
-(** Atomic (temp file + rename, {!Engine.Snapshot.write_atomic}). *)
-
-val load : string -> (finding, string) result
-(** Total and strict: parse errors carry the file path, and a file without
-    its trailing newline is an [Error]. *)
-
-type outcome = { name : string; ok : bool; detail : string }
+type outcome = Conformance.Corpus.outcome = {
+  name : string;
+  ok : bool;
+  detail : string;
+}
 
 val replay : finding -> outcome
 (** Re-runs the recorded oscillation analyses at the recorded budget and
@@ -54,5 +52,8 @@ val replay : finding -> outcome
     a [Separation] must still oscillate under one model and definitively
     converge under the other. *)
 
+val save : string -> finding -> unit
+val load : string -> (finding, string) result
+val emit : string -> string -> finding -> string
 val replay_file : string -> outcome
-(** {!load} composed with {!replay}; parse errors become failed outcomes. *)
+(** The {!Conformance.Corpus.File} codec for findings. *)

@@ -1,12 +1,11 @@
-(* Per-candidate progress journal, an instance of the generalized
-   {!Conformance.Journal.Generic} keyed journal: one record per finished
-   candidate, so a SIGKILLed hunt resumes at the first candidate without a
-   complete record instead of re-exploring.  Records carry the full
-   outcome — skip reason, per-model verdicts, and the finding's entire
-   JSON — so a resumed run reconstructs its artifact without re-spending
-   any explorer budget. *)
+(* The hunt's per-candidate progress journal: the codec and fingerprint of
+   an {!Engine.Journal}, which owns the file format, the decode rule and
+   the crash tolerance.  One record per finished candidate, so a SIGKILLed
+   hunt resumes at the first candidate without a complete record instead
+   of re-exploring.  Records carry the full outcome — skip reason,
+   per-model verdicts, and the finding's entire JSON — so a resumed run
+   reconstructs its artifact without re-spending any explorer budget. *)
 
-module Generic = Conformance.Journal.Generic
 module Json = Engine.Metrics.Json
 
 let magic = "commrouting/hunt-journal/v1"
@@ -18,8 +17,6 @@ type entry =
       verdicts : (Engine.Model.t * string) list;
       finding : Corpus.finding option;
     }
-
-type writer = Generic.writer
 
 let fingerprint ~seeds ~budget ~models ~channel_bound ~max_states () =
   Digest.to_hex
@@ -52,14 +49,14 @@ let verdicts_of_string s =
     in
     go [] (String.split_on_char ',' s)
 
-let fields_of_entry = function
+let encode = function
   | Skipped { name; reason } -> [ "S"; name; reason ]
   | Explored { name; verdicts; finding = None } ->
     [ "E"; name; verdicts_string verdicts ]
   | Explored { name; verdicts; finding = Some f } ->
     [ "F"; name; verdicts_string verdicts; Json.to_string (Corpus.to_json f) ]
 
-let entry_of_fields = function
+let decode = function
   | [ "S"; name; reason ] -> Some (Skipped { name; reason })
   | [ "E"; name; vs ] ->
     Option.map
@@ -74,19 +71,7 @@ let entry_of_fields = function
     | _ -> None)
   | _ -> None
 
-let open_ ~path ~fingerprint:fp ~resume ~flush_every =
-  let w, records = Generic.open_ ~path ~magic ~fingerprint:fp ~resume ~flush_every in
-  let rec decode acc = function
-    | [] -> List.rev acc
-    | fields :: rest -> (
-      match entry_of_fields fields with
-      | Some e -> decode (e :: acc) rest
-      | None -> List.rev acc)
-  in
-  (w, decode [] records)
-
-let record w e = Generic.record w (fields_of_entry e)
-let close = Generic.close
+let codec = { Engine.Journal.magic; encode; decode }
 
 let entry_name = function
   | Skipped { name; _ } | Explored { name; _ } -> name

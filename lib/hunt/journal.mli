@@ -1,15 +1,14 @@
-(** Per-candidate progress journal for a hunt, an instance of the
-    generalized {!Conformance.Journal.Generic} keyed journal.
+(** Per-candidate progress journal for a hunt: the {!codec} and
+    fingerprint of an {!Engine.Journal}.
 
     One record per finished candidate, carrying the complete outcome (skip
     reason, per-model verdict names, and a finding's full JSON), so a
     SIGKILLed hunt resumed with [--resume] reconstructs every finished
     candidate — including its emitted corpus entries and the final
-    artifact — without re-spending explorer budget.  The file inherits the
-    generic journal's crash tolerance: partial trailing lines and anything
-    after the first malformed record are dropped, and a fingerprint
-    mismatch (different seeds/budget/models/bounds) discards the whole
-    journal. *)
+    artifact — without re-spending explorer budget.  {!Engine.Journal}
+    decides what resumes: the records before the first torn, malformed or
+    undecodable line, and nothing when the fingerprint (seeds, budget,
+    models, bounds) differs. *)
 
 type entry =
   | Skipped of { name : string; reason : string }
@@ -20,8 +19,6 @@ type entry =
       finding : Corpus.finding option;
     }
 
-type writer
-
 val fingerprint :
   seeds:int ->
   budget:string ->
@@ -31,13 +28,7 @@ val fingerprint :
   unit ->
   string
 
-val open_ :
-  path:string ->
-  fingerprint:string ->
-  resume:bool ->
-  flush_every:int ->
-  writer * entry list
+val codec : entry Engine.Journal.codec
+(** Magic ["commrouting/hunt-journal/v1"]. *)
 
-val record : writer -> entry -> unit
-val close : writer -> unit
 val entry_name : entry -> string

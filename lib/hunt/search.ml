@@ -2,26 +2,13 @@
    per-model oscillation sweep -> classification -> shrink -> corpus.
 
    Candidates are independent, so they run on the persistent
-   {!Engine.Pool} behind a shared atomic index (the conformance fuzzer's
-   scheme); the per-candidate explorations themselves are forced
-   sequential ([~domains:1]) — the parallelism budget is spent across
-   candidates, not within them.  Every finished candidate is journaled
+   {!Engine.Pool} through [Pool.map]; the per-candidate explorations
+   themselves are forced sequential ([~domains:1]) — the parallelism
+   budget is spent across candidates, not within them.  Every finished
+   candidate is journaled
    (full outcome, including a finding's JSON), so a killed hunt resumes
    without re-spending explorer budget and reconstructs an identical
    artifact. *)
-
-type budget = Smoke | Default | Deep
-
-let budget_of_string = function
-  | "smoke" -> Some Smoke
-  | "default" -> Some Default
-  | "deep" -> Some Deep
-  | _ -> None
-
-let budget_to_string = function
-  | Smoke -> "smoke"
-  | Default -> "default"
-  | Deep -> "deep"
 
 let model name =
   match Engine.Model.of_string name with
@@ -29,18 +16,18 @@ let model name =
   | None -> invalid_arg ("Search.model: " ^ name)
 
 let models = function
-  | Smoke -> [ model "R1O"; model "REO"; model "REA" ]
+  | Engine.Journal.Smoke -> [ model "R1O"; model "REO"; model "REA" ]
   | Default -> Engine.Model.reliable
   | Deep -> Engine.Model.all
 
 let explore_config = function
-  | Smoke -> { Modelcheck.Explore.channel_bound = 3; max_states = 4_000 }
+  | Engine.Journal.Smoke -> { Modelcheck.Explore.channel_bound = 3; max_states = 4_000 }
   | Default -> { Modelcheck.Explore.channel_bound = 3; max_states = 20_000 }
   | Deep -> Modelcheck.Explore.default_config
 
 type config = {
   seeds : int;
-  budget : budget;
+  budget : Engine.Journal.budget;
   domains : int;
   emit_dir : string option;
   journal : string option;
@@ -52,7 +39,7 @@ type config = {
 let default_config =
   {
     seeds = 5;
-    budget = Smoke;
+    budget = Engine.Journal.Smoke;
     domains = Modelcheck.Explore.default_domains ();
     emit_dir = None;
     journal = None;
@@ -76,7 +63,7 @@ type outcome = {
 
 type report = {
   seeds : int;
-  budget : budget;
+  budget : Engine.Journal.budget;
   checked_models : Engine.Model.t list;
   config : Modelcheck.Explore.config;
   outcomes : outcome list;  (** in candidate-generation order *)
@@ -189,16 +176,6 @@ let check_candidate ~config ~models (c : Perturb.t) =
 (* ------------------------------------------------------------------ *)
 (* The driver. *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let emit_finding dir (f : Corpus.finding) =
-  mkdir_p dir;
-  Corpus.save (Filename.concat dir (f.Corpus.name ^ ".json")) f
-
 let outcome_of_entry ~by_name = function
   | Journal.Skipped { name; reason } ->
     Option.map
@@ -242,12 +219,12 @@ let run (cfg : config) =
       (fun path ->
         let fp =
           Journal.fingerprint ~seeds:cfg.seeds
-            ~budget:(budget_to_string cfg.budget)
+            ~budget:(Engine.Journal.budget_name cfg.budget)
             ~models:checked
             ~channel_bound:config.Modelcheck.Explore.channel_bound
             ~max_states:config.Modelcheck.Explore.max_states ()
         in
-        Journal.open_ ~path ~fingerprint:fp ~resume:cfg.resume
+        Engine.Journal.open_ Journal.codec ~path ~fingerprint:fp ~resume:cfg.resume
           ~flush_every:cfg.journal_every)
       cfg.journal
   in
@@ -261,60 +238,46 @@ let run (cfg : config) =
         | None -> ())
       entries
   | None -> ());
-  let results = Array.make (Array.length cands) None in
-  let next = Atomic.make 0 in
-  let worker _ =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < Array.length cands then begin
-        let c = cands.(i) in
-        let o =
-          match Hashtbl.find_opt done_ c.Perturb.name with
-          | Some o ->
-            cfg.log
-              (Printf.sprintf "%-22s resumed from journal" c.Perturb.name);
-            o
-          | None ->
-            let o = check_candidate ~config ~models:checked c in
-            (match o.status with
-            | Skipped_static reason ->
-              cfg.log (Printf.sprintf "%-22s skipped (%s)" o.name reason)
-            | Explored verdicts ->
-              cfg.log
-                (Fmt.str "%-22s explored [%s]%a" o.name
-                   (String.concat ", "
-                      (List.map
-                         (fun (m, v) -> Engine.Model.to_string m ^ "=" ^ v)
-                         verdicts))
-                   (Fmt.option (fun ppf (f : Corpus.finding) ->
-                        Fmt.pf ppf " -> %a" Corpus.pp_kind f.Corpus.kind))
-                   o.finding));
-            o
-        in
-        (* Emit before journaling: a journal record implies the corpus
-           entry is already safely on disk (writes are atomic, so a
-           resumed run re-emitting is idempotent). *)
-        (match (o.finding, cfg.emit_dir) with
-        | Some f, Some dir -> emit_finding dir f
-        | _ -> ());
-        (match journal with
-        | Some (w, _) when not o.resumed -> Journal.record w (entry_of_outcome o)
-        | _ -> ());
-        results.(i) <- Some o;
-        loop ()
-      end
+  let check (c : Perturb.t) =
+    let o =
+      match Hashtbl.find_opt done_ c.Perturb.name with
+      | Some o ->
+        cfg.log (Printf.sprintf "%-22s resumed from journal" c.Perturb.name);
+        o
+      | None ->
+        let o = check_candidate ~config ~models:checked c in
+        (match o.status with
+        | Skipped_static reason ->
+          cfg.log (Printf.sprintf "%-22s skipped (%s)" o.name reason)
+        | Explored verdicts ->
+          cfg.log
+            (Fmt.str "%-22s explored [%s]%a" o.name
+               (String.concat ", "
+                  (List.map (fun (m, v) -> Engine.Model.to_string m ^ "=" ^ v) verdicts))
+               (Fmt.option (fun ppf (f : Corpus.finding) ->
+                    Fmt.pf ppf " -> %a" Corpus.pp_kind f.Corpus.kind))
+               o.finding));
+        o
     in
-    loop ()
+    (* Emit before journaling: a journal record implies the corpus entry is
+       already safely on disk (writes are atomic, so a resumed run
+       re-emitting is idempotent). *)
+    (match (o.finding, cfg.emit_dir) with
+    | Some f, Some dir -> ignore (Corpus.emit dir f.Corpus.name f : string)
+    | _ -> ());
+    (match journal with
+    | Some (w, _) when not o.resumed -> Engine.Journal.record w (entry_of_outcome o)
+    | _ -> ());
+    o
   in
-  let workers = max 1 (min cfg.domains (Array.length cands)) in
-  Engine.Pool.run (Engine.Pool.get ()) ~workers worker;
-  (match journal with Some (w, _) -> Journal.close w | None -> ());
+  let outcomes = Engine.Pool.map (Engine.Pool.get ()) ~workers:cfg.domains check cands in
+  Option.iter (fun (w, _) -> Engine.Journal.close w) journal;
   {
     seeds = cfg.seeds;
     budget = cfg.budget;
     checked_models = checked;
     config;
-    outcomes = Array.to_list (Array.map Option.get results);
+    outcomes = Array.to_list outcomes;
   }
 
 let pp_report ppf r =
@@ -323,7 +286,7 @@ let pp_report ppf r =
      static prefilter skipped %d (%.0f%%) before explorer spend@,\
      explored %d under [%s]; %d finding(s)%s@,%a@]"
     (candidates_total r) r.seeds
-    (budget_to_string r.budget)
+    (Engine.Journal.budget_name r.budget)
     (skipped_static r)
     (100. *. skip_ratio r)
     (explored r)

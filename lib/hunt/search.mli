@@ -1,26 +1,24 @@
 (** The hunt driver: perturbation candidates → static prefilter →
     per-model oscillation sweep → classification → shrink → corpus.
 
-    Candidates run on the persistent {!Engine.Pool} behind a shared atomic
-    index; per-candidate explorations are forced sequential, so the
+    Candidates run on the persistent {!Engine.Pool} ({!Engine.Pool.map});
+    per-candidate explorations are forced sequential, so the
     parallelism budget is spent across candidates.  Every finished
     candidate is journaled with its complete outcome ({!Journal}), so a
     killed hunt resumed with the same configuration reconstructs an
     identical report without re-spending explorer budget. *)
 
-type budget =
-  | Smoke  (** 3 models, channel bound 3, 4k states — what [@hunt-smoke] runs *)
-  | Default  (** the 12 reliable models, 20k states *)
-  | Deep  (** all 24 models at {!Modelcheck.Explore.default_config} *)
+val models : Engine.Journal.budget -> Engine.Model.t list
+(** [Smoke]: 3 models (what [@hunt-smoke] runs); [Default]: the 12
+    reliable models; [Deep]: all 24. *)
 
-val budget_of_string : string -> budget option
-val budget_to_string : budget -> string
-val models : budget -> Engine.Model.t list
-val explore_config : budget -> Modelcheck.Explore.config
+val explore_config : Engine.Journal.budget -> Modelcheck.Explore.config
+(** [Smoke]: channel bound 3, 4k states; [Default]: 20k states; [Deep]:
+    {!Modelcheck.Explore.default_config}. *)
 
 type config = {
   seeds : int;  (** candidate batches; each seed yields a fixed-size batch *)
-  budget : budget;
+  budget : Engine.Journal.budget;
   domains : int;  (** pool workers checking candidates concurrently *)
   emit_dir : string option;
       (** where findings are serialized (atomically), when set *)
@@ -52,7 +50,7 @@ type outcome = {
 
 type report = {
   seeds : int;
-  budget : budget;
+  budget : Engine.Journal.budget;
   checked_models : Engine.Model.t list;
   config : Modelcheck.Explore.config;
   outcomes : outcome list;  (** in candidate-generation order *)

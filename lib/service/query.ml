@@ -95,43 +95,20 @@ let check t ~instance ~model ~config ~fresh =
 
 (* ------------------------------------------------------------------ *)
 (* sweep: the per-model checks of one instance, batched onto the pool.
-   Workers pull models off an atomic index; each model's result lands in
-   its slot, so the response order is the request order no matter how
-   the workers interleave. *)
+   Each model's result lands in its slot, so the response order is the
+   request order no matter how the workers interleave, and a raise answers
+   [Internal] for its own model only. *)
 
 let sweep t ~instance ~models ~config ~fresh =
   let* inst = Resolve.find instance in
   let models = if models = [] then Engine.Model.all else models in
-  let arr = Array.of_list models in
-  let n = Array.length arr in
-  let out = Array.make n (Ok (Json.Null, false)) in
-  let idx = Atomic.make 0 in
-  let worker _ =
-    let rec loop () =
-      let i = Atomic.fetch_and_add idx 1 in
-      if i < n then begin
-        out.(i) <- check_memo t inst arr.(i) config ~fresh;
-        loop ()
-      end
-    in
-    loop ()
+  let out =
+    Engine.Pool.map (Engine.Pool.get ()) ~workers:t.workers
+      (fun m ->
+        try check_memo t inst m config ~fresh
+        with e -> Error (Error.Internal (Printexc.to_string e)))
+      (Array.of_list models)
   in
-  let workers = max 1 (min t.workers n) in
-  (match
-     if workers > 1 then Engine.Pool.run (Engine.Pool.get ()) ~workers worker
-     else worker 0
-   with
-  | () -> ()
-  | exception e ->
-    (* A worker exception poisons the whole sweep; the per-slot results
-       below keep whatever completed, the rest surface as Internal. *)
-    Array.iteri
-      (fun i r ->
-        match r with
-        | Ok (Json.Null, false) ->
-          out.(i) <- Error (Error.Internal (Printexc.to_string e))
-        | _ -> ())
-      out);
   let results =
     List.mapi
       (fun i m ->

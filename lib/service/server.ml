@@ -127,36 +127,16 @@ let handle st c ({ id; req } : Protocol.envelope) =
         (Protocol.ok_line ~id
            (Json.Obj [ ("job", Json.Str job); ("state", Json.Str "running") ])))
 
-let run_computes ~workers works =
-  match works with
-  | [] -> [||]
-  | [ work ] -> [| work () |]
-  | _ ->
-    let arr = Array.of_list works in
-    let n = Array.length arr in
-    let out = Array.make n "" in
-    let idx = Atomic.make 0 in
-    let worker _ =
-      let rec loop () =
-        let i = Atomic.fetch_and_add idx 1 in
-        if i < n then begin
-          out.(i) <- arr.(i) ();
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let workers = max 1 (min workers n) in
-    if workers > 1 then Engine.Pool.run (Engine.Pool.get ()) ~workers worker
-    else worker 0;
-    out
-
 let run_batch st tasks =
   let deferred =
-    List.filter_map (fun t -> Option.map (fun w -> (t.t_slot, w)) t.t_work) tasks
+    Array.of_list
+      (List.filter_map (fun t -> Option.map (fun w -> (t.t_slot, w)) t.t_work) tasks)
   in
-  let lines = run_computes ~workers:st.workers (List.map snd deferred) in
-  List.iteri (fun i (slot, _) -> slot := lines.(i)) deferred;
+  ignore
+    (Engine.Pool.map (Engine.Pool.get ()) ~workers:st.workers
+       (fun (slot, work) -> slot := work ())
+       deferred
+      : unit array);
   (* Arrival order per connection: tasks were collected in read order. *)
   List.iter (fun t -> Buffer.add_string t.t_client.out !(t.t_slot)) tasks
 

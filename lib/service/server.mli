@@ -42,11 +42,6 @@ val guard : id:Engine.Metrics.Json.v -> (unit -> string) -> unit -> string
     [Internal] error line carrying [id].  Every deferred compute request is
     wrapped in it once, when its thunk is built. *)
 
-val run_computes : workers:int -> (unit -> string) list -> string array
-(** Runs deferred computes, in order of the list: inline when there is
-    one, otherwise pulled off an atomic index by up to [workers]
-    {!Engine.Pool} workers.  The thunks must not raise (see {!guard}). *)
-
 val split_lines : Buffer.t -> Bytes.t -> int -> string list
 (** [split_lines pending chunk n] appends the first [n] bytes of [chunk]
     to a connection's [pending] input and returns the complete lines, in

@@ -25,15 +25,6 @@ type stats = {
   lru_evicted : int;
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    match Unix.mkdir dir 0o755 with
-    | () -> ()
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let is_tmp name =
   (* write_atomic temp names embed ".tmp." after the target name. *)
   let needle = ".tmp." in
@@ -53,7 +44,7 @@ let sweep_stale_tmp dir =
 
 let open_ cfg =
   match
-    mkdir_p cfg.dir;
+    Engine.Snapshot.mkdir_p cfg.dir;
     sweep_stale_tmp cfg.dir
   with
   | () ->

@@ -911,6 +911,63 @@ let test_pool_reentrant_run_is_inline () =
       Pool.run pool ~workers:3 (fun _ -> Atomic.incr inner));
   Alcotest.(check int) "both jobs ran their inner instances" 6 (Atomic.get inner)
 
+let test_pool_map_order_and_once () =
+  let n = 50 in
+  let calls = Array.init n (fun _ -> Atomic.make 0) in
+  let out =
+    Pool.map (Pool.get ()) ~workers:4
+      (fun i ->
+        Atomic.incr calls.(i);
+        i * i)
+      (Array.init n Fun.id)
+  in
+  Alcotest.(check (array int)) "order kept" (Array.init n (fun i -> i * i)) out;
+  Array.iteri
+    (fun i c -> Alcotest.(check int) (Printf.sprintf "item %d ran once" i) 1 (Atomic.get c))
+    calls
+
+let test_pool_map_clamps_workers () =
+  let pool = Pool.get () in
+  let before = Pool.size pool in
+  let out = Pool.map pool ~workers:40 succ [| 1; 2; 3 |] in
+  Alcotest.(check (array int)) "results" [| 2; 3; 4 |] out;
+  Alcotest.(check bool) "at most two pool domains for three items" true
+    (Pool.size pool <= max before 2);
+  Alcotest.(check (array int)) "no items" [||] (Pool.map pool ~workers:40 succ [||])
+
+let test_pool_map_one_worker_inline () =
+  let pool = Pool.get () in
+  let runs = (Pool.stats pool).Pool.runs in
+  let self = (Domain.self () :> int) in
+  let seen = ref [] in
+  let out =
+    Pool.map pool ~workers:1
+      (fun i ->
+        seen := (i, (Domain.self () :> int)) :: !seen;
+        -i)
+      [| 0; 1; 2 |]
+  in
+  Alcotest.(check (array int)) "results" [| 0; -1; -2 |] out;
+  Alcotest.(check (list (pair int int)))
+    "in order, on the calling domain"
+    [ (0, self); (1, self); (2, self) ]
+    (List.rev !seen);
+  Alcotest.(check int) "no parallel region" runs (Pool.stats pool).Pool.runs
+
+let test_pool_map_raise_after_all () =
+  let finished = Atomic.make 0 in
+  (match
+     Pool.map (Pool.get ()) ~workers:3
+       (fun i ->
+         if i = 0 then raise Boom;
+         Unix.sleepf 0.005;
+         Atomic.incr finished)
+       (Array.init 9 Fun.id)
+   with
+  | _ -> Alcotest.fail "the raise was swallowed"
+  | exception Boom -> ());
+  Alcotest.(check int) "every other item finished before the re-raise" 8 (Atomic.get finished)
+
 let test_domains_auto_env () =
   let saved = Sys.getenv_opt "DOMAINS" in
   let restore () =
@@ -1026,6 +1083,14 @@ let () =
           Alcotest.test_case "concurrent runs are safe" `Quick test_pool_concurrent_runs;
           Alcotest.test_case "re-entrant run is inline" `Quick
             test_pool_reentrant_run_is_inline;
+          Alcotest.test_case "map keeps order, runs each item once" `Quick
+            test_pool_map_order_and_once;
+          Alcotest.test_case "map clamps workers to the items" `Quick
+            test_pool_map_clamps_workers;
+          Alcotest.test_case "map with one worker is inline" `Quick
+            test_pool_map_one_worker_inline;
+          Alcotest.test_case "map re-raises after every worker" `Quick
+            test_pool_map_raise_after_all;
           Alcotest.test_case "DOMAINS=auto parsing" `Quick test_domains_auto_env;
         ] );
     ]

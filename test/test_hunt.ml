@@ -244,8 +244,8 @@ let test_strict_monotone_implies_no_wheel =
 (* Shrink soundness: every accepted shrink step still validates and still
    exhibits the recorded divergence/separation at the recorded budget. *)
 
-let smoke_config = Hunt.Search.explore_config Hunt.Search.Smoke
-let smoke_models = Hunt.Search.models Hunt.Search.Smoke
+let smoke_config = Hunt.Search.explore_config Engine.Journal.Smoke
+let smoke_models = Hunt.Search.models Engine.Journal.Smoke
 
 let findings_with_traces () =
   List.filter_map
@@ -356,20 +356,21 @@ let test_corpus_rejects_wrong_schema () =
 (* Generic journal crash tolerance. *)
 
 let tmp_journal name = Filename.concat (Filename.get_temp_dir_name ()) name
+let raw = { Engine.Journal.magic = "m/v1"; encode = Fun.id; decode = Option.some }
 
 let test_generic_journal_roundtrip () =
   let path = tmp_journal "hunt_test_journal_rt" in
   if Sys.file_exists path then Sys.remove path;
   let w, prior =
-    Conformance.Journal.Generic.open_ ~path ~magic:"m/v1" ~fingerprint:"fp"
+    Engine.Journal.open_ raw ~path ~fingerprint:"fp"
       ~resume:false ~flush_every:1
   in
   Alcotest.(check int) "fresh journal is empty" 0 (List.length prior);
-  Conformance.Journal.Generic.record w [ "a"; "tab\there"; "newline\nthere" ];
-  Conformance.Journal.Generic.record w [ "b" ];
-  Conformance.Journal.Generic.close w;
+  Engine.Journal.record w [ "a"; "tab\there"; "newline\nthere" ];
+  Engine.Journal.record w [ "b" ];
+  Engine.Journal.close w;
   let _, entries =
-    Conformance.Journal.Generic.open_ ~path ~magic:"m/v1" ~fingerprint:"fp"
+    Engine.Journal.open_ raw ~path ~fingerprint:"fp"
       ~resume:true ~flush_every:1
   in
   Alcotest.(check (list (list string)))
@@ -382,41 +383,41 @@ let test_generic_journal_torn_line () =
   let path = tmp_journal "hunt_test_journal_torn" in
   if Sys.file_exists path then Sys.remove path;
   let w, _ =
-    Conformance.Journal.Generic.open_ ~path ~magic:"m/v1" ~fingerprint:"fp"
+    Engine.Journal.open_ raw ~path ~fingerprint:"fp"
       ~resume:false ~flush_every:1
   in
-  Conformance.Journal.Generic.record w [ "complete" ];
-  Conformance.Journal.Generic.close w;
+  Engine.Journal.record w [ "complete" ];
+  Engine.Journal.close w;
   (* Simulate a crash mid-append: a trailing line without its newline. *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
   output_string oc "torn\tretc";
   close_out oc;
   let w, entries =
-    Conformance.Journal.Generic.open_ ~path ~magic:"m/v1" ~fingerprint:"fp"
+    Engine.Journal.open_ raw ~path ~fingerprint:"fp"
       ~resume:true ~flush_every:1
   in
   Alcotest.(check (list (list string)))
     "torn trailing line dropped"
     [ [ "complete" ] ]
     entries;
-  Conformance.Journal.Generic.close w;
+  Engine.Journal.close w;
   Sys.remove path
 
 let test_generic_journal_fingerprint_mismatch () =
   let path = tmp_journal "hunt_test_journal_fp" in
   if Sys.file_exists path then Sys.remove path;
   let w, _ =
-    Conformance.Journal.Generic.open_ ~path ~magic:"m/v1" ~fingerprint:"fp-a"
+    Engine.Journal.open_ raw ~path ~fingerprint:"fp-a"
       ~resume:false ~flush_every:1
   in
-  Conformance.Journal.Generic.record w [ "stale" ];
-  Conformance.Journal.Generic.close w;
+  Engine.Journal.record w [ "stale" ];
+  Engine.Journal.close w;
   let w, entries =
-    Conformance.Journal.Generic.open_ ~path ~magic:"m/v1" ~fingerprint:"fp-b"
+    Engine.Journal.open_ raw ~path ~fingerprint:"fp-b"
       ~resume:true ~flush_every:1
   in
   Alcotest.(check int) "mismatched journal discarded" 0 (List.length entries);
-  Conformance.Journal.Generic.close w;
+  Engine.Journal.close w;
   Sys.remove path
 
 let test_hunt_journal_roundtrip () =
@@ -440,12 +441,12 @@ let test_hunt_journal_roundtrip () =
         { name = f.Hunt.Corpus.name; verdicts = [ (model "R1O", "oscillates") ]; finding = Some f };
     ]
   in
-  let w, prior = Hunt.Journal.open_ ~path ~fingerprint:fp ~resume:false ~flush_every:1 in
+  let w, prior = Engine.Journal.open_ Hunt.Journal.codec ~path ~fingerprint:fp ~resume:false ~flush_every:1 in
   Alcotest.(check int) "fresh" 0 (List.length prior);
-  List.iter (Hunt.Journal.record w) entries;
-  Hunt.Journal.close w;
-  let w, loaded = Hunt.Journal.open_ ~path ~fingerprint:fp ~resume:true ~flush_every:1 in
-  Hunt.Journal.close w;
+  List.iter (Engine.Journal.record w) entries;
+  Engine.Journal.close w;
+  let w, loaded = Engine.Journal.open_ Hunt.Journal.codec ~path ~fingerprint:fp ~resume:true ~flush_every:1 in
+  Engine.Journal.close w;
   Alcotest.(check (list string))
     "entry keys round-trip"
     (List.map Hunt.Journal.entry_name entries)
@@ -457,6 +458,51 @@ let test_hunt_journal_roundtrip () =
       (Json.to_string (Hunt.Corpus.to_json f'))
   | _ -> Alcotest.fail "finding entry lost");
   Sys.remove path
+
+(* The decode rule every journal shares: record 2 of 3 parses as a line
+   but does not decode, so a resume keeps record 1 only and compacts the
+   file to it. *)
+let resumes_first_only name codec ~fingerprint entries ~bad =
+  let path = tmp_journal ("hunt_test_journal_undecodable_" ^ name) in
+  let w, _ = Engine.Journal.open_ codec ~path ~fingerprint ~resume:false ~flush_every:1 in
+  List.iter (Engine.Journal.record w) entries;
+  Engine.Journal.close w;
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  (match String.split_on_char '\n' (read ()) with
+  | [ header; r1; _; r3; "" ] ->
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (String.concat "\n" [ header; r1; bad; r3; "" ]))
+  | _ -> Alcotest.failf "%s: expected a header and three records" name);
+  let w, prior = Engine.Journal.open_ codec ~path ~fingerprint ~resume:true ~flush_every:1 in
+  Engine.Journal.close w;
+  Alcotest.(check (list (list string)))
+    (name ^ ": record 1 only")
+    [ codec.Engine.Journal.encode (List.hd entries) ]
+    (List.map codec.Engine.Journal.encode prior);
+  Alcotest.(check int)
+    (name ^ ": compacted to the header and record 1")
+    2
+    (List.length (String.split_on_char '\n' (read ())) - 1);
+  Sys.remove path
+
+let test_journal_stops_at_undecodable () =
+  resumes_first_only "conformance" Conformance.Journal.codec
+    ~fingerprint:(Conformance.Journal.fingerprint ~seeds:1 ~budget:"smoke" ())
+    Conformance.Journal.
+      [
+        Positive { index = 0; held = true };
+        Positive { index = 1; held = false };
+        Positive { index = 2; held = true };
+      ]
+    ~bad:"P\tnot-an-index\tH";
+  resumes_first_only "hunt" Hunt.Journal.codec ~fingerprint:"fp"
+    Hunt.Journal.
+      [
+        Skipped { name = "a"; reason = "no-dispute-wheel" };
+        Skipped { name = "b"; reason = "no-dispute-wheel" };
+        Explored { name = "c"; verdicts = [ (model "R1O", "converges") ]; finding = None };
+      ]
+    ~bad:"E\tb\tNOSUCHMODEL=converges"
 
 (* ------------------------------------------------------------------ *)
 
@@ -503,5 +549,7 @@ let () =
           Alcotest.test_case "fingerprint mismatch" `Quick
             test_generic_journal_fingerprint_mismatch;
           Alcotest.test_case "hunt journal round-trip" `Quick test_hunt_journal_roundtrip;
+          Alcotest.test_case "undecodable record ends the prefix" `Quick
+            test_journal_stops_at_undecodable;
         ] );
     ]

@@ -477,9 +477,12 @@ let error_kind j =
     match Json.member "kind" e with Some (Json.Str k) -> k | _ -> "?")
   | None -> "none"
 
-(* A raising compute answers [Internal] with its own request id, on the
-   single-task branch and on the pooled branch alike. *)
+(* A raising compute answers [Internal] with its own request id, whether
+   the batch runs inline (one task) or on the pool. *)
 let test_guard_both_branches () =
+  let run_computes works =
+    Engine.Pool.map (Engine.Pool.get ()) ~workers:2 (fun work -> work ()) (Array.of_list works)
+  in
   let boom () = failwith "boom" in
   let fine () = Protocol.ok_line ~id:(Json.Num 8.) (Json.Bool true) in
   let check_internal what id line =
@@ -488,11 +491,11 @@ let test_guard_both_branches () =
     Alcotest.(check string) (what ^ ": internal") (Error.kind (Error.Internal ""))
       (error_kind j)
   in
-  (match Server.run_computes ~workers:2 [ Server.guard ~id:(Json.Num 7.) boom ] with
+  (match run_computes [ Server.guard ~id:(Json.Num 7.) boom ] with
   | [| line |] -> check_internal "single" (Json.Num 7.) line
   | _ -> Alcotest.fail "single: one answer expected");
   match
-    Server.run_computes ~workers:2
+    run_computes
       [
         Server.guard ~id:(Json.Str "a") boom;
         Server.guard ~id:(Json.Num 8.) fine;

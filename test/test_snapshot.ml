@@ -2,6 +2,7 @@
    snapshot round-trips, the strict-byte-prefix property for snapshot and
    corpus files (loading any prefix fails with [Error], never raises,
    never half-loads), the conformance journal's crash/compaction behavior,
+   stale temp-file cleanup,
    and a kill-and-resume integration test asserting a resumed exploration
    matches an uninterrupted one on states/edges/flags/verdict across all
    24 models. *)
@@ -194,28 +195,61 @@ let sample_corpus_entry () =
   Conformance.Corpus.positive ~name:"prefix-test" ~expect:Conformance.Corpus.Expect_holds
     trial
 
-let test_corpus_prefixes_fail () =
-  let entry = sample_corpus_entry () in
-  let path = tmp "prefix.corpus.json" in
-  Conformance.Corpus.save path entry;
-  (match Conformance.Corpus.load path with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "the full corpus file must load: %s" e);
+(* Both corpus schemas share one file codec; [load] is the codec's,
+   mapped to unit. *)
+let check_prefixes_fail what ~save ~load =
+  let path = tmp ("prefix." ^ what ^ ".json") in
+  save path;
+  (match load path with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "the full %s file must load: %s" what e);
   let contents = In_channel.with_open_bin path In_channel.input_all in
   let n = String.length contents in
-  let part = tmp "prefix.corpus.json.part" in
+  let part = path ^ ".part" in
   List.iter
     (fun len ->
       write_raw part (String.sub contents 0 len);
-      match Conformance.Corpus.load part with
+      match load part with
       | Error _ -> ()
-      | Ok _ -> Alcotest.failf "corpus prefix of %d/%d bytes loaded successfully" len n
+      | Ok () -> Alcotest.failf "%s prefix of %d/%d bytes loaded successfully" what len n
       | exception e ->
-        Alcotest.failf "corpus prefix of %d/%d bytes raised %s" len n
+        Alcotest.failf "%s prefix of %d/%d bytes raised %s" what len n
           (Printexc.to_string e))
     (prefix_lengths n);
   Sys.remove path;
   Sys.remove part
+
+let test_corpus_prefixes_fail () =
+  let entry = sample_corpus_entry () in
+  check_prefixes_fail "corpus"
+    ~save:(fun p -> Conformance.Corpus.save p entry)
+    ~load:(fun p -> Result.map ignore (Conformance.Corpus.load p));
+  let finding =
+    {
+      Hunt.Corpus.name = "prefix-test";
+      seed = 0;
+      descr = "DISAGREE";
+      inst = Gadgets.disagree;
+      kind = Hunt.Corpus.Divergence { model = model "R1O" };
+      channel_bound = 3;
+      max_states = 4_000;
+    }
+  in
+  check_prefixes_fail "hunt"
+    ~save:(fun p -> Hunt.Corpus.save p finding)
+    ~load:(fun p -> Result.map ignore (Hunt.Corpus.load p))
+
+(* [emit] makes the directory it writes into, parents included. *)
+let test_corpus_emit_makes_dirs () =
+  let root = tmp (Printf.sprintf "emit-%d" (Unix.getpid ())) in
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let path = Conformance.Corpus.emit dir "entry" (sample_corpus_entry ()) in
+  Alcotest.(check string) "path" (Filename.concat dir "entry.json") path;
+  (match Conformance.Corpus.load path with
+  | Ok e -> Alcotest.(check string) "entry loads back" "prefix-test" e.Conformance.Corpus.name
+  | Error e -> Alcotest.failf "emitted entry does not load: %s" e);
+  Sys.remove path;
+  List.iter Sys.rmdir [ dir; Filename.dirname dir; root ]
 
 (* ------------------------------------------------------------------ *)
 (* Journal *)
@@ -232,33 +266,54 @@ let test_journal_resume_and_partial_line () =
           verdict = Conformance.Trial.Skipped "budget: too deep" };
     ]
   in
-  let w, prior = Conformance.Journal.open_ ~path ~fingerprint:fp ~resume:false ~flush_every:1 in
+  let w, prior = Engine.Journal.open_ Conformance.Journal.codec ~path ~fingerprint:fp ~resume:false ~flush_every:1 in
   Alcotest.(check int) "fresh journal is empty" 0 (List.length prior);
-  List.iter (Conformance.Journal.record w) entries;
-  Conformance.Journal.close w;
+  List.iter (Engine.Journal.record w) entries;
+  Engine.Journal.close w;
   (* Simulate a crash mid-append: a partial trailing line. *)
   Out_channel.with_open_gen
     [ Open_wronly; Open_append; Open_binary ]
     0o644 path
     (fun oc -> Out_channel.output_string oc "P\t9");
-  let w, prior = Conformance.Journal.open_ ~path ~fingerprint:fp ~resume:true ~flush_every:1 in
+  let w, prior = Engine.Journal.open_ Conformance.Journal.codec ~path ~fingerprint:fp ~resume:true ~flush_every:1 in
   Alcotest.(check int) "partial line dropped, rest kept" 3 (List.length prior);
   Alcotest.(check bool) "entries round-trip" true (prior = entries);
-  Conformance.Journal.record w (Conformance.Journal.Positive { index = 9; held = true });
-  Conformance.Journal.close w;
+  Engine.Journal.record w (Conformance.Journal.Positive { index = 9; held = true });
+  Engine.Journal.close w;
   let w, prior =
-    Conformance.Journal.open_ ~path ~fingerprint:fp ~resume:true ~flush_every:1
+    Engine.Journal.open_ Conformance.Journal.codec ~path ~fingerprint:fp ~resume:true ~flush_every:1
   in
-  Conformance.Journal.close w;
+  Engine.Journal.close w;
   Alcotest.(check int) "append after compaction" 4 (List.length prior);
   (* A journal written under a different configuration is ignored. *)
   let other = Conformance.Journal.fingerprint ~seeds:99 ~budget:"deep" () in
   let w, prior =
-    Conformance.Journal.open_ ~path ~fingerprint:other ~resume:true ~flush_every:1
+    Engine.Journal.open_ Conformance.Journal.codec ~path ~fingerprint:other ~resume:true ~flush_every:1
   in
-  Conformance.Journal.close w;
+  Engine.Journal.close w;
   Alcotest.(check int) "mismatched fingerprint discards" 0 (List.length prior);
   Sys.remove path
+
+(* A writer killed before its rename leaves [PATH.tmp.<pid>.<domain>.<seq>]
+   behind; other pids' temps go, this process's may be a write in flight. *)
+let test_stale_temps_removed () =
+  let path = tmp "stale.journal" in
+  let stale = path ^ ".tmp.999999999.0.3" in
+  let mine = Printf.sprintf "%s.tmp.%d.0.99" path (Unix.getpid ()) in
+  let other_target = path ^ "2.tmp.999999999.0.3" in
+  List.iter (fun f -> write_raw f "partial") [ stale; mine; other_target ];
+  Snapshot.remove_stale_temps path;
+  Alcotest.(check bool) "another pid's temp removed" false (Sys.file_exists stale);
+  Alcotest.(check bool) "own temp kept" true (Sys.file_exists mine);
+  Alcotest.(check bool) "another target's temp kept" true (Sys.file_exists other_target);
+  write_raw stale "partial";
+  let w, _ =
+    Engine.Journal.open_ Conformance.Journal.codec ~path ~fingerprint:"fp" ~resume:true
+      ~flush_every:1
+  in
+  Engine.Journal.close w;
+  Alcotest.(check bool) "resuming a journal removes it" false (Sys.file_exists stale);
+  List.iter Sys.remove [ path; mine; other_target ]
 
 (* ------------------------------------------------------------------ *)
 (* Kill-and-resume across all 24 models: interrupt an exploration by
@@ -376,12 +431,16 @@ let () =
           Alcotest.test_case "all strict prefixes fail" `Quick test_snapshot_prefixes_fail;
         ] );
       ( "corpus",
-        [ Alcotest.test_case "all strict prefixes fail" `Quick test_corpus_prefixes_fail ]
-      );
+        [
+          Alcotest.test_case "all strict prefixes fail" `Quick test_corpus_prefixes_fail;
+          Alcotest.test_case "emit makes missing directories" `Quick
+            test_corpus_emit_makes_dirs;
+        ] );
       ( "journal",
         [
           Alcotest.test_case "resume, partial line, fingerprint" `Quick
             test_journal_resume_and_partial_line;
+          Alcotest.test_case "stale temp files removed" `Quick test_stale_temps_removed;
         ] );
       ( "resume",
         [
