@@ -93,15 +93,10 @@ type case = {
   mass : mass_ledger option;  (** push-sum only *)
 }
 
-let stop_name_g = function
-  | EG.Executor.Converged -> "converged"
-  | EG.Executor.Cycle _ -> "cycle"
-  | EG.Executor.Exhausted -> "exhausted"
-
-let stop_name_p = function
-  | EPS.Executor.Converged -> "converged"
-  | EPS.Executor.Cycle _ -> "cycle"
-  | EPS.Executor.Exhausted -> "exhausted"
+let stop_name = function
+  | Executor.Converged -> "converged"
+  | Executor.Cycle _ -> "cycle"
+  | Executor.Exhausted -> "exhausted"
 
 let schedules_for (m : Model.t) =
   match m.Model.rel with
@@ -112,6 +107,23 @@ let schedule_name = function
   | `Plain -> "round-robin"
   | `Lossy -> Printf.sprintf "lossy-every-%d" lossy_every
 
+(* One executor run's row; both protocols' executors share the stop type. *)
+let exec_row protocol (topo : Protocols.Topo.t) m kind ~stop ~steps ~messages ~drops ~t0 mass =
+  {
+    protocol;
+    topology = topo.Protocols.Topo.name;
+    n = topo.Protocols.Topo.n;
+    model = m;
+    schedule = schedule_name kind;
+    stop = stop_name stop;
+    steps;
+    messages;
+    drops;
+    converged = stop = Executor.Converged;
+    wall_s = Unix.gettimeofday () -. t0;
+    mass;
+  }
+
 let run_gossip ~max_steps topo m kind =
   let inst = Protocols.Gossip.make topo in
   let sched =
@@ -120,21 +132,8 @@ let run_gossip ~max_steps topo m kind =
     | `Lossy -> EG.round_robin_lossy ~every:lossy_every inst m
   in
   let t0 = Unix.gettimeofday () in
-  let r = EG.Executor.run ~max_steps inst sched in
-  {
-    protocol = "gossip";
-    topology = topo.Protocols.Topo.name;
-    n = topo.Protocols.Topo.n;
-    model = m;
-    schedule = schedule_name kind;
-    stop = stop_name_g r.EG.Executor.stop;
-    steps = r.EG.Executor.steps;
-    messages = r.EG.Executor.messages;
-    drops = r.EG.Executor.drops;
-    converged = r.EG.Executor.stop = EG.Executor.Converged;
-    wall_s = Unix.gettimeofday () -. t0;
-    mass = None;
-  }
+  let { EG.Executor.stop; steps; messages; drops; _ } = EG.Executor.run ~max_steps inst sched in
+  exec_row "gossip" topo m kind ~stop ~steps ~messages ~drops ~t0 None
 
 (* Total push-sum mass: locals plus in-flight payloads. *)
 let ps_mass inst st =
@@ -178,27 +177,10 @@ let run_pushsum ~max_steps topo m kind =
       0.
       (Protocols.Pushsum.nodes inst)
   in
-  {
-    protocol = "push-sum";
-    topology = topo.Protocols.Topo.name;
-    n = topo.Protocols.Topo.n;
-    model = m;
-    schedule = schedule_name kind;
-    stop = stop_name_p r.EPS.Executor.stop;
-    steps = r.EPS.Executor.steps;
-    messages = r.EPS.Executor.messages;
-    drops = r.EPS.Executor.drops;
-    converged = r.EPS.Executor.stop = EPS.Executor.Converged;
-    wall_s = Unix.gettimeofday () -. t0;
-    mass =
-      Some
-        {
-          mass_initial = initial;
-          mass_final = ps_mass inst r.EPS.Executor.final;
-          mass_dropped = !dropped;
-          est_err;
-        };
-  }
+  let { EPS.Executor.stop; steps; messages; drops; final } = r in
+  exec_row "push-sum" topo m kind ~stop ~steps ~messages ~drops ~t0
+    (Some
+       { mass_initial = initial; mass_final = ps_mass inst final; mass_dropped = !dropped; est_err })
 
 let run_cases budget =
   let ms = max_steps budget in

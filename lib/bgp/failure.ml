@@ -57,7 +57,7 @@ let reconverge ?metrics ?(max_steps = 50_000) event ~before ~model =
          (Instance.nodes inst))
   in
   {
-    converged = r.Executor.stop = Executor.Quiescent;
+    converged = r.Executor.stop = Executor.Converged;
     steps = r.Executor.steps;
     messages;
     rerouted;

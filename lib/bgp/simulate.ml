@@ -21,7 +21,7 @@ let run ?metrics ?(max_steps = 50_000) ?(use_export_policy = true) topo ~dest ~m
       inst (scheduler inst model)
   in
   {
-    converged = r.Executor.stop = Executor.Quiescent;
+    converged = r.Executor.stop = Executor.Converged;
     steps = r.Executor.steps;
     messages = !messages;
     assignment = State.assignment inst r.Executor.final;

@@ -289,13 +289,8 @@ let check_negative ?(reduction = Modelcheck.Reduce.No_reduction) ~config neg =
     let can_oscillate =
       match s.scripted with
       | Some (prefix, cycle) ->
-        List.for_all (Model.validates s.inst s.oscillates_in) (prefix @ cycle)
-        && (match
-              (Executor.run ~max_steps:500 s.inst (Scheduler.prefixed prefix cycle))
-                .Executor.stop
-            with
-           | Executor.Cycle _ -> true
-           | _ -> false)
+        Modelcheck.Oscillation.verify_witness ~max_steps:500 s.inst s.oscillates_in
+          { prefix; cycle }
       | None -> (
         match Modelcheck.Oscillation.analyze ~reduction ~config s.inst s.oscillates_in with
         | Modelcheck.Oscillation.Oscillates w ->

@@ -1,9 +1,60 @@
-type stop = Quiescent | Cycle of { first : int; period : int } | Exhausted
+type stop = Converged | Cycle of { first : int; period : int } | Exhausted
 
-let pp_stop ppf = function
-  | Quiescent -> Fmt.string ppf "quiescent"
+let pp_stop_as converged ppf = function
+  | Converged -> Fmt.string ppf converged
   | Cycle { first; period } -> Fmt.pf ppf "cycle (first seen at step %d, period %d)" first period
   | Exhausted -> Fmt.string ppf "exhausted"
+
+let pp_stop = pp_stop_as "quiescent"
+
+type 'state ended = { final : 'state; stop : stop; steps : int }
+
+(* The one executor loop, for the SPP stack and every [Generic.Make (P)].
+   Nothing is retained across iterations except the current state (and,
+   for periodic schedules, the cycle-detection table), so memory stays
+   O(state) no matter how many steps run; callers that need a full trace
+   accumulate it themselves in [apply]. *)
+module Loop (S : sig
+  type t
+
+  val equal : t -> t -> bool
+  val digest : t -> int
+end) =
+struct
+  (* Cycle detection: states seen per schedule phase. *)
+  module Seen = Hashtbl.Make (struct
+    type t = int * S.t
+
+    let equal (p1, s1) (p2, s2) = p1 = p2 && S.equal s1 s2
+    let hash (p, s) = Mix.mix3 0x59 p (S.digest s) land max_int
+  end)
+
+  let run ~max_steps ~apply ~converged init (sched : Scheduler.t) =
+    let seen = Seen.create 97 in
+    let rec loop index state entries =
+      if index > max_steps then { final = state; stop = Exhausted; steps = index - 1 }
+      else
+        match Seq.uncons entries with
+        | None -> { final = state; stop = Exhausted; steps = index - 1 }
+        | Some (entry, rest) -> (
+          let state' = apply index state entry in
+          if converged state' then { final = state'; stop = Converged; steps = index }
+          else
+            match sched.Scheduler.period with
+            | Some p when p > 0 -> (
+              let key = (index mod p, state') in
+              match Seen.find_opt seen key with
+              | Some first ->
+                { final = state'; stop = Cycle { first; period = index - first }; steps = index }
+              | None ->
+                Seen.add seen key index;
+                loop (index + 1) state' rest)
+            | _ -> loop (index + 1) state' rest)
+    in
+    loop 1 init sched.Scheduler.entries
+end
+
+module State_loop = Loop (State)
 
 type run = { trace : Trace.t; stop : stop }
 
@@ -23,46 +74,18 @@ let record_outcome metrics (outcome : Step.outcome) =
     Metrics.incr_steps m;
     Metrics.add_messages m (List.length outcome.Step.pushed)
 
-type streamed = { final : State.t; stop : stop; steps : int }
-
-(* The one executor loop.  Nothing is retained across iterations except the
-   current state (and, for periodic schedules, the cycle-detection table),
-   so memory stays O(state) no matter how many steps run — the callers that
-   need a full trace accumulate it themselves through [on_step]. *)
 let run_streaming ?export ?validate ?metrics ?(max_steps = 10_000) ?state ?on_step
     inst (sched : Scheduler.t) =
   let init = match state with Some s -> s | None -> State.initial inst in
-  (* Cycle detection: remember states per schedule phase. *)
-  let seen : (int * State.t, int) Hashtbl.t = Hashtbl.create 97 in
-  let rec loop index state entries =
-    if index > max_steps then { final = state; stop = Exhausted; steps = index - 1 }
-    else
-      match Seq.uncons entries with
-      | None -> { final = state; stop = Exhausted; steps = index - 1 }
-      | Some (entry, rest) ->
-        check_model inst validate entry;
-        let outcome = Step.apply ?export inst state entry in
-        record_outcome metrics outcome;
-        (match on_step with
-        | None -> ()
-        | Some f -> f { Trace.index; entry; outcome });
-        let state' = outcome.Step.state in
-        if State.is_quiescent inst state' then
-          { final = state'; stop = Quiescent; steps = index }
-        else begin
-          match sched.Scheduler.period with
-          | Some p when p > 0 -> (
-            let key = (index mod p, state') in
-            match Hashtbl.find_opt seen key with
-            | Some first ->
-              { final = state'; stop = Cycle { first; period = index - first }; steps = index }
-            | None ->
-              Hashtbl.add seen key index;
-              loop (index + 1) state' rest)
-          | _ -> loop (index + 1) state' rest
-        end
+  let apply index state entry =
+    check_model inst validate entry;
+    let outcome = Step.apply ?export inst state entry in
+    record_outcome metrics outcome;
+    Option.iter (fun f -> f { Trace.index; entry; outcome }) on_step;
+    outcome.Step.state
   in
-  Metrics.timed ?m:metrics "executor" (fun () -> loop 1 init sched.Scheduler.entries)
+  Metrics.timed ?m:metrics "executor" (fun () ->
+      State_loop.run ~max_steps ~apply ~converged:(State.is_quiescent inst) init sched)
 
 let run_from ?export ?validate ?metrics ?max_steps ~state inst sched =
   let acc = ref [] in
@@ -88,8 +111,3 @@ let run_entries ?export ?validate ?metrics inst entries =
       (init, 1, []) entries
   in
   Trace.make inst init (List.rev steps)
-
-let converges ?export ?max_steps inst sched =
-  match (run ?export ?max_steps inst sched).stop with
-  | Quiescent -> true
-  | Cycle _ | Exhausted -> false

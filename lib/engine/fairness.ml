@@ -3,7 +3,6 @@ open Spp
 type report = {
   unread_channels : Channel.id list;
   max_gap : (Channel.id * int) list;
-  unresolved_drops : Channel.id list;
 }
 
 let tracked inst =
@@ -17,8 +16,6 @@ let reads_of (entry : Activation.t) = entry.Activation.reads
 let analyze inst entries =
   let chans = tracked inst in
   let last_read = Hashtbl.create 17 and gaps = Hashtbl.create 17 in
-  let read_counts = Hashtbl.create 17 in
-  let pending_drop = Hashtbl.create 17 in
   List.iteri
     (fun i entry ->
       List.iter
@@ -28,13 +25,7 @@ let analyze inst entries =
           let gap = i - prev in
           let old = match Hashtbl.find_opt gaps c with Some g -> g | None -> 0 in
           if gap > old then Hashtbl.replace gaps c gap;
-          Hashtbl.replace last_read c i;
-          Hashtbl.replace read_counts c
-            (1 + Option.value ~default:0 (Hashtbl.find_opt read_counts c));
-          if not (Activation.IntSet.is_empty r.Activation.drops) then
-            Hashtbl.replace pending_drop c true
-          else if r.Activation.count <> Activation.Finite 0 then
-            Hashtbl.replace pending_drop c false)
+          Hashtbl.replace last_read c i)
         (reads_of entry))
     entries;
   let n = List.length entries in
@@ -49,29 +40,47 @@ let analyze inst entries =
           in
           (c, max g tail))
         chans;
-    unresolved_drops =
-      List.filter
-        (fun c -> Hashtbl.find_opt pending_drop c = Some true)
-        chans;
   }
 
+type counts = { processed : (Channel.id * int) list; dropped : (Channel.id * int) list }
+
+module CS = Set.Make (struct
+  type t = Channel.id
+
+  let compare = Channel.compare_id
+end)
+
+let replayed_cycle_is_fair ~tracked steps =
+  let reads, drops, cleans =
+    List.fold_left
+      (fun (reads, drops, cleans) ((entry : Activation.t), o) ->
+        let reads =
+          List.fold_left (fun acc (r : Activation.read) -> CS.add r.Activation.chan acc) reads
+            entry.Activation.reads
+        in
+        let dropped_of c = Option.value ~default:0 (List.assoc_opt c o.dropped) in
+        let drops = List.fold_left (fun acc (c, _) -> CS.add c acc) drops o.dropped in
+        let cleans =
+          List.fold_left
+            (fun acc (c, i) -> if i > dropped_of c then CS.add c acc else acc)
+            cleans o.processed
+        in
+        (reads, drops, cleans))
+      (CS.empty, CS.empty, CS.empty) steps
+  in
+  List.for_all (fun c -> CS.mem c reads) tracked && CS.subset drops cleans
+
+(* From the entries alone, a read with drops drops one message and keeps
+   none, and a dropless read of a positive count keeps one. *)
 let cycle_is_fair inst entries =
-  let r = analyze inst entries in
-  r.unread_channels = []
-  &&
-  (* Within one cycle, every channel that drops must also have a dropless
-     positive read (so that, cyclically, drops are always followed by
-     non-dropped messages being processed). *)
-  let dropping = Hashtbl.create 7 and clean = Hashtbl.create 7 in
-  List.iter
-    (fun entry ->
-      List.iter
-        (fun (rd : Activation.read) ->
-          let c = rd.Activation.chan in
-          if not (Activation.IntSet.is_empty rd.Activation.drops) then
-            Hashtbl.replace dropping c true
-          else if rd.Activation.count <> Activation.Finite 0 then
-            Hashtbl.replace clean c true)
-        (reads_of entry))
-    entries;
-  Hashtbl.fold (fun c _ ok -> ok && Hashtbl.mem clean c) dropping true
+  let one (r : Activation.read) = (r.Activation.chan, 1) in
+  let counts (e : Activation.t) =
+    let dropping, dropless =
+      List.partition
+        (fun (r : Activation.read) -> not (Activation.IntSet.is_empty r.Activation.drops))
+        (reads_of e)
+    in
+    let clean = List.filter (fun (r : Activation.read) -> r.Activation.count <> Activation.Finite 0) dropless in
+    { processed = List.map one (dropping @ clean); dropped = List.map one dropping }
+  in
+  replayed_cycle_is_fair ~tracked:(tracked inst) (List.map (fun e -> (e, counts e)) entries)

@@ -439,16 +439,17 @@ module Make (P : Protocol.S) = struct
 
   (* ---------------------------------------------------------------- *)
   (* Executor: run a schedule to convergence, a repeated state (cycle) or
-     the step bound, counting messages and drops along the way. *)
+     the step bound, counting messages and drops along the way.  The loop
+     and the stop type are the SPP executor's ([Executor] below still
+     names the engine's module until this one is closed). *)
 
   module Executor = struct
-    type stop = Converged | Cycle of { first : int; period : int } | Exhausted
+    type stop = Executor.stop =
+      | Converged
+      | Cycle of { first : int; period : int }
+      | Exhausted
 
-    let pp_stop ppf = function
-      | Converged -> Fmt.string ppf "converged"
-      | Cycle { first; period } ->
-        Fmt.pf ppf "cycle (first seen at step %d, period %d)" first period
-      | Exhausted -> Fmt.string ppf "exhausted"
+    let pp_stop = Executor.pp_stop_as "converged"
 
     type step_record = { index : int; entry : Activation.t; outcome : Step.outcome }
 
@@ -460,59 +461,31 @@ module Make (P : Protocol.S) = struct
       final : State.t;
     }
 
-    module Seen = Hashtbl.Make (struct
-      type t = int * State.t
+    module Loop = Executor.Loop (State)
 
-      let equal (p1, s1) (p2, s2) = p1 = p2 && State.equal s1 s2
-      let hash (p, s) = Mix.mix3 0x59 p (State.digest s) land max_int
-    end)
-
+    (* Unlike the SPP executor, a converged start state stops the run at
+       step 0. *)
     let run ?validate ?(max_steps = 10_000) ?on_step inst (sched : Scheduler.t) =
-      let seen = Seen.create 97 in
       let messages = ref 0 and drops = ref 0 in
-      let finish stop steps final =
-        { stop; steps; messages = !messages; drops = !drops; final }
+      let apply index state entry =
+        (match validate with
+        | Some ok when not (ok entry) ->
+          invalid_arg (Fmt.str "%s Executor: schedule entry violates the model" P.name)
+        | _ -> ());
+        let outcome = Step.apply inst state entry in
+        messages := !messages + List.length outcome.Step.pushed;
+        drops :=
+          !drops
+          + List.fold_left (fun acc (_, l) -> acc + List.length l) 0 outcome.Step.dropped;
+        Option.iter (fun f -> f { index; entry; outcome }) on_step;
+        outcome.Step.state
       in
       let init = State.initial inst in
-      if State.converged inst init then finish Converged 0 init
-      else
-        let rec loop index state entries =
-          if index > max_steps then finish Exhausted (index - 1) state
-          else
-            match Seq.uncons entries with
-            | None -> finish Exhausted (index - 1) state
-            | Some (entry, rest) ->
-              (match validate with
-              | Some ok when not (ok entry) ->
-                invalid_arg
-                  (Fmt.str "%s Executor: schedule entry violates the model" P.name)
-              | _ -> ());
-              let outcome = Step.apply inst state entry in
-              messages := !messages + List.length outcome.Step.pushed;
-              drops :=
-                !drops
-                + List.fold_left
-                    (fun acc (_, l) -> acc + List.length l)
-                    0 outcome.Step.dropped;
-              (match on_step with
-              | Some f -> f { index; entry; outcome }
-              | None -> ());
-              let state' = outcome.Step.state in
-              if State.converged inst state' then finish Converged index state'
-              else begin
-                match sched.Scheduler.period with
-                | Some p when p > 0 -> (
-                  let key = (index mod p, state') in
-                  match Seen.find_opt seen key with
-                  | Some first ->
-                    finish (Cycle { first; period = index - first }) index state'
-                  | None ->
-                    Seen.add seen key index;
-                    loop (index + 1) state' rest)
-                | _ -> loop (index + 1) state' rest
-              end
-        in
-        loop 1 init sched.Scheduler.entries
+      let { Executor.final; stop; steps } =
+        if State.converged inst init then { Executor.final = init; stop = Converged; steps = 0 }
+        else Loop.run ~max_steps ~apply ~converged:(State.converged inst) init sched
+      in
+      { stop; steps; messages = !messages; drops = !drops; final }
 
     let converges ?max_steps inst sched =
       match (run ?max_steps inst sched).stop with

@@ -3,7 +3,6 @@ open Spp
 type t = Spp.Path.node -> Model.t
 
 let uniform m _ = m
-let of_function f = f
 
 let of_list ~default assoc v =
   match List.assoc_opt v assoc with Some m -> m | None -> default

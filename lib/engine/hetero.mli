@@ -16,7 +16,6 @@ type t
 (** A total assignment of models to nodes. *)
 
 val uniform : Model.t -> t
-val of_function : (Spp.Path.node -> Model.t) -> t
 val of_list : default:Model.t -> (Spp.Path.node * Model.t) list -> t
 val model_of : t -> Spp.Path.node -> Model.t
 

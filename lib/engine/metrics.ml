@@ -44,12 +44,8 @@ let create () =
   }
 
 let add counter n = ignore (Atomic.fetch_and_add counter n)
-let incr_interned t = add t.states_interned 1
-let incr_dedup t = add t.dedup_hits 1
 let add_edges t n = add t.edges n
 let add_enumerations t n = add t.enumerations n
-let incr_pruned t = add t.pruned_writes 1
-let incr_truncated t = add t.truncated_interns 1
 
 (* Bulk variants: explorer workers count in domain-local buffers and merge
    once at join, so the hot path never touches these shared atomics. *)

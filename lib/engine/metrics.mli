@@ -12,24 +12,12 @@ val create : unit -> t
 
 (** {2 Counters} — safe to call concurrently from several domains. *)
 
-val incr_interned : t -> unit
-(** A fresh state was added to the exploration's intern table. *)
-
-val incr_dedup : t -> unit
-(** A successor state was already interned (dedup hit). *)
-
 val add_edges : t -> int -> unit
 
 val add_enumerations : t -> int -> unit
 (** Entry lists computed by the successor enumerator's memo (misses); a
     hit costs nothing here.  Deterministic for a given exploration, so
     tests can pin it. *)
-
-val incr_pruned : t -> unit
-(** A successor was discarded because a channel exceeded the bound. *)
-
-val incr_truncated : t -> unit
-(** A fresh successor was discarded because [max_states] was reached. *)
 
 val incr_steps : t -> unit
 (** One executor step (one activation applied). *)

@@ -166,13 +166,6 @@ let random inst (m : Model.t) ~seed =
     description = Fmt.str "random/%a/seed=%d" Model.pp m seed;
   }
 
-let polling_nodes inst nodes =
-  {
-    entries = List.to_seq (List.map (Activation.poll_all inst) nodes);
-    period = None;
-    description = "scripted-polling";
-  }
-
 let of_entries ?period entries =
   { entries = List.to_seq entries; period; description = "scripted" }
 

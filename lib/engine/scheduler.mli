@@ -22,10 +22,6 @@ val random : Spp.Instance.t -> Model.t -> seed:int -> t
     models a channel whose last processed message was dropped is eventually
     read without drops.  Deterministic in [seed]. *)
 
-val polling_nodes : Spp.Instance.t -> Spp.Path.node list -> t
-(** The REA-style scripted schedule of Ex. A.2, A.4, A.5: each listed node
-    polls all messages from all its channels. *)
-
 val of_entries : ?period:int -> Activation.t list -> t
 (** A finite scripted schedule (or, with [period] equal to the list length,
     one whose executor may treat as repeating). *)

@@ -308,9 +308,6 @@ let with_announced_id t v p =
 let with_rho_id t c p =
   if Arena.equal (rho_id t c) p then t else edit t (fun e -> Edit.set_rho e c p)
 
-let with_pi t v p = with_pi_id t v (Arena.intern p)
-let with_rho t c p = with_rho_id t c (Arena.intern p)
-let with_announced t v p = with_announced_id t v (Arena.intern p)
 let push_channel t c msg = edit t (fun e -> Edit.push e c msg)
 
 let drop_first_channel t c i =

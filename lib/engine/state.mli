@@ -49,10 +49,6 @@ val fold_rho_id : (Channel.id -> Spp.Arena.id -> 'a -> 'a) -> t -> 'a -> 'a
 val assignment : Spp.Instance.t -> t -> Spp.Assignment.t
 (** The π component as an assignment. *)
 
-val with_pi : t -> Spp.Path.node -> Spp.Path.t -> t
-val with_rho : t -> Channel.id -> Spp.Path.t -> t
-val with_announced : t -> Spp.Path.node -> Spp.Path.t -> t
-
 val with_pi_id : t -> Spp.Path.node -> Spp.Arena.id -> t
 val with_rho_id : t -> Channel.id -> Spp.Arena.id -> t
 val with_announced_id : t -> Spp.Path.node -> Spp.Arena.id -> t

@@ -18,7 +18,7 @@ let measure ?max_steps ?export inst sched =
       (fun acc (s : Trace.step) -> acc + List.length s.Trace.outcome.Step.pushed)
       0 (Trace.steps trace)
   in
-  let converged = r.Executor.stop = Executor.Quiescent in
+  let converged = r.Executor.stop = Executor.Converged in
   let stale =
     converged
     && not (Spp.Assignment.is_solution inst (State.assignment inst (Trace.final trace)))

@@ -78,12 +78,7 @@ let check_oscillation_separation ~gadget ~gadget_name ~oscillates_in ?scripted
       | Some (prefix, cycle) ->
         (* A concrete fair oscillation schedule beats re-deriving one
            exhaustively (FIG6's full REO state space takes minutes). *)
-        List.for_all (Model.validates gadget oscillates_in) (prefix @ cycle)
-        &&
-        let r =
-          Executor.run ~max_steps:500 gadget (Scheduler.prefixed prefix cycle)
-        in
-        (match r.Executor.stop with Executor.Cycle _ -> true | _ -> false)
+        Oscillation.verify_witness ~max_steps:500 gadget oscillates_in { prefix; cycle }
       | None -> (
         match Oscillation.analyze gadget oscillates_in with
         | Oscillation.Oscillates w -> Oscillation.verify_witness gadget oscillates_in w

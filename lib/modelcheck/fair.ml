@@ -609,3 +609,66 @@ let prefix t target =
     if v = 0 then acc else back (t.csr.label.(via.(v)).Enumerate.entry :: acc) t.src.(via.(v))
   in
   if via.(target) = -1 then None else Some (back [] target)
+
+(* ------------------------------------------------------------------ *)
+(* Verdicts, and their check by replay, for every adapter. *)
+
+type witness = { prefix : Activation.t list; cycle : Activation.t list }
+type verdict = Oscillates of witness | Converges | Unknown of string
+
+let verdict_name found = function
+  | Oscillates _ -> found
+  | Converges -> "converges"
+  | Unknown _ -> "unknown"
+
+let pp_verdict found ppf = function
+  | Oscillates w ->
+    Fmt.pf ppf "%s (witness: %d-step prefix, %d-step fair cycle)" found
+      (List.length w.prefix) (List.length w.cycle)
+  | Converges -> Fmt.string ppf "converges under every fair schedule"
+  | Unknown reason -> Fmt.pf ppf "unknown (%s)" reason
+
+let incomplete ~pruned ~truncated =
+  if pruned then Some "channel bound pruned some writes"
+  else if truncated then Some "state limit reached"
+  else None
+
+let decide ?metrics ?live t goal ~pruned ~truncated =
+  match find ?metrics ?live t goal with
+  | Some (start, cycle) -> (
+    match prefix t start with
+    | Some prefix -> Oscillates { prefix; cycle }
+    | None -> Unknown "cycle start unreachable (internal error)")
+  | None -> (
+    match incomplete ~pruned ~truncated with
+    | Some reason -> Unknown reason
+    | None -> Converges)
+
+type 'state replay = {
+  initial : 'state;
+  apply : 'state -> Activation.t -> 'state * Fairness.counts;
+  valid : Activation.t -> bool;
+  tracked : Channel.id list;
+  run : max_steps:int -> Scheduler.t -> Executor.stop;
+}
+
+let replays ?max_steps r w =
+  let max_steps =
+    match max_steps with
+    | Some n -> n
+    | None -> max 5000 (List.length w.prefix + (4 * List.length w.cycle) + 10)
+  in
+  let after_prefix = List.fold_left (fun st e -> fst (r.apply st e)) r.initial w.prefix in
+  let stop = r.run ~max_steps (Scheduler.prefixed w.prefix w.cycle) in
+  List.for_all r.valid (w.prefix @ w.cycle)
+  && Fairness.replayed_cycle_is_fair ~tracked:r.tracked
+       (snd
+          (List.fold_left_map
+             (fun st e ->
+               let st', counts = r.apply st e in
+               (st', (e, counts)))
+             after_prefix w.cycle))
+  &&
+  match stop with
+  | Executor.Cycle _ -> true
+  | Executor.Converged | Executor.Exhausted -> false

@@ -1,5 +1,6 @@
 (** The fair-cycle kernel behind {!Oscillation}, {!Gexplore} and
-    {!Refute}.
+    {!Refute}, with the verdict it leads to and that verdict's check by
+    replay.
 
     It works on the explorer's compact graph ({!csr}): CSR adjacency over
     edge ids and one shared label per edge.  {!make} adds each edge's
@@ -98,3 +99,54 @@ val reaching : t -> bool array -> bool array
 val prefix : t -> int -> Engine.Activation.t list option
 (** The entries along a shortest path from state 0 to the given state,
     over every edge of the graph. *)
+
+(** {1 Verdicts} *)
+
+type witness = {
+  prefix : Engine.Activation.t list;  (** from the initial state to the cycle *)
+  cycle : Engine.Activation.t list;  (** a fair closed walk showing the change *)
+}
+
+type verdict =
+  | Oscillates of witness  (** a fair execution that never converges *)
+  | Converges  (** exhaustive over the bounded space: no fair oscillation *)
+  | Unknown of string  (** bounded exploration was pruned or truncated *)
+
+val verdict_name : string -> verdict -> string
+(** [verdict_name found]: [found] names {!Oscillates} (an adapter's word). *)
+
+val pp_verdict : string -> Format.formatter -> verdict -> unit
+
+val incomplete : pruned:bool -> truncated:bool -> string option
+(** Why a graph that was [pruned] (by the channel bound) or [truncated]
+    (by the state limit) cannot prove that no answer exists. *)
+
+val decide :
+  ?metrics:Engine.Metrics.t ->
+  ?live:(int -> bool) ->
+  t ->
+  goal ->
+  pruned:bool ->
+  truncated:bool ->
+  verdict
+(** {!find}'s witness with its {!prefix}, else {!Unknown} with the
+    {!incomplete} reason, else {!Converges}. *)
+
+(** {1 Replay} *)
+
+type 'state replay = {
+  initial : 'state;
+  apply : 'state -> Engine.Activation.t -> 'state * Engine.Fairness.counts;
+  valid : Engine.Activation.t -> bool;  (** legal in the model *)
+  tracked : Engine.Channel.id list;
+  run : max_steps:int -> Engine.Scheduler.t -> Engine.Executor.stop;
+      (** the stack's executor from [initial] *)
+}
+(** A stack's step semantics, as a witness replay needs them. *)
+
+val replays : ?max_steps:int -> 'state replay -> witness -> bool
+(** The witness check, independent of the search: every entry is
+    [valid], the cycle applied after the prefix is fair
+    ({!Engine.Fairness.replayed_cycle_is_fair}), and the executor, playing
+    the prefix once and then the cycle forever, stops on a state cycle.
+    [max_steps] defaults to [max 5000 (|prefix| + 4 |cycle| + 10)]. *)

@@ -1,34 +1,29 @@
-(* Protocol-generic explicit-state exploration and divergence analysis
-   (PR 7).
+(* Protocol-generic explicit-state exploration and divergence analysis.
 
-   [Make (P)] is {!Explore} + {!Oscillation} for any {!Engine.Protocol.S}:
-   the protocol's state space explored by the shared {!Explore.Driver}
-   (one canonical activation entry per observational class, via
-   {!Enumerate.memo}; channel-bound pruning and state-count truncation
-   exactly as for SPP), and the {!Fair} divergence search over
-   drop-stable strongly connected edge sets.  SPP's partial-order and
-   symmetry reductions and its snapshot checkpoints are SPP-only hooks of
-   the driver; [Driver.run ~pool] gives any protocol work stealing.
+   [Make (P)] is {!Explore} + {!Oscillation} for any {!Engine.Protocol.S}.
+   Like {!Oscillation}, it supplies only a goal and its step semantics:
+   the state space is explored by the shared {!Explore.Driver} (one
+   canonical entry per observational class via {!Enumerate.memo}; pruning
+   and truncation as for SPP; [Driver.run ~pool] adds work stealing), the
+   verdict rule and its reasons are {!Fair.decide}, and a witness is
+   checked by {!Fair.replays} under [P]'s step and the shared executor
+   loop.  An [Oscillates] verdict is named "diverges" here.
 
-   Differences from the SPP pair, all driven by the protocol hooks:
+   The goal and semantics differ from SPP's through the protocol hooks:
 
-   - Convergence is [P]'s predicate (via [E.State.converged]), not SPP
-     quiescence; converged states are excluded from the cycle search (they
-     are absorbing for every shipped protocol, and a fair cycle through a
-     "done" state is not divergence).
-   - Legacy oscillation demands a changing path assignment along the cycle;
-     generically a fair cycle diverges when some node's [P.observable]
-     changes along it, or — for protocols with [P.stuck_is_divergent] —
-     when the cycle is "doomed": no converged state is reachable from it at
-     all (a gossip rumor dropped on every copy).  The doomed clause is only
-     sound on a complete graph, so it is disabled under pruning or
-     truncation.
-   - The exact last-message channel collapse additionally requires
-     [P.idempotent] (push-sum messages carry mass; collapsing them would
-     be unsound even under reliable polling).
+   - Convergence is [P]'s predicate ([E.State.converged]), not SPP
+     quiescence; converged states are left out of the cycle search (they
+     are absorbing for every shipped protocol).
+   - A fair cycle diverges when some node's [P.observable] changes along
+     it, or, for protocols with [P.stuck_is_divergent], when no converged
+     state is reachable from it (a gossip rumor dropped on every copy).
+     That doomed clause needs a complete graph, so pruning or truncation
+     disables it.
+   - The last-message channel collapse also requires [P.idempotent]
+     (push-sum messages carry mass).
 
-   The [Protocols.Path_vector] instance of this functor is pinned by the
-   parity suite to the legacy explorer's verdicts and state counts. *)
+   The [Protocols.Path_vector] instance is pinned by the parity suite to
+   the SPP explorer's verdicts and state counts. *)
 
 module Make (P : Engine.Protocol.S) = struct
   module E = Engine.Generic.Make (P)
@@ -94,27 +89,12 @@ module Make (P : Engine.Protocol.S) = struct
     explore_with ?config inst ~model_of:(fun _ -> model)
 
   (* ---------------------------------------------------------------- *)
-  (* Divergence analysis: the {!Fair} kernel, with the observable-change /
-     doomed-cycle criterion in place of {!Oscillation}'s "pi changes". *)
+  (* Divergence analysis: the goal and the step semantics; the verdict
+     rule and the replay check are {!Fair}'s. *)
 
-  type witness = {
-    prefix : Engine.Activation.t list;
-    cycle : Engine.Activation.t list;
-  }
+  type verdict = Fair.verdict = Oscillates of Fair.witness | Converges | Unknown of string
 
-  type verdict = Converges | Diverges of witness | Unknown of string
-
-  let verdict_name = function
-    | Converges -> "converges"
-    | Diverges _ -> "diverges"
-    | Unknown _ -> "unknown"
-
-  let pp_verdict ppf = function
-    | Diverges w ->
-      Fmt.pf ppf "diverges (witness: %d-step prefix, %d-step fair cycle)"
-        (List.length w.prefix) (List.length w.cycle)
-    | Converges -> Fmt.string ppf "converges under every fair schedule"
-    | Unknown reason -> Fmt.pf ppf "unknown (%s)" reason
+  let verdict_name = Fair.verdict_name "diverges"
 
   let tracked_channels inst =
     List.sort_uniq Engine.Channel.compare_id
@@ -126,12 +106,6 @@ module Make (P : Engine.Protocol.S) = struct
         P.observable inst v (E.State.local a v)
         <> P.observable inst v (E.State.local b v))
       (P.nodes inst)
-
-  module CS = Set.Make (struct
-    type t = Engine.Channel.id
-
-    let compare = Engine.Channel.compare_id
-  end)
 
   let analyze_graph inst graph =
     let converged = Array.map (E.State.converged inst) graph.states in
@@ -154,71 +128,24 @@ module Make (P : Engine.Protocol.S) = struct
     in
     (* A fair cycle through a converged state is not divergence: search
        only the edges between non-converged states. *)
-    match Fair.find ~live:(fun i -> not converged.(i)) fair goal with
-    | Some (start, cycle) -> (
-      match Fair.prefix fair start with
-      | Some prefix -> Diverges { prefix; cycle }
-      | None -> Unknown "cycle start unreachable (internal error)")
-    | None ->
-      if graph.pruned then Unknown "channel bound pruned some writes"
-      else if graph.truncated then Unknown "state limit reached"
-      else Converges
+    Fair.decide ~live:(fun i -> not converged.(i)) fair goal ~pruned:graph.pruned
+      ~truncated:graph.truncated
 
   let analyze ?config inst model =
     analyze_graph inst (explore ?config inst model)
 
-  (* ---------------------------------------------------------------- *)
-  (* Witness verification by replay, independent of the search above. *)
-
-  let cycle_fair_from inst state cycle =
-    let _, reads, drops, cleans =
-      List.fold_left
-        (fun (st, reads, drops, cleans) entry ->
-          let o = E.Step.apply inst st entry in
-          let reads =
-            List.fold_left
-              (fun acc (r : Engine.Activation.read) ->
-                CS.add r.Engine.Activation.chan acc)
-              reads entry.Engine.Activation.reads
-          in
-          let dropped_of c =
-            match List.assoc_opt c o.E.Step.dropped with
-            | Some msgs -> List.length msgs
-            | None -> 0
-          in
-          let drops =
-            List.fold_left (fun acc (c, _) -> CS.add c acc) drops o.E.Step.dropped
-          in
-          let cleans =
-            List.fold_left
-              (fun acc (c, msgs) ->
-                if List.length msgs > dropped_of c then CS.add c acc else acc)
-              cleans o.E.Step.processed
-          in
-          (o.E.Step.state, reads, drops, cleans))
-        (state, CS.empty, CS.empty, CS.empty)
-        cycle
-    in
-    List.for_all (fun c -> CS.mem c reads) (tracked_channels inst)
-    && CS.subset drops cleans
-
-  let verify_witness ?max_steps inst model w =
-    let max_steps =
-      match max_steps with
-      | Some n -> n
-      | None -> max 5000 (List.length w.prefix + (4 * List.length w.cycle) + 10)
-    in
-    let after_prefix =
-      List.fold_left
-        (fun st e -> (E.Step.apply inst st e).E.Step.state)
-        (E.State.initial inst) w.prefix
-    in
-    let sched = Engine.Scheduler.prefixed w.prefix w.cycle in
-    let run = E.Executor.run ~max_steps inst sched in
-    List.for_all (E.validates inst model) (w.prefix @ w.cycle)
-    && cycle_fair_from inst after_prefix w.cycle
-    &&
-    match run.E.Executor.stop with
-    | E.Executor.Cycle _ -> true
-    | E.Executor.Converged | E.Executor.Exhausted -> false
+  let verify_witness ?max_steps inst model =
+    let count = List.map (fun (c, msgs) -> (c, List.length msgs)) in
+    Fair.replays ?max_steps
+      {
+        Fair.initial = E.State.initial inst;
+        apply =
+          (fun st e ->
+            let o = E.Step.apply inst st e in
+            ( o.E.Step.state,
+              { Engine.Fairness.processed = count o.E.Step.processed; dropped = count o.E.Step.dropped } ));
+        valid = E.validates inst model;
+        tracked = tracked_channels inst;
+        run = (fun ~max_steps sched -> (E.Executor.run ~max_steps inst sched).E.Executor.stop);
+      }
 end

@@ -6,14 +6,21 @@
     cleanly, and (c) visits at least two distinct path assignments.  Looping
     over such an edge set forever is a fair nonconvergent execution; the
     returned witness makes this concrete as a schedule the {!Engine.Executor}
-    can replay. *)
+    can replay.
 
-type witness = {
+    This module supplies only what is SPP's: the goal (two states whose
+    path assignments differ; the tracked channels are
+    {!Engine.Fairness.tracked}) and the step semantics a replay runs
+    ({!Engine.Step}, {!Engine.Executor}).  The search, the verdict rule
+    and its reason strings ({!Fair.decide}) and the witness check
+    ({!Fair.replays}) are shared with {!Gexplore}. *)
+
+type witness = Fair.witness = {
   prefix : Engine.Activation.t list;  (** from the initial state to the cycle *)
   cycle : Engine.Activation.t list;  (** a fair, π-changing closed walk *)
 }
 
-type verdict =
+type verdict = Fair.verdict =
   | Oscillates of witness
   | Converges  (** exhaustive over the bounded space: no fair oscillation *)
   | Unknown of string  (** bounded exploration was pruned or truncated *)
@@ -21,14 +28,10 @@ type verdict =
 val pp_verdict : Format.formatter -> verdict -> unit
 val verdict_name : verdict -> string
 
-val tracked_channels : Spp.Instance.t -> Engine.Channel.id list
-(** The channels a fair execution must read: every channel except those
-    into the destination, in instance order. *)
-
 val analyze_compact : ?metrics:Engine.Metrics.t -> Spp.Instance.t -> Explore.compact -> verdict
 (** The verdict of an already-explored bounded state graph; lets callers
     reuse one exploration for several analyses (and benchmark the phases
-    separately).  The search is {!Fair.find} over the explorer's CSR
+    separately).  The verdict is {!Fair.decide} over the explorer's CSR
     graph itself; with [metrics] its split and edge counters are
     recorded. *)
 
@@ -69,18 +72,9 @@ val analyze_hetero :
 
 val verify_witness :
   ?max_steps:int -> Spp.Instance.t -> Engine.Model.t -> witness -> bool
-(** Replays the witness under the executor (validating every entry against
-    the model) and checks that a state cycle is reached and that the cycle
-    is fair. *)
+(** {!Fair.replays} under SPP's step and executor: every entry is valid in
+    the model, the replayed cycle is fair, and the executor reaches a
+    state cycle. *)
 
 val verify_witness_hetero :
   ?max_steps:int -> Spp.Instance.t -> Engine.Hetero.t -> witness -> bool
-
-val sweep :
-  ?config:Explore.config ->
-  ?reduction:Reduce.t ->
-  ?domains:int ->
-  ?metrics:Engine.Metrics.t ->
-  Spp.Instance.t ->
-  Engine.Model.t list ->
-  (Engine.Model.t * verdict) list

@@ -81,7 +81,7 @@ let fair_constant_continuation config inst successors start =
   !quiescent_found
   ||
   let fair =
-    Fair.make ~tracked:(Oscillation.tracked_channels inst)
+    Fair.make ~tracked:(Fairness.tracked inst)
       (Fair.Rows.csr ~n:!n_states [ rows ])
   in
   (* Every state shares the assignment, so no cycle changes it: accept any
@@ -193,7 +193,7 @@ let realizable ?(config = Explore.default_config) ?(termination = Prefix) inst m
       | Some (prev, entry) -> build (entry :: acc) prev
     in
     Realizable (build [] key)
-  | None ->
-    if !pruned then Unknown "channel bound pruned some writes"
-    else if !truncated then Unknown "state limit reached"
-    else Impossible
+  | None -> (
+    match Fair.incomplete ~pruned:!pruned ~truncated:!truncated with
+    | Some reason -> Unknown reason
+    | None -> Impossible)

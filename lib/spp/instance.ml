@@ -63,7 +63,6 @@ let permitted t v = List.map fst t.ranked.(v)
 
 let trivial_id t = t.trivial
 let rank_id t v pid = IdTbl.find_opt t.rank_tbl.(v) pid
-let is_permitted_id t v pid = IdTbl.mem t.rank_tbl.(v) pid
 
 let rank t v p =
   if Array.length t.rank_tbl = 0 then
@@ -221,29 +220,6 @@ let best t v candidates =
   match List.fold_left consider None candidates with
   | None -> Path.epsilon
   | Some (p, _) -> p
-
-(* Id-level mirror of [best], with the identical tie rule (smaller next
-   hop, then structural path order) so engine route choices are unchanged
-   by the compact representation. *)
-let best_id t v candidates =
-  let consider acc pid =
-    match rank_id t v pid with
-    | None -> acc
-    | Some r ->
-      (match acc with
-      | None -> Some (pid, r)
-      | Some (qid, s) ->
-        if r < s then Some (pid, r)
-        else if r > s then acc
-        else begin
-          match (Arena.next_hop pid, Arena.next_hop qid) with
-          | Some a, Some b when a <> b -> if a < b then Some (pid, r) else acc
-          | _ -> if Arena.compare_structural pid qid < 0 then Some (pid, r) else acc
-        end)
-  in
-  match List.fold_left consider None candidates with
-  | None -> Arena.epsilon
-  | Some (pid, _) -> pid
 
 (* Dest-fixing graph automorphisms that also preserve the ranked
    permitted-path structure: exactly the relabelings under which every

@@ -84,7 +84,6 @@ val trivial_id : t -> Arena.id
 (** The id of the destination's trivial path [[d]]. *)
 
 val rank_id : t -> Path.node -> Arena.id -> int option
-val is_permitted_id : t -> Path.node -> Arena.id -> bool
 
 val permitted_extension : t -> Path.node -> Arena.id -> (Arena.id * int) option
 (** [permitted_extension t v r] is [Some (id of v·r, rank)] when the
@@ -101,9 +100,6 @@ val best : t -> Path.node -> Path.t list -> Path.t
     [candidates] (non-permitted candidates are ignored), or
     {!Path.epsilon} if none is permitted.  Rank ties are broken by the
     smaller next-hop id, then by path comparison, for determinism. *)
-
-val best_id : t -> Path.node -> Arena.id list -> Arena.id
-(** {!best} on interned paths: identical choice, O(1) rank lookups. *)
 
 val channels : t -> (Path.node * Path.node) list
 (** All directed channels (u, v): two per undirected edge. *)

@@ -5,7 +5,8 @@
    paths, so arena numbering does not leak in) and of its rows in state
    order and row order, and the verdict with an MD5 of its witness.  The
    committed .expected file pins the explorer's numbering, row order and
-   the fair-cycle kernel's witnesses; a change that alters any of them
+   the fair-cycle kernel's witnesses, and whether each witness replays
+   ({!Oscillation.verify_witness}); a change that alters any of them
    must be promoted deliberately (dune promote).  The symmetry quotient is
    left out: its orbit representatives depend on arena-id order, which is
    process-local. *)
@@ -40,11 +41,12 @@ let graph_digest inst (g : Explore.graph) =
             row)
         g.Explore.adjacency)
 
-let verdict_string = function
+let verdict_string inst m = function
   | Oscillation.Oscillates w ->
-    Printf.sprintf "oscillates %d/%d %s" (List.length w.Oscillation.prefix)
+    Printf.sprintf "oscillates %d/%d %s replays=%b" (List.length w.Oscillation.prefix)
       (List.length w.Oscillation.cycle)
       (md5 (fun b -> Buffer.add_string b (data (w.Oscillation.prefix, w.Oscillation.cycle))))
+      (Oscillation.verify_witness inst m w)
   | v -> Oscillation.verdict_name v
 
 let () =
@@ -60,7 +62,7 @@ let () =
                 name (Model.to_string m) (Reduce.to_string reduction)
                 (Array.length g.Explore.states) edges g.Explore.pruned g.Explore.truncated
                 (graph_digest inst g)
-                (verdict_string (Oscillation.analyze_graph inst g)))
+                (verdict_string inst m (Oscillation.analyze_graph inst g)))
             [ Reduce.No_reduction; Reduce.Por ])
         Model.all)
     (Spp.Gadgets.all_named ())

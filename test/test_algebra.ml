@@ -105,7 +105,7 @@ let test_monotone_algebras_converge_everywhere () =
         (fun mname ->
           let m = model mname in
           let r = Executor.run ~validate:m inst (Scheduler.round_robin inst m) in
-          Alcotest.(check bool) "converges" true (r.Executor.stop = Executor.Quiescent))
+          Alcotest.(check bool) "converges" true (r.Executor.stop = Executor.Converged))
         [ "R1O"; "RMS"; "REA"; "UMS" ])
     [
       Algebra.compile Algebra.shortest_paths g;

@@ -300,7 +300,7 @@ let test_disagree_converges_in_strong_models () =
       let m = model name in
       let r = Executor.run ~validate:m inst (Scheduler.round_robin inst m) in
       (match r.Executor.stop with
-      | Executor.Quiescent -> ()
+      | Executor.Converged -> ()
       | s -> Alcotest.failf "%s: expected convergence, got %a" name Executor.pp_stop s);
       Alcotest.(check bool) (name ^ " reaches a stable solution") true
         (Assignment.is_solution inst
@@ -352,7 +352,7 @@ let test_fig6_converges_in_polling_models () =
       let m = model name in
       let r = Executor.run ~validate:m inst (Scheduler.round_robin inst m) in
       match r.Executor.stop with
-      | Executor.Quiescent -> ()
+      | Executor.Converged -> ()
       | s -> Alcotest.failf "%s: expected convergence, got %a" name Executor.pp_stop s)
     [ "R1A"; "RMA"; "REA" ]
 
@@ -547,7 +547,7 @@ let test_good_gadget_converges_all_models () =
     (fun m ->
       let r = Executor.run ~validate:m inst (Scheduler.round_robin inst m) in
       (match r.Executor.stop with
-      | Executor.Quiescent -> ()
+      | Executor.Converged -> ()
       | s ->
         Alcotest.failf "%s: expected convergence, got %a" (Model.to_string m)
           Executor.pp_stop s);
@@ -563,7 +563,7 @@ let test_bad_gadget_diverges_round_robin () =
       let m = model name in
       let r = Executor.run ~validate:m ~max_steps:2000 inst (Scheduler.round_robin inst m) in
       match r.Executor.stop with
-      | Executor.Quiescent -> Alcotest.failf "%s: BAD GADGET cannot converge" name
+      | Executor.Converged -> Alcotest.failf "%s: BAD GADGET cannot converge" name
       | Executor.Cycle _ | Executor.Exhausted -> ())
     [ "R1O"; "REO"; "RMS"; "REA"; "RMA" ]
 

@@ -113,7 +113,7 @@ let test_multi_good_gadget_converges () =
   let inst = Gadgets.good_gadget in
   let r = Executor.run ~max_steps:100 inst (Multi.synchronous_polling inst) in
   (match r.Executor.stop with
-  | Executor.Quiescent -> ()
+  | Executor.Converged -> ()
   | s -> Alcotest.failf "expected convergence, got %a" Executor.pp_stop s);
   Alcotest.(check bool) "greedy fixpoint matches" true
     (Assignment.equal
@@ -126,7 +126,7 @@ let test_multi_sync_rounds_match_greedy_iterates () =
      final round equals the greedy fixpoint. *)
   let inst = Gadgets.shortest_paths ~n:4 in
   let r = Executor.run ~max_steps:50 inst (Multi.synchronous_polling inst) in
-  Alcotest.(check bool) "converged" true (r.Executor.stop = Executor.Quiescent);
+  Alcotest.(check bool) "converged" true (r.Executor.stop = Executor.Converged);
   Alcotest.(check bool) "fixpoint" true
     (Assignment.equal
        (State.assignment inst (Trace.final r.Executor.trace))
@@ -216,7 +216,7 @@ let prop_quiescent_iff_solution =
       let inst = Generator.safe_instance { Generator.default with nodes = 5; seed } in
       let r = Executor.run inst (Scheduler.round_robin inst (model "RMS")) in
       match r.Executor.stop with
-      | Executor.Quiescent ->
+      | Executor.Converged ->
         Assignment.is_solution inst (State.assignment inst (Trace.final r.Executor.trace))
       | _ -> false)
 

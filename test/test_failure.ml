@@ -25,7 +25,7 @@ let converge topo ~dest ~model:m =
   let inst = Policy.compile topo ~dest in
   let r = Executor.run ~validate:m inst (Scheduler.round_robin inst m) in
   match r.Executor.stop with
-  | Executor.Quiescent -> (inst, Trace.final r.Executor.trace)
+  | Executor.Converged -> (inst, Trace.final r.Executor.trace)
   | s -> Alcotest.failf "did not converge: %a" Executor.pp_stop s
 
 let test_sever_and_reconverge () =

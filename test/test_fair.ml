@@ -50,7 +50,7 @@ let oracle_verdict inst (g : Explore.graph) =
     Fair_oracle.find
       ~differs:(fun a b -> pi_differs inst states.(a) states.(b))
       ~stuck_ok:(fun _ -> false)
-      ~tracked:(Oscillation.tracked_channels inst)
+      ~tracked:(Fairness.tracked inst)
       adjacency
   with
   | Some _ -> "oscillates"
@@ -137,7 +137,7 @@ let test_gossip_parity () =
           let v = GG.analyze_graph inst g in
           Alcotest.(check string) (tag ^ " verdict") (gossip_oracle inst g) (GG.verdict_name v);
           match v with
-          | GG.Diverges w ->
+          | GG.Oscillates w ->
             Alcotest.(check bool) (tag ^ " witness replays") true (GG.verify_witness inst m w)
           | _ -> ())
         Model.all)
@@ -371,7 +371,7 @@ let prop_per_edge =
 let per_edge_verdict inst (g : Explore.graph) =
   let states = g.Explore.states in
   let fair =
-    Fair_per_edge.make ~n:(Array.length states) ~tracked:(Oscillation.tracked_channels inst)
+    Fair_per_edge.make ~n:(Array.length states) ~tracked:(Fairness.tracked inst)
       ~out:(fun i f ->
         List.iter
           (fun (e : Explore.edge) -> f e.Explore.dst e.Explore.label)
@@ -504,7 +504,7 @@ let test_compact_parity () =
    within 5 words per edge; per-edge records or masks would exceed it. *)
 let test_memory_guard () =
   let g = Explore.explore_compact ~domains:1 Gadgets.fig6 (model "RMA") in
-  let fair = Fair.make ~tracked:(Oscillation.tracked_channels Gadgets.fig6) g.Explore.csr in
+  let fair = Fair.make ~tracked:(Fairness.tracked Gadgets.fig6) g.Explore.csr in
   let edges = Array.length g.Explore.csr.Fair.dst in
   let words = Obj.reachable_words (Obj.repr (g.Explore.csr, fair)) in
   Alcotest.(check bool) "deep graph" true (edges > 300_000);

@@ -26,15 +26,12 @@ let model s = Option.get (Model.of_string s)
 
 let legacy_verdict inst g = Oscillation.analyze_graph inst g
 
-let legacy_name = function
-  | Oscillation.Oscillates _ -> "diverges"
-  | Oscillation.Converges -> "converges"
-  | Oscillation.Unknown r -> "unknown: " ^ r
-
-let generic_name = function
-  | GPV.Diverges _ -> "diverges"
-  | GPV.Converges -> "converges"
-  | GPV.Unknown r -> "unknown: " ^ r
+(* Both stacks return a {!Fair.verdict}; the Unknown reason is compared
+   too. *)
+let verdict_name = function
+  | Fair.Oscillates _ -> "diverges"
+  | Fair.Converges -> "converges"
+  | Fair.Unknown r -> "unknown: " ^ r
 
 let check_parity name inst config m =
   let tag = Printf.sprintf "%s/%s" name (Model.to_string m) in
@@ -48,8 +45,8 @@ let check_parity name inst config m =
   Alcotest.(check bool) (tag ^ " truncated") lg.Explore.truncated gg.GPV.truncated;
   Alcotest.(check string)
     (tag ^ " verdict")
-    (legacy_name (legacy_verdict inst lg))
-    (generic_name (GPV.analyze_graph inst gg))
+    (verdict_name (legacy_verdict inst lg))
+    (verdict_name (GPV.analyze_graph inst gg))
 
 let test_pv_parity_disagree () =
   List.iter (check_parity "DISAGREE" Gadgets.disagree Explore.default_config) Model.all
@@ -69,12 +66,12 @@ let test_pv_witness_verifies () =
     (fun mname ->
       let m = model mname in
       match GPV.analyze Gadgets.disagree m with
-      | GPV.Diverges w ->
+      | GPV.Oscillates w ->
         Alcotest.(check bool)
           (mname ^ " witness replays")
           true
           (GPV.verify_witness Gadgets.disagree m w)
-      | v -> Alcotest.failf "DISAGREE %s: expected divergence, got %s" mname (generic_name v))
+      | v -> Alcotest.failf "DISAGREE %s: expected divergence, got %s" mname (verdict_name v))
     [ "R1O"; "RMS"; "U1S" ]
 
 (* The generic executor agrees with the legacy one on identical round-robin
@@ -89,7 +86,7 @@ let test_pv_executor_matches_legacy () =
           let generic =
             GPV.E.Executor.run ~max_steps:2000 inst (GPV.E.round_robin inst m)
           in
-          let l_conv = legacy.Executor.stop = Executor.Quiescent in
+          let l_conv = legacy.Executor.stop = Executor.Converged in
           let g_conv = generic.GPV.E.Executor.stop = GPV.E.Executor.Converged in
           Alcotest.(check bool) (mname ^ " converged") l_conv g_conv)
         [ "R1O"; "REA"; "RMS"; "UMS" ])
@@ -147,7 +144,7 @@ let test_gossip_verdicts () =
           (Model.to_string m ^ " round robin converges")
           true
           (EG.Executor.converges ~max_steps:2000 inst (EG.round_robin inst m))
-      | Model.Unreliable, GG.Diverges w ->
+      | Model.Unreliable, GG.Oscillates w ->
         Alcotest.(check bool)
           (Model.to_string m ^ " witness replays")
           true (GG.verify_witness inst m w)
@@ -392,6 +389,135 @@ let test_generic_well_formed () =
   let e3 = Activation.single 0 [ Activation.read (Channel.id ~src:3 ~dst:0) ] in
   Alcotest.(check bool) "unknown channel" true (EG.well_formed inst e3 <> [])
 
+(* ------------------------------------------------------------------ *)
+(* Tampered witnesses.  Each case breaks one clause of the replay check
+   both stacks share ({!Fair.replays}) and keeps the others: a cycle that
+   misses a tracked channel, a channel the cycle only drops on, drops
+   under a reliable model, and a schedule that converges.  The SPP stack
+   ([Oscillation]) and the generic one ([Gexplore.Make (P)]) must both
+   reject each, while the untampered witness replays. *)
+
+type stack = {
+  stack : string;
+  analyze : Instance.t -> Model.t -> Fair.verdict;
+  verify : Instance.t -> Model.t -> Fair.witness -> bool;
+}
+
+let stacks =
+  [
+    {
+      stack = "SPP";
+      analyze = (fun inst m -> Oscillation.analyze inst m);
+      verify = (fun inst m w -> Oscillation.verify_witness inst m w);
+    };
+    {
+      stack = "path-vector";
+      analyze = (fun inst m -> GPV.analyze inst m);
+      verify = (fun inst m w -> GPV.verify_witness inst m w);
+    };
+  ]
+
+let witness tag = function
+  | Fair.Oscillates w -> w
+  | v -> Alcotest.failf "%s: expected a witness, got %s" tag (Fair.verdict_name "oscillates" v)
+
+let reads_chan c (e : Activation.t) =
+  List.exists (fun (r : Activation.read) -> Channel.equal_id r.Activation.chan c) e.Activation.reads
+
+let has_drops (e : Activation.t) =
+  List.exists
+    (fun (r : Activation.read) -> not (Activation.IntSet.is_empty r.Activation.drops))
+    e.Activation.reads
+
+(* Runs [tamper] on each stack's witness for [inst] under [m]: the witness
+   must replay and its tampered copy must not. *)
+let rejects_tampered inst m tamper =
+  List.iter
+    (fun s ->
+      let tag = Printf.sprintf "%s %s" s.stack (Model.to_string m) in
+      let w = witness tag (s.analyze inst m) in
+      Alcotest.(check bool) (tag ^ " witness replays") true (s.verify inst m w);
+      Alcotest.(check bool) (tag ^ " tampered witness replays") false (s.verify inst m (tamper w)))
+    stacks
+
+(* DISAGREE's R1O cycle reads (d,x) once, in an entry that processes
+   nothing: without it, the states and the state cycle stay the same. *)
+let test_tamper_unread () =
+  let inst = Gadgets.disagree in
+  rejects_tampered inst (model "R1O") (fun w ->
+      let readers c = List.length (List.filter (reads_chan c) w.Fair.cycle) in
+      match List.find_opt (fun c -> readers c = 1) (Fairness.tracked inst) with
+      | Some c -> { w with Fair.cycle = List.filter (fun e -> not (reads_chan c e)) w.Fair.cycle }
+      | None -> Alcotest.fail "no tracked channel with a single reader")
+
+(* BAD GADGET's U1S cycle reads (2,1) once, dropping the second of two
+   messages and keeping the first; after the change that read drops both,
+   and the states still cycle. *)
+let test_tamper_only_drops () =
+  rejects_tampered Gadgets.bad_gadget (model "U1S") (fun w ->
+      let dropping =
+        List.concat_map
+          (fun (e : Activation.t) ->
+            List.filter_map
+              (fun (r : Activation.read) ->
+                if Activation.IntSet.is_empty r.Activation.drops then None
+                else Some r.Activation.chan)
+              e.Activation.reads)
+          w.Fair.cycle
+      in
+      (* A read of up to [n] messages that keeps one of them. *)
+      let clean (r : Activation.read) =
+        List.exists (Channel.equal_id r.Activation.chan) dropping
+        &&
+        match r.Activation.count with
+        | Activation.Finite n -> Activation.IntSet.cardinal r.Activation.drops < n
+        | Activation.All -> false
+      in
+      let drop_all (r : Activation.read) =
+        match r.Activation.count with
+        | Activation.Finite n when clean r ->
+          { r with Activation.drops = Activation.IntSet.of_list (List.init n succ) }
+        | _ -> r
+      in
+      let turned = ref false in
+      let cycle =
+        List.map
+          (fun (e : Activation.t) ->
+            if !turned || not (List.exists clean e.Activation.reads) then e
+            else begin
+              turned := true;
+              { e with Activation.reads = List.map drop_all e.Activation.reads }
+            end)
+          w.Fair.cycle
+      in
+      if not !turned then Alcotest.fail "no clean read of a dropping channel";
+      { w with Fair.cycle })
+
+(* A witness with drops, replayed under the reliable model of the same
+   shape: its drop-carrying entries are not entries of that model. *)
+let test_tamper_reliable () =
+  let reliable (m : Model.t) = { m with Model.rel = Model.Reliable } in
+  let inst = Gadgets.bad_gadget and m = model "U1S" in
+  List.iter
+    (fun s ->
+      let w = witness s.stack (s.analyze inst m) in
+      Alcotest.(check bool) (s.stack ^ " witness drops") true (List.exists has_drops w.Fair.cycle);
+      Alcotest.(check bool) (s.stack ^ " replays under R1S") false (s.verify inst (reliable m) w))
+    stacks;
+  let inst = Protocols.Gossip.make (Protocols.Topo.ring 4) and m = model "U1O" in
+  let w = witness "gossip" (GG.analyze ~config:gossip_config inst m) in
+  Alcotest.(check bool) "gossip witness replays" true (GG.verify_witness inst m w);
+  Alcotest.(check bool) "gossip witness drops" true (List.exists has_drops w.Fair.prefix);
+  Alcotest.(check bool) "gossip replays under R1O" false (GG.verify_witness inst (reliable m) w)
+
+(* DISAGREE's RMS prefix followed by the round-robin polling cycle, which
+   settles: the executor stops on a converged state, not a cycle. *)
+let test_tamper_converging () =
+  let inst = Gadgets.disagree and m = model "RMS" in
+  let sched = Scheduler.round_robin inst m in
+  let cycle = Scheduler.prefix (Option.get sched.Scheduler.period) sched in
+  rejects_tampered inst m (fun w -> { w with Fair.cycle })
+
 let () =
   Alcotest.run "protocols"
     [
@@ -427,5 +553,12 @@ let () =
           Alcotest.test_case "synchronous multi" `Quick test_generic_synchronous_validates_multi;
           Alcotest.test_case "per-node models" `Quick test_generic_hetero_model_of;
           Alcotest.test_case "well-formedness" `Quick test_generic_well_formed;
+        ] );
+      ( "tampered-witness",
+        [
+          Alcotest.test_case "a tracked channel unread" `Quick test_tamper_unread;
+          Alcotest.test_case "a channel that only drops" `Quick test_tamper_only_drops;
+          Alcotest.test_case "drops under a reliable model" `Quick test_tamper_reliable;
+          Alcotest.test_case "a converging schedule" `Quick test_tamper_converging;
         ] );
     ]
