@@ -15,8 +15,9 @@
    - BGP: convergence cost across BGP deployment presets and topology sizes
      (extension experiment motivated by Secs. 2.3 and 4).
 
-   Set DEEP=0 in the environment to skip the two slow exhaustive
-   model-checking runs (FIG6 under R1A and RMA, ~90s). *)
+   Set DEEP=0 in the environment to skip the two exhaustive
+   model-checking runs of FIG6 under R1A and RMA (about 0.1 s and 0.3 s
+   on a 2-vCPU host). *)
 
 open Spp
 open Engine

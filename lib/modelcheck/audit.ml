@@ -62,7 +62,7 @@ let check_oscillation_separation ~gadget ~gadget_name ~oscillates_in ?scripted
       Model.pp f.Facts.target f.Facts.why
   in
   let slow =
-    (* exhaustive FIG6 checks for R1A and RMA take tens of seconds *)
+    (* the exhaustive FIG6 checks under R1A and RMA *)
     gadget_name = "FIG6"
     && List.mem (Model.to_string f.Facts.non_realizer) [ "R1A"; "RMA" ]
   in

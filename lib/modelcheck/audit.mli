@@ -19,7 +19,7 @@ val positives : ?seeds:int list -> unit -> entry list
 
 val negatives : ?deep:bool -> unit -> entry list
 (** One entry per negative fact.  [deep] (default false) also runs the two
-    multi-minute exhaustive checks (FIG6 under R1A and RMA); otherwise they
-    are reported as skipped. *)
+    exhaustive checks of FIG6 under R1A and RMA (about 0.1 s and 0.3 s on
+    a 2-vCPU host); otherwise they are reported as skipped. *)
 
 val summary : entry list -> string

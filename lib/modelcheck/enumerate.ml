@@ -101,10 +101,51 @@ let node_entries v (model : Model.t) required length =
 let successors_core ~nodes ~required ~length ~(model_of : int -> Model.t) =
   List.concat_map (fun v -> node_entries v (model_of v) (required v) length) nodes
 
+(* What an entry does at the given lengths: its reads that process at
+   least one message, each with its processed count and the processed
+   messages it drops.  A read that processes nothing (an empty channel, or
+   [Finite 0]) is left out: the step kernel skips it (Def. 2.3 does
+   nothing for it), so entries of one node with equal effects step to the
+   same successor, with the same [pushes] and [consumes]. *)
+let effect_at length (l : labeled) =
+  List.filter_map
+    (fun (r : Activation.read) ->
+      let m = length r.Activation.chan in
+      let i = match r.Activation.count with Activation.All -> m | Activation.Finite f -> min f m in
+      if i = 0 then None
+      else
+        Some
+          ( r.Activation.chan,
+            i,
+            List.filter (fun j -> j <= i) (Activation.IntSet.elements r.Activation.drops) ))
+    l.entry.Activation.reads
+
+type group = { labels : labeled list; rep : int array }
+
+(* [rep.(k)]: the index of the first label with label [k]'s effect. *)
+let group length labels =
+  let first = Hashtbl.create 16 in
+  let rep =
+    Array.of_list
+      (List.mapi
+         (fun k l ->
+           let e = effect_at length l in
+           match Hashtbl.find_opt first e with
+           | Some j -> j
+           | None ->
+             Hashtbl.add first e k;
+             k)
+         labels)
+  in
+  { labels; rep }
+
+let labels groups = List.concat_map (fun g -> g.labels) groups
+
 (* The memoised enumeration.  Since a node's entries are a function of its
    in-channel lengths, each node keeps a map from the exact length vector
-   (in [required] order) to its entry list, and every state with that
-   vector shares one list — and so one [labeled] value per edge label.
+   (in [required] order) to its {!group}, and every state with that vector
+   shares one list — and so one [labeled] value per edge label — and one
+   [rep] array, computed once per key.
 
    The map sits in an [Atomic] and grows by compare-and-set, so explorer
    workers on several domains can share one memo: readers never lock, and
@@ -139,7 +180,7 @@ type node_memo = {
   model : Model.t;
   required : Channel.id array;
   required_l : Channel.id list;
-  table : labeled list Lengths.t Atomic.t;
+  table : group Lengths.t Atomic.t;
 }
 
 let memo ?metrics ~nodes ~required ~(model_of : int -> Model.t) () =
@@ -169,27 +210,32 @@ let memo ?metrics ~nodes ~required ~(model_of : int -> Model.t) () =
     let rec find () =
       let table = Atomic.get m.table in
       match Lengths.find key table with
-      | l -> l
+      | g -> g
       | exception Not_found ->
         let l =
           Mutex.protect shared_mu (fun () ->
               List.map share (node_entries m.v m.model m.required_l length))
         in
-        if Atomic.compare_and_set m.table table (Lengths.add key l table) then begin
+        let g = group length l in
+        if Atomic.compare_and_set m.table table (Lengths.add key g table) then begin
           (match metrics with Some t -> Metrics.add_enumerations t 1 | None -> ());
-          l
+          g
         end
         else find ()
     in
     find ()
   in
-  fun length -> List.concat_map (entries length) memos
+  fun length -> List.map (entries length) memos
 
-let successors_with ?metrics inst (model_of : Spp.Path.node -> Model.t) =
+let groups_with ?metrics inst (model_of : Spp.Path.node -> Model.t) =
   let entries =
     memo ?metrics ~nodes:(Instance.nodes inst) ~required:(Model.required_channels inst)
       ~model_of ()
   in
   fun state -> entries (Engine.State.queue_length state)
 
-let successors ?metrics inst (model : Model.t) = successors_with ?metrics inst (fun _ -> model)
+let groups ?metrics inst (model : Model.t) = groups_with ?metrics inst (fun _ -> model)
+
+let successors ?metrics inst model =
+  let groups = groups ?metrics inst model in
+  fun state -> labels (groups state)

@@ -128,7 +128,9 @@ struct
 end
 
 (* Domain-local counter buffer; padded past a cache line so adjacent
-   workers' buffers never false-share. *)
+   workers' buffers never false-share.  [s_out] is the worker's scratch
+   for {!Driver.expand}: the outcome of each label it stepped in the
+   current group. *)
 type wstats = {
   mutable s_interned : int;
   mutable s_dedup : int;
@@ -138,6 +140,7 @@ type wstats = {
   mutable s_peak : int;
   mutable s_ample : int;
   mutable s_canon : int;
+  mutable s_out : int array;
   mutable pad0 : int;
   mutable pad1 : int;
 }
@@ -152,6 +155,7 @@ let fresh_stats () =
     s_peak = 0;
     s_ample = 0;
     s_canon = 0;
+    s_out = [||];
     pad0 = 0;
     pad1 = 0;
   }
@@ -320,7 +324,7 @@ module Driver (S : STATE) = struct
   type space = {
     initial : S.t;
     normalize : S.t -> S.t;
-    successors : S.t -> Enumerate.labeled list;
+    successors : S.t -> Enumerate.group list;
     next : 'r. S.t -> Activation.t -> (S.draft Step.successor -> 'r) -> 'r;
     ample :
       (S.t ->
@@ -379,18 +383,31 @@ module Driver (S : STATE) = struct
         i
       end
 
+  (* An [expand] outcome that is not a target id: the channel bound
+     pruned the edge.  The state bound's is the interner's -1. *)
+  let pruned = -2
+
   (* Every successor comes out of [sp.next] already in normal form (for
      SPP, projected and collapsed at write time: DESIGN.md §3g), so
      nothing here rescans a state.  Without reductions a successor is
      looked up as the draft [sp.next] hands over and sealed only when it
      is new; POR's ample sets and the symmetry quotient work on sealed
      states.  The row, appended to [rows], keeps the order of
-     [sp.successors]. *)
+     [sp.successors].
+
+     Only one label per effect is stepped: a label whose group names an
+     earlier representative ([rep.(k) < k]) has the same successor
+     ({!Enumerate.group}), so it takes the representative's outcome, kept in
+     [stats.s_out] as [j lsl 1 lor canon] — the target id or -1 or
+     [pruned], and whether the symmetry quotient rewrote the successor.
+     Its counters tick as its own step would have: a hit on the target,
+     or the same truncation or pruning (neither bound loosens), and the
+     same rewrite. *)
   let expand ~config sp stats ~intern ~push rows (i, st) =
     let seal d = S.seal d ~digest:(S.draft_digest d) in
     let prune () =
       stats.s_pruned <- stats.s_pruned + 1;
-      -1
+      pruned
     in
     let lookup st' =
       let st' =
@@ -412,22 +429,60 @@ module Driver (S : STATE) = struct
       else if Option.is_some sp.canon then lookup (seal d)
       else intern.intern stats push S.draft_equal S.seal d (S.draft_digest d)
     in
+    let reuse out =
+      stats.s_canon <- stats.s_canon + (out land 1);
+      let j = out asr 1 in
+      if j >= 0 then stats.s_dedup <- stats.s_dedup + 1
+      else if j = pruned then stats.s_pruned <- stats.s_pruned + 1
+      else stats.s_truncated <- stats.s_truncated + 1;
+      j
+    in
     let edge labeled j = if j >= 0 then Fair.Rows.add rows j labeled in
-    let labels = sp.successors st in
+    let rec step_group (rep : int array) k = function
+      | [] -> ()
+      | (l : Enumerate.labeled) :: rest ->
+        let r = Array.unsafe_get rep k in
+        if r < k then edge l (reuse stats.s_out.(r))
+        else begin
+          let canon = stats.s_canon in
+          let j = sp.next st l.Enumerate.entry add_draft in
+          stats.s_out.(k) <- (j lsl 1) lor (stats.s_canon - canon);
+          edge l j
+        end;
+        step_group rep (k + 1) rest
+    in
+    let groups = sp.successors st in
     let before = Fair.Rows.edges rows in
     (match sp.ample with
     | Some ample ->
       let sealed (n : S.draft Step.successor) = { n with Step.after = seal n.Step.after } in
       let stepped =
-        List.map (fun (l : Enumerate.labeled) -> (l, sp.next st l.Enumerate.entry sealed)) labels
+        List.concat_map
+          (fun (g : Enumerate.group) ->
+            let out = Array.make (Array.length g.Enumerate.rep) None in
+            List.mapi
+              (fun k (l : Enumerate.labeled) ->
+                let n =
+                  match out.(g.Enumerate.rep.(k)) with
+                  | Some n -> n
+                  | None -> sp.next st l.Enumerate.entry sealed
+                in
+                out.(k) <- Some n;
+                (l, n))
+              g.Enumerate.labels)
+          groups
       in
       let sel, proper = ample st stepped in
       if proper then stats.s_ample <- stats.s_ample + 1;
       List.iter (fun (l, n) -> edge l (add_state n.Step.after)) sel
     | None ->
       List.iter
-        (fun (l : Enumerate.labeled) -> edge l (sp.next st l.Enumerate.entry add_draft))
-        labels);
+        (fun (g : Enumerate.group) ->
+          let n = Array.length g.Enumerate.rep in
+          if Array.length stats.s_out < n then
+            stats.s_out <- Array.make (max n (2 * Array.length stats.s_out)) 0;
+          step_group g.Enumerate.rep 0 g.Enumerate.labels)
+        groups);
     Fair.Rows.close rows i;
     stats.s_edges <- stats.s_edges + Fair.Rows.edges rows - before
 
@@ -888,7 +943,7 @@ let explore_with ?(config = default_config) ?(reduction = Reduce.No_reduction)
 let explore_compact ?config ?reduction ?domains ?spill ?metrics ?checkpoint ?resume inst
     model =
   explore_with ?config ?reduction ?domains ?spill ?metrics ?checkpoint ?resume inst
-    ~successors:(Enumerate.successors ?metrics inst model)
+    ~successors:(Enumerate.groups ?metrics inst model)
     ~collapse:(collapses model)
 
 let explore ?config ?reduction ?domains ?spill ?metrics ?checkpoint ?resume inst model =

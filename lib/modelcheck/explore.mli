@@ -30,7 +30,14 @@
     The driver writes the graph it explores in compressed sparse rows
     ({!Fair.csr}: two words per edge, labels shared), which is what the
     fair-cycle kernel consumes; {!graph}, with an edge list per state, is
-    a view built from it. *)
+    a view built from it.
+
+    Every label is an edge, but the driver takes one step per distinct
+    effect: labels that differ only in reads processing no message (which
+    the step skips) share their representative's successor
+    ({!Enumerate.group}), and its outcome — the target, or the pruning or
+    truncation — with the counters that outcome ticks.  The graph and
+    every counter are those of stepping each label. *)
 
 type config = { channel_bound : int; max_states : int }
 
@@ -121,9 +128,12 @@ module Driver (S : STATE) : sig
     normalize : S.t -> S.t;
         (** the whole-state normal form, applied only to [initial] and to
             resumed states; every [next] successor must already be in it *)
-    successors : S.t -> Enumerate.labeled list;
-        (** the entries to expand; must be pure, since the work-stealing
-            phase calls it from several domains *)
+    successors : S.t -> Enumerate.group list;
+        (** the entries to expand, grouped by effect: the driver steps a
+            label only when it is its group's representative and gives
+            every other label its representative's outcome.  Must be
+            pure, since the work-stealing phase calls it from several
+            domains *)
     next : 'r. S.t -> Engine.Activation.t -> (S.draft Engine.Step.successor -> 'r) -> 'r;
         (** the step, handing its successor to the continuation; a draft
             need not outlive it *)
@@ -265,13 +275,15 @@ val explore_with :
   ?checkpoint:checkpoint ->
   ?resume:Engine.Snapshot.t ->
   Spp.Instance.t ->
-  successors:(Engine.State.t -> Enumerate.labeled list) ->
+  successors:(Engine.State.t -> Enumerate.group list) ->
   collapse:bool ->
   compact
 (** Generalized entry point (heterogeneous models).  [collapse] keeps only
     the last message of every channel; it is exact only when every entry
     [successors] yields is reliable with [M_all] reads (every model
-    {!collapses}).  [successors] must be pure: once the pool engages it
+    {!collapses}).  Labels of one group that share a representative must
+    step to one successor ({!Enumerate.group}); a group whose [rep] is the
+    identity steps every label.  [successors] must be pure: once the pool engages it
     is called concurrently from several domains.  With [metrics],
     interning, dedup, pruning and frontier counters are recorded (merged
     once at join on the parallel path), plus an "explore" wall-time

@@ -3,7 +3,9 @@
    [Make (P)] is {!Explore} + {!Oscillation} for any {!Engine.Protocol.S}.
    Like {!Oscillation}, it supplies only a goal and its step semantics:
    the state space is explored by the shared {!Explore.Driver} (one
-   canonical entry per observational class via {!Enumerate.memo}; pruning
+   canonical entry per observational class via {!Enumerate.memo}, one
+   step per effect group, since [E.Step.apply] skips a read that
+   processes no message as the SPP kernel does; pruning
    and truncation as for SPP; [Driver.run ~pool] adds work stealing), the
    verdict rule and its reasons are {!Fair.decide}, and a witness is
    checked by {!Fair.replays} under [P]'s step and the shared executor

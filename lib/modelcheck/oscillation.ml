@@ -42,7 +42,7 @@ let analyze_hetero ?config ?reduction ?domains ?metrics inst hetero =
   let collapsible = List.for_all Explore.collapses models in
   let graph =
     Explore.explore_with ?config ?reduction ?domains ?metrics inst
-      ~successors:(Enumerate.successors_with ?metrics inst (Hetero.model_of hetero))
+      ~successors:(Enumerate.groups_with ?metrics inst (Hetero.model_of hetero))
       ~collapse:collapsible
   in
   Metrics.timed ?m:metrics "analyze" (fun () -> analyze_compact ?metrics inst graph)

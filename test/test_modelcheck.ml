@@ -100,23 +100,61 @@ let direct inst model_of length =
   Enumerate.successors_core ~nodes:(Instance.nodes inst)
     ~required:(Model.required_channels inst) ~length ~model_of
 
-let memo_of inst model_of =
+let groups_of inst model_of =
   Enumerate.memo ~nodes:(Instance.nodes inst) ~required:(Model.required_channels inst)
     ~model_of ()
+
+let memo_of inst model_of =
+  let groups = groups_of inst model_of in
+  fun length -> Enumerate.labels (groups length)
+
+(* The effect rule, stated on entries: two labels of one node have one
+   effect when their entries agree once every read that processes no
+   message is removed and every drop past the processed count is
+   ignored. *)
+let same_effect length (a : Enumerate.labeled) (b : Enumerate.labeled) =
+  let processed (r : Activation.read) =
+    let m = length r.Activation.chan in
+    match r.Activation.count with Activation.All -> m | Activation.Finite f -> min f m
+  in
+  let effective (l : Enumerate.labeled) =
+    List.filter (fun r -> processed r > 0) l.Enumerate.entry.Activation.reads
+  in
+  let same_read (r : Activation.read) (s : Activation.read) =
+    let i = processed r in
+    Channel.equal_id r.Activation.chan s.Activation.chan
+    && i = processed s
+    && Activation.IntSet.equal
+         (Activation.IntSet.filter (fun j -> j <= i) r.Activation.drops)
+         (Activation.IntSet.filter (fun j -> j <= i) s.Activation.drops)
+  in
+  List.equal same_read (effective a) (effective b)
+
+(* [rep.(k)] is the first index whose label has label [k]'s effect. *)
+let rep_agrees length (g : Enumerate.group) =
+  let labels = Array.of_list g.Enumerate.labels in
+  Array.length g.Enumerate.rep = Array.length labels
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun k l ->
+            let rec first j = if same_effect length labels.(j) l then j else first (j + 1) in
+            g.Enumerate.rep.(k) = first 0)
+          labels)
 
 let prop_memo_parity =
   QCheck2.Test.make ~name:"memoised enumeration equals successors_core" ~count:200
     gen_memo_case (fun case ->
       let inst, model_of, lengths = memo_inputs case in
-      let memo = memo_of inst model_of in
-      let first = List.map memo lengths in
-      let second = List.map memo lengths in
+      let groups = groups_of inst model_of in
+      let first = List.map groups lengths in
+      let second = List.map groups lengths in
       List.for_all2
         (fun length (a, b) ->
           let expected = direct inst model_of length in
-          a = expected
-          && b = expected
-          (* The second pass is all hits: the very same label values. *)
+          Enumerate.labels a = expected
+          && Enumerate.labels b = expected
+          && List.for_all (rep_agrees length) a
+          (* The second pass is all hits: the very same groups. *)
           && List.for_all2 ( == ) a b)
         lengths (List.combine first second))
 
@@ -229,6 +267,76 @@ let prop_kernel_parity =
           walk (State.initial inst) (Scheduler.prefix steps (Scheduler.random inst m ~seed)))
         Model.all)
 
+(* What the effect groups rely on: a read that processes no message (of an
+   empty channel, or [Finite 0]) changes nothing.  At reachable FIG6 and
+   BAD-GADGET states, every canonical entry steps as the entry stripped of
+   such reads and as that entry padded with such reads of every other
+   in-channel of its node: the same state, [pushes] and [consumes]. *)
+let prop_zero_reads_noop =
+  QCheck2.Test.make ~name:"zero-processing reads leave Step.next unchanged" ~count:30
+    QCheck2.Gen.(
+      quad bool (int_range 0 (Array.length models - 1)) (int_range 0 9_999) (int_range 1 40))
+    (fun (fig6, mi, seed, steps) ->
+      let inst = if fig6 then Gadgets.fig6 else Gadgets.bad_gadget in
+      let m = models.(mi) in
+      let collapse = Explore.collapses m in
+      let normalize st = Explore.project_state inst (Explore.collapse_state m st) in
+      let succ = Enumerate.successors inst m in
+      let same_step st (a : Activation.t) (b : Activation.t) =
+        List.for_all
+          (fun (project, collapse) ->
+            let x = Step.next ~project ~collapse inst st a
+            and y = Step.next ~project ~collapse inst st b in
+            State.equal x.Step.after y.Step.after
+            && x.Step.pushes = y.Step.pushes
+            && x.Step.consumes = y.Step.consumes)
+          [ (true, collapse); (false, false) ]
+      in
+      let zero_reads st (entry : Activation.t) =
+        let length c = State.queue_length st c in
+        let processes (r : Activation.read) =
+          match r.Activation.count with
+          | Activation.All -> length r.Activation.chan > 0
+          | Activation.Finite f -> f > 0 && length r.Activation.chan > 0
+        in
+        let stripped = List.filter processes entry.Activation.reads in
+        let padding =
+          List.concat_map
+            (fun v ->
+              List.filter
+                (fun c ->
+                  not
+                    (List.exists
+                       (fun (r : Activation.read) -> Channel.equal_id r.Activation.chan c)
+                       stripped))
+                (Model.required_channels inst v)
+              |> List.mapi (fun k c ->
+                     if length c > 0 then Activation.read ~count:(Activation.Finite 0) c
+                     else
+                       Activation.read
+                         ~count:
+                           (match (k + seed) mod 3 with
+                           | 0 -> Activation.All
+                           | 1 -> Activation.Finite 1
+                           | _ -> Activation.Finite 0)
+                         c))
+            entry.Activation.active
+        in
+        ( { entry with Activation.reads = stripped },
+          { entry with Activation.reads = stripped @ padding } )
+      in
+      let rec walk st = function
+        | [] -> true
+        | e :: rest ->
+          List.for_all
+            (fun (l : Enumerate.labeled) ->
+              let stripped, padded = zero_reads st l.Enumerate.entry in
+              same_step st l.Enumerate.entry stripped && same_step st stripped padded)
+            (succ st)
+          && walk (normalize (Step.apply inst st e).Step.state) rest
+      in
+      walk (State.initial inst) (Scheduler.prefix steps (Scheduler.random inst m ~seed)))
+
 let normal_form inst m st =
   State.equal (Explore.project_state inst st) st
   && State.equal (Explore.collapse_state m st) st
@@ -274,7 +382,7 @@ let test_normal_sym_and_resume () =
         Filename.concat (Filename.get_temp_dir_name ())
           (Printf.sprintf "commrouting-kernel-%s-%d.snap" name (Unix.getpid ()))
       in
-      let successors = Enumerate.successors inst m in
+      let successors = Enumerate.groups inst m in
       let collapse = Explore.collapses m in
       let calls = ref 0 in
       let killing st =
@@ -606,7 +714,7 @@ let test_ws_exception_propagates () =
      abort flag is what unblocks everyone). *)
   let inst = Gadgets.disagree in
   let m = model "UMS" in
-  let base = Enumerate.successors inst m in
+  let base = Enumerate.groups inst m in
   let calls = Atomic.make 0 in
   let successors st =
     if Atomic.fetch_and_add calls 1 = 3 then raise Boom;
@@ -764,7 +872,7 @@ let collide_space ?(reduction = Reduce.No_reduction) inst m =
   {
     DC.initial = State.initial inst;
     normalize = (fun st -> Explore.project_state inst (Explore.collapse_state m st));
-    successors = Enumerate.successors inst m;
+    successors = Enumerate.groups inst m;
     next = (fun st entry k -> Step.with_next ~project:true ~collapse inst st entry k);
     ample = (if reduction = Reduce.Por then Some (Reduce.ample inst) else None);
     canon = (if reduction = Reduce.Sym then Some (Reduce.canonicalizer inst) else None);
@@ -871,6 +979,114 @@ let test_stealing_contract () =
     [ 300; 20_000 ]
 
 (* ------------------------------------------------------------------ *)
+(* One step per effect *)
+
+(* The reference expansion: every label is its own representative, so the
+   driver steps every label. *)
+let step_every_label groups st =
+  List.map
+    (fun (g : Enumerate.group) ->
+      { g with Enumerate.rep = Array.init (Array.length g.Enumerate.rep) Fun.id })
+    (groups st)
+
+let effect_counters m =
+  Metrics.
+    [
+      ("dedup", dedup_hits m);
+      ("pruned", pruned_writes m);
+      ("truncated", truncated_interns m);
+      ("edges", edges m);
+      ("interned", states_interned m);
+      ("ample", ample_states m);
+      ("canonicalized", canonicalized m);
+    ]
+
+(* The default exploration against the reference, both over one memo so
+   their labels are the same values: the same states, CSR arrays, labels
+   (physically), flags and counters; and, on a graph the state bound did
+   not truncate, the same work-stealing graph up to numbering. *)
+let effect_parity ~config ~reduction tag inst m =
+  let tag = Printf.sprintf "%s %s %s" tag (Model.to_string m) (Reduce.to_string reduction) in
+  let groups = Enumerate.groups inst m and collapse = Explore.collapses m in
+  let run ?spill ~domains successors =
+    let metrics = Metrics.create () in
+    let g =
+      Explore.explore_with ~config ~reduction ~domains ?spill ~metrics inst ~successors
+        ~collapse
+    in
+    (g, effect_counters metrics)
+  in
+  let check_flags tag (a : Explore.compact) (b : Explore.compact) ca cb =
+    Alcotest.(check bool) (tag ^ ": pruned") b.Explore.pruned a.Explore.pruned;
+    Alcotest.(check bool) (tag ^ ": truncated") b.Explore.truncated a.Explore.truncated;
+    Alcotest.(check (list (pair string int))) (tag ^ ": counters") cb ca
+  in
+  let g, c = run ~domains:1 groups and r, rc = run ~domains:1 (step_every_label groups) in
+  Alcotest.(check int) (tag ^ ": states") (Array.length r.Explore.states)
+    (Array.length g.Explore.states);
+  Alcotest.(check bool) (tag ^ ": same states") true
+    (Array.for_all2 State.equal g.Explore.states r.Explore.states);
+  Alcotest.(check (array int)) (tag ^ ": first") r.Explore.csr.Fair.first
+    g.Explore.csr.Fair.first;
+  Alcotest.(check (array int)) (tag ^ ": dst") r.Explore.csr.Fair.dst g.Explore.csr.Fair.dst;
+  Alcotest.(check bool) (tag ^ ": same labels") true
+    (Array.for_all2 ( == ) g.Explore.csr.Fair.label r.Explore.csr.Fair.label);
+  check_flags tag g r c rc;
+  if reduction <> Reduce.Sym && not g.Explore.truncated then begin
+    let p, pc = run ~domains:3 ~spill:0 groups
+    and q, qc = run ~domains:3 ~spill:0 (step_every_label groups) in
+    let tag = tag ^ " stealing" in
+    check_flags tag p q pc qc;
+    let ps, pe = graph_signature (Explore.view p) and qs, qe = graph_signature (Explore.view q) in
+    Alcotest.(check bool) (tag ^ ": same graph") true
+      (List.equal State.equal ps qs && Stdlib.compare pe qe = 0)
+  end
+
+let reductions = [ Reduce.No_reduction; Reduce.Por; Reduce.Sym ]
+
+(* The symmetry quotient's canonicaliser is the slow part, so its runs
+   stop at a lower cap. *)
+let test_effect_parity_gadgets () =
+  List.iter
+    (fun (name, inst) ->
+      List.iter
+        (fun m ->
+          List.iter
+            (fun reduction ->
+              let max_states = if reduction = Reduce.Sym then 600 else 3_000 in
+              effect_parity ~config:{ Explore.channel_bound = 3; max_states } ~reduction name
+                inst m)
+            reductions)
+        Model.all)
+    (Gadgets.all_named ())
+
+let test_effect_parity_fig6_deep () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun reduction ->
+          effect_parity ~config:Explore.default_config ~reduction "FIG6" Gadgets.fig6
+            (model name))
+        [ Reduce.No_reduction; Reduce.Por ])
+    [ "R1A"; "RMA" ]
+
+let test_effect_parity_generated () =
+  let config = { Explore.channel_bound = 2; max_states = 2_000 } in
+  for seed = 0 to 19 do
+    let inst =
+      Generator.instance
+        { Generator.default with nodes = 4; seed; extra_edges = 1; max_paths_per_node = 2 }
+    in
+    List.iter
+      (fun m ->
+        List.iter
+          (fun reduction ->
+            effect_parity ~config ~reduction (Printf.sprintf "seed %d" seed) inst m)
+          reductions)
+      Model.all
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Cross-validation between independent components *)
 
 let test_reachable_solutions_subset_of_solver () =
@@ -954,6 +1170,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_kernel_parity;
           QCheck_alcotest.to_alcotest prop_graph_normal;
+          QCheck_alcotest.to_alcotest prop_zero_reads_noop;
           Alcotest.test_case "sym and resumed states normal" `Quick
             test_normal_sym_and_resume;
         ] );
@@ -997,6 +1214,15 @@ let () =
           Alcotest.test_case "collision chains: same graphs as the real digest" `Quick
             test_collision_chains;
           Alcotest.test_case "work stealing keeps its contract" `Quick test_stealing_contract;
+        ] );
+      ( "effects",
+        [
+          Alcotest.test_case "gadgets x 24 models, one step per effect" `Quick
+            test_effect_parity_gadgets;
+          Alcotest.test_case "FIG6 R1A/RMA, one step per effect" `Quick
+            test_effect_parity_fig6_deep;
+          Alcotest.test_case "generated instances, one step per effect" `Quick
+            test_effect_parity_generated;
         ] );
       ( "parallel",
         Alcotest.test_case "pool reused across explorations" `Quick test_pool_reuse

@@ -331,7 +331,7 @@ let test_kill_and_resume_all_models () =
       let name = Model.to_string m in
       let path = tmp ("kill-" ^ name ^ ".snap") in
       if Sys.file_exists path then Sys.remove path;
-      let successors = Enumerate.successors inst m in
+      let successors = Enumerate.groups inst m in
       let collapse = Explore.collapses m in
       let uninterrupted = Explore.explore ~config ~domains:1 inst m in
       (* Phase 1: run with checkpointing and kill after 5 expansions. *)
@@ -381,7 +381,7 @@ let test_resume_counters_identical () =
   let inst = Gadgets.disagree in
   let config = Explore.default_config in
   let m = model "UMS" in
-  let successors = Enumerate.successors inst m in
+  let successors = Enumerate.groups inst m in
   let collapse = Explore.collapses m in
   let path = tmp "counters.snap" in
   if Sys.file_exists path then Sys.remove path;
