@@ -3,8 +3,7 @@
    Runs each (instance, model) case once sequentially (domains=1) and once
    on a worker pool (domains=N), checks that verdicts and reachable-state
    counts agree, and renders everything as BENCH_explore.json so the perf
-   trajectory is tracked over time.  Schema: see EXPERIMENTS.md.  The
-   flag table at the bottom owns the [DEEP] env handling. *)
+   trajectory is tracked over time.  Schema: see EXPERIMENTS.md. *)
 
 open Spp
 open Engine
@@ -39,18 +38,17 @@ let case ?(config = Modelcheck.Explore.default_config) ?(deep = false) instance_
     inst mname =
   { instance_name; inst; m = model mname; config; deep }
 
-(* The fast subset runs in well under a second; the deep cases are the Fig. 6
-   exhaustive polling runs the paper harness also performs. *)
-let fast_cases () =
+(* The deep cases are the Fig. 6 exhaustive polling runs the paper harness
+   also performs (about 0.1 s and 0.3 s each); the rest take milliseconds. *)
+let cases () =
   [
     case "DISAGREE" Gadgets.disagree "R1O";
     case "DISAGREE" Gadgets.disagree "REA";
     case "DISAGREE" Gadgets.disagree "UMS";
     case "FIG6" Gadgets.fig6 "REA";
+    case ~deep:true "FIG6" Gadgets.fig6 "R1A";
+    case ~deep:true "FIG6" Gadgets.fig6 "RMA";
   ]
-
-let deep_cases () =
-  [ case ~deep:true "FIG6" Gadgets.fig6 "R1A"; case ~deep:true "FIG6" Gadgets.fig6 "RMA" ]
 
 type run = {
   domains : int;
@@ -65,7 +63,6 @@ type run = {
   dedup_rate : float;
   peak_frontier : int;
   ample_states : int;  (* POR: states expanded through a proper ample subset *)
-  canonicalized : int;  (* sym: interns rewritten to an orbit representative *)
   pruned : bool;
   truncated : bool;
   verdict : string;
@@ -138,7 +135,6 @@ let run_one ?ckpt ~reduction c ~domains ~spill ~repeat =
     dedup_rate = Metrics.dedup_rate metrics;
     peak_frontier = Metrics.peak_frontier metrics;
     ample_states = Metrics.ample_states metrics;
-    canonicalized = Metrics.canonicalized metrics;
     pruned = graph.Modelcheck.Explore.pruned;
     truncated = graph.Modelcheck.Explore.truncated;
     verdict;
@@ -160,7 +156,6 @@ let json_of_run r =
       ( "peak_frontier",
         if r.pool_engaged then Json.Null else Json.Num (float_of_int r.peak_frontier) );
       ("ample_states", Json.Num (float_of_int r.ample_states));
-      ("canonicalized", Json.Num (float_of_int r.canonicalized));
       ("pruned", Json.Bool r.pruned);
       ("truncated", Json.Bool r.truncated);
       ("verdict", Json.Str r.verdict);
@@ -227,10 +222,6 @@ let json_of_case_result cr =
    parallel setting to compare against the sequential baseline. *)
 let par_domains () = max 2 (Modelcheck.Explore.default_domains ())
 
-(* The DEEP knob: unset or anything but "0" means deep. *)
-let deep_env () =
-  match Sys.getenv_opt "DEEP" with Some "0" -> false | Some _ | None -> true
-
 (* Peak resident set of this process in KiB, from /proc/self/status (Linux);
    0 where unavailable. *)
 let vm_hwm_kb () =
@@ -248,10 +239,9 @@ let vm_hwm_kb () =
     |> Option.value ~default:0
   | exception Sys_error _ -> 0
 
-let run_all ~reduction ~deep ~domains ~spill ~repeat =
+let run_all ~reduction ~domains ~spill ~repeat =
   let domains_list = [ Some 1; Some domains ] in
-  let cases = fast_cases () @ (if deep then deep_cases () else []) in
-  List.map (run_case ~reduction ~domains_list ~spill ~repeat) cases
+  List.map (run_case ~reduction ~domains_list ~spill ~repeat) (cases ())
 
 (* Checkpointed variant: exploration order must be deterministic for a
    resumed run to be bit-identical, so only the sequential setting runs
@@ -262,8 +252,7 @@ let run_all ~reduction ~deep ~domains ~spill ~repeat =
 let ckpt_file base c =
   Printf.sprintf "%s.%s-%s" base c.instance_name (Model.to_string c.m)
 
-let run_all_checkpointed ~reduction ~deep ~spill ~base ~every ~resume =
-  let cases = fast_cases () @ (if deep then deep_cases () else []) in
+let run_all_checkpointed ~reduction ~spill ~base ~every ~resume =
   List.map
     (fun c ->
       let file = ckpt_file base c in
@@ -274,9 +263,9 @@ let run_all_checkpointed ~reduction ~deep ~spill ~base ~every ~resume =
       if Sys.file_exists file then Sys.remove file;
       Snapshot.remove_stale_temps file;
       cr)
-    cases
+    (cases ())
 
-let to_json ~reduction ~deep ~domains ~spill ~repeat results =
+let to_json ~reduction ~domains ~spill ~repeat results =
   let pool_stats =
     let s = Pool.stats (Pool.get ()) in
     Json.Obj
@@ -298,7 +287,9 @@ let to_json ~reduction ~deep ~domains ~spill ~repeat results =
       ("schema", Json.Str schema);
       ("repr", Json.Str repr);
       ("reduction", Json.Str (Modelcheck.Reduce.to_string reduction));
-      ("deep", Json.Bool deep);
+      (* Always true: every run holds the deep cases.  The key stays so
+         that artifacts which recorded it still compare. *)
+      ("deep", Json.Bool true);
       ("domains_compared", Json.List [ Json.Num 1.; Json.Num (float_of_int domains) ]);
       ("repeat", Json.Num (float_of_int repeat));
       ("spill_threshold", spill_threshold);
@@ -314,8 +305,8 @@ let to_json ~reduction ~deep ~domains ~spill ~repeat results =
    resumed process cannot reproduce — wall times, rates, memory peaks,
    pool/arena occupancy, and the environment-dependent downgrade note.
    Everything else (states, edges, counters, verdicts, flags) must be
-   identical.  The reduction counters [ample_states]/[canonicalized] are
-   deliberately volatile — a resumed reduced run restores them from the
+   identical.  The reduction counter [ample_states] is deliberately
+   volatile — a resumed reduced run restores it from the
    snapshot, but what makes a reduced-vs-unreduced comparison fail is the
    semantic content: the top-level "reduction" tag and the state/edge
    counts, which are never blanked. *)
@@ -332,7 +323,6 @@ let artifact =
         "arena_paths";
         "pool";
         "ample_states";
-        "canonicalized";
         "downgraded";
       ];
     known_keys =
@@ -449,7 +439,7 @@ let parity_failures ~against ~min_reduction results =
    [parity] is a parsed unreduced artifact paired with an optional
    state-reduction floor (see [parity_failures]). *)
 let emit ~path ~repeat ?min_speedup ?spill ~(checkpoint : Kit.checkpoint) ?parity
-    ~reduction ~deep ~domains () =
+    ~reduction ~domains () =
   (* Checkpointing is sequential-only (a resumed run must match an
      uninterrupted one, which only the deterministic order guarantees), so
      the artifact records domains=1; the CLI refuses --repeat with it. *)
@@ -457,13 +447,13 @@ let emit ~path ~repeat ?min_speedup ?spill ~(checkpoint : Kit.checkpoint) ?parit
   let results =
     match checkpoint.path with
     | Some base ->
-      run_all_checkpointed ~reduction ~deep ~spill ~base ~every:checkpoint.every
+      run_all_checkpointed ~reduction ~spill ~base ~every:checkpoint.every
         ~resume:checkpoint.resume
-    | None -> run_all ~reduction ~deep ~domains ~spill ~repeat
+    | None -> run_all ~reduction ~domains ~spill ~repeat
   in
   let parse_failure =
     Kit.write_artifact path
-      (to_json ~reduction ~deep ~domains ~spill ~repeat results)
+      (to_json ~reduction ~domains ~spill ~repeat results)
   in
   let disagreements =
     List.filter_map
@@ -532,7 +522,6 @@ let () =
   let path = ref "BENCH_explore.json" in
   let domains = ref None in
   let repeat = ref 1 in
-  let deep = ref (deep_env ()) in
   let reduction = ref Modelcheck.Reduce.No_reduction in
   let min_speedup = ref None in
   let spill = ref None in
@@ -544,7 +533,6 @@ let () =
       Kit.output path;
       Kit.domains ~floor:2 domains;
       Kit.repeat repeat;
-      ("--deep", Arg.Set deep, " include the Fig. 6 exhaustive polling cases (default unless DEEP=0)");
       Kit.reduction reduction;
       Kit.min_speedup min_speedup "exit 1 if any deep case's speedup falls below X";
       ( "--spill",
@@ -570,11 +558,7 @@ let () =
     if !repeat > 1 then
       bad "--repeat is incompatible with --checkpoint (checkpointed runs run each case once)";
     if !min_speedup <> None then
-      bad "--min-speedup needs parallel runs; incompatible with --checkpoint";
-    if !reduction = Modelcheck.Reduce.Sym then
-      bad
-        "--reduction sym cannot be checkpointed or resumed (orbit representatives are \
-         process-local)"
+      bad "--min-speedup needs parallel runs; incompatible with --checkpoint"
   end;
   if !min_reduction <> None && !parity_path = None then
     bad "--min-reduction requires --parity-against FILE";
@@ -582,7 +566,7 @@ let () =
   let parity = Option.map (fun p -> (Kit.load p, !min_reduction)) !parity_path in
   let results, failures =
     emit ~path:!path ~repeat:!repeat ?min_speedup:!min_speedup ?spill:!spill ~checkpoint:ck
-      ?parity ~reduction:!reduction ~deep:!deep ~domains ()
+      ?parity ~reduction:!reduction ~domains ()
   in
   let mode =
     if ck.path <> None then "sequential, checkpointed"

@@ -107,10 +107,6 @@ let () =
   | None, Some dir -> write_samples dir
   | None, None ->
     let ck = checkpoint () in
-    if !reduction = Modelcheck.Reduce.Sym then
-      Kit.usagef
-        "--reduction sym is not supported here: separation checks replay witnesses, which \
-         a symmetry quotient only preserves up to relabeling";
     let cfg =
       {
         Conformance.Fuzz.seeds = !seeds;

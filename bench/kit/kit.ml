@@ -220,7 +220,7 @@ let min_speedup r doc = threshold "--min-speedup" r ("X " ^ doc)
 
 let reduction r =
   choice "--reduction" r Modelcheck.Reduce.to_string
-    Modelcheck.Reduce.[ No_reduction; Por; Sym ]
+    Modelcheck.Reduce.[ No_reduction; Por ]
     "state-space reduction"
 
 (* [auto] is the recommended domain count less one, at least [floor]. *)

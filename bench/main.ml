@@ -8,16 +8,13 @@
      facts and diffed against the transcribed paper tables;
    - EX-A1 (Fig. 5): DISAGREE's per-model oscillation/convergence verdicts;
    - EX-A2 (Fig. 6): the 13-step REO trace, the REO/REF oscillation, and
-     exhaustive convergence of the polling models;
+     exhaustive convergence of the polling models (R1A and RMA take
+     about 0.1 s and 0.3 s on a 2-vCPU host);
    - EX-A3/A4/A5 (Figs. 7-9): the traces and the machine-checked
      impossibility results (Props. 3.10-3.13);
    - EX-A6: the multi-node-activation oscillation;
    - BGP: convergence cost across BGP deployment presets and topology sizes
-     (extension experiment motivated by Secs. 2.3 and 4).
-
-   Set DEEP=0 in the environment to skip the two exhaustive
-   model-checking runs of FIG6 under R1A and RMA (about 0.1 s and 0.3 s
-   on a 2-vCPU host). *)
+     (extension experiment motivated by Secs. 2.3 and 4). *)
 
 open Spp
 open Engine
@@ -33,8 +30,6 @@ let model s =
       (String.concat ", " (List.map Model.to_string Model.all));
     exit 2
 let section title = Format.printf "@.=============== %s ===============@." title
-
-let deep = Sys.getenv_opt "DEEP" <> Some "0"
 
 (* ------------------------------------------------------------------ *)
 
@@ -130,14 +125,7 @@ let ex_a2 () =
         r.Executor.stop)
     [ "REO"; "REF" ];
   Format.printf "polling models (exhaustive):@.";
-  verdict_line inst (model "REA");
-  if deep then begin
-    verdict_line inst (model "R1A");
-    verdict_line inst (model "RMA")
-  end
-  else
-    Format.printf
-      "  (R1A/RMA skipped: DEEP=0; both verify as convergent, see EXPERIMENTS.md)@."
+  List.iter (fun m -> verdict_line inst (model m)) [ "REA"; "R1A"; "RMA" ]
 
 let refute_line name inst m level ~termination ~target =
   let t0 = Unix.gettimeofday () in
@@ -421,7 +409,7 @@ let fact_audit () =
   section "FACT AUDIT: machine evidence for every foundational fact";
   let pos = Modelcheck.Audit.positives () in
   Format.printf "positive facts (constructive transforms):@.%s" (Modelcheck.Audit.summary pos);
-  let neg = Modelcheck.Audit.negatives ~deep () in
+  let neg = Modelcheck.Audit.negatives () in
   Format.printf "negative facts (witnesses, exhaustive verdicts, refutations):@.%s"
     (Modelcheck.Audit.summary neg)
 

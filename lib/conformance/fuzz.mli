@@ -23,9 +23,7 @@ type config = {
           {!Trial.Deep} (minutes: FIG6 under R1A/RMA) *)
   domains : int;  (** worker domains for the positive sweep *)
   reduction : Modelcheck.Reduce.t;
-      (** state-space reduction for the negative checks' explorations;
-          [Sym] is rejected (witnesses from a symmetry quotient are only
-          valid up to relabeling, and separation checks replay them) *)
+      (** state-space reduction for the negative checks' explorations *)
   emit_dir : string option;
       (** where shrunk counterexamples are serialized, when set *)
   journal : string option;

@@ -263,11 +263,6 @@ let negatives () =
 type negative_verdict = Confirmed | Skipped of string | Falsely_passed of string
 
 let check_negative ?(reduction = Modelcheck.Reduce.No_reduction) ~config neg =
-  (* Separation checks replay the oscillation witness they find, and sym
-     witnesses are only valid up to relabeling (see Oscillation.analyze),
-     so a sym-reduced conformance run would report spurious drift. *)
-  if reduction = Modelcheck.Reduce.Sym then
-    invalid_arg "Conformance.Trial.check_negative: sym witnesses are not replayable";
   let f = neg.fact in
   match neg.check with
   | Refutation r -> (

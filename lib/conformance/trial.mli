@@ -115,10 +115,7 @@ val check_negative :
   negative ->
   negative_verdict
 (** [reduction] (default {!Modelcheck.Reduce.No_reduction}) is forwarded to
-    the separation checks' explorations; [Modelcheck.Reduce.Sym] raises
-    [Invalid_argument] because separation checks replay the oscillation
-    witness they find, and sym witnesses are only valid up to
-    relabeling. *)
+    the separation checks' explorations. *)
 
 val negative_name : negative -> string
 val pp_negative_verdict : Format.formatter -> negative_verdict -> unit

@@ -10,7 +10,6 @@ type t = {
   pruned_writes : int Atomic.t;
   truncated_interns : int Atomic.t;
   ample_states : int Atomic.t;
-  canonicalized : int Atomic.t;
   steps : int Atomic.t;
   messages : int Atomic.t;
   peak_frontier : int Atomic.t;
@@ -31,7 +30,6 @@ let create () =
     pruned_writes = Atomic.make 0;
     truncated_interns = Atomic.make 0;
     ample_states = Atomic.make 0;
-    canonicalized = Atomic.make 0;
     steps = Atomic.make 0;
     messages = Atomic.make 0;
     peak_frontier = Atomic.make 0;
@@ -54,7 +52,6 @@ let add_dedup t n = add t.dedup_hits n
 let add_pruned t n = add t.pruned_writes n
 let add_truncated t n = add t.truncated_interns n
 let add_ample t n = add t.ample_states n
-let add_canonicalized t n = add t.canonicalized n
 let incr_steps t = add t.steps 1
 let add_steps t n = add t.steps n
 let add_messages t n = add t.messages n
@@ -87,7 +84,6 @@ let enumerations t = Atomic.get t.enumerations
 let pruned_writes t = Atomic.get t.pruned_writes
 let truncated_interns t = Atomic.get t.truncated_interns
 let ample_states t = Atomic.get t.ample_states
-let canonicalized t = Atomic.get t.canonicalized
 let steps t = Atomic.get t.steps
 let messages t = Atomic.get t.messages
 let peak_frontier t = Atomic.get t.peak_frontier
@@ -351,7 +347,6 @@ let to_json t =
       ("pruned_writes", Json.Num (float_of_int (pruned_writes t)));
       ("truncated_interns", Json.Num (float_of_int (truncated_interns t)));
       ("ample_states", Json.Num (float_of_int (ample_states t)));
-      ("canonicalized", Json.Num (float_of_int (canonicalized t)));
       ( "downgrade",
         match downgrade t with None -> Json.Null | Some r -> Json.Str r );
       ("steps", Json.Num (float_of_int (steps t)));

@@ -39,10 +39,6 @@ val add_ample : t -> int -> unit
 (** States expanded with a proper ample subset of their enabled
     activations (partial-order reduction engaged at that state). *)
 
-val add_canonicalized : t -> int -> unit
-(** Successor states replaced by a different orbit representative by
-    symmetry canonicalization. *)
-
 val set_downgrade : t -> string -> unit
 (** Record that the requested execution mode was downgraded (e.g. a
     [DOMAINS]-driven parallel default forced sequential by
@@ -70,7 +66,6 @@ val enumerations : t -> int
 val pruned_writes : t -> int
 val truncated_interns : t -> int
 val ample_states : t -> int
-val canonicalized : t -> int
 val steps : t -> int
 val messages : t -> int
 val peak_frontier : t -> int

@@ -140,7 +140,6 @@ type counters = {
   truncated_interns : int;
   peak_frontier : int;
   ample : int;
-  canonicalized : int;
 }
 
 type t = {
@@ -285,7 +284,6 @@ let to_payload inst t =
         ("truncated_interns", num t.counters.truncated_interns);
         ("peak_frontier", num t.counters.peak_frontier);
         ("ample", num t.counters.ample);
-        ("canonicalized", num t.counters.canonicalized);
       ]
   in
   (* The path table is populated by the encoders above, so it must be
@@ -614,7 +612,6 @@ let decode path inst j =
     let* truncated_interns = int_field ~path "counters" "truncated_interns" cj in
     let* peak_frontier = int_field ~path "counters" "peak_frontier" cj in
     let* ample = int_field ~path "counters" "ample" cj in
-    let* canonicalized = int_field ~path "counters" "canonicalized" cj in
     Ok
       {
         channel_bound;
@@ -634,7 +631,6 @@ let decode path inst j =
             truncated_interns;
             peak_frontier;
             ample;
-            canonicalized;
           };
       }
 

@@ -115,7 +115,6 @@ type counters = {
   truncated_interns : int;
   peak_frontier : int;
   ample : int;  (** states expanded through a proper ample subset (POR) *)
-  canonicalized : int;  (** interns rewritten to an orbit representative *)
 }
 (** The {!Metrics} counters accumulated by the exploration so far; restored
     into the resuming run's metrics so a resumed artifact is
@@ -126,7 +125,7 @@ type t = {
   max_states : int;  (** the {!Modelcheck.Explore.config} in effect *)
   reduction : string;
       (** the {!Modelcheck.Reduce.t} that produced the graph, as its
-          [to_string] form ("none", "por", "sym"); resuming under a
+          [to_string] form ("none", "por"); resuming under a
           different reduction is refused by the explorer *)
   states : State.t array;  (** every interned state, index = state id *)
   rows : (int * edge list) list;

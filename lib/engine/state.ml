@@ -44,8 +44,8 @@ let make_layout inst =
   Array.iteri (fun i (c : Channel.id) -> slot.((c.src * n) + c.dst) <- i) ids;
   { n; k = Array.length ids; slot; ids }
 
-(* The symmetry canonicaliser builds a state per automorphism per
-   successor from [initial]; one cached layout spares it the rebuild. *)
+(* Every execution and exploration starts from [initial]; one cached
+   layout spares repeated runs on one instance the rebuild. *)
 let last_layout = Atomic.make None
 
 let layout inst =
@@ -351,8 +351,7 @@ let equal a b =
      && same a.d b.d 0 (Array.length a.d)
 
 (* [compare] is the order the map-based states had — the [Map.compare] of
-   π, then ρ, then the announcements, then the queues — so orbit
-   representatives (the minimum of an orbit) are unchanged.  Over dense
+   π, then ρ, then the announcements, then the queues.  Over dense
    slots, a map's bindings are the non-absent slots in slot order, and
    slot order is key order. *)
 let compare_bindings len present_a present_b cmp_value =

@@ -1,7 +1,7 @@
 open Engine
 open Realization
 
-type status = Verified | Skipped of string | Failed of string
+type status = Verified | Failed of string
 
 type entry = { fact : string; evidence : string; status : status }
 
@@ -56,49 +56,36 @@ let positives ?(seeds = [ 1; 2 ]) () =
 
 (* Negative facts: map each to its semantic witness. *)
 let check_oscillation_separation ~gadget ~gadget_name ~oscillates_in ?scripted
-    (f : Facts.negative) ~deep =
+    (f : Facts.negative) =
   let name =
     Fmt.str "%a cannot preserve oscillations of %a [%s]" Model.pp f.Facts.non_realizer
       Model.pp f.Facts.target f.Facts.why
   in
-  let slow =
-    (* the exhaustive FIG6 checks under R1A and RMA *)
-    gadget_name = "FIG6"
-    && List.mem (Model.to_string f.Facts.non_realizer) [ "R1A"; "RMA" ]
+  let can_oscillate =
+    match scripted with
+    | Some (prefix, cycle) ->
+      (* A concrete fair oscillation schedule beats re-deriving one
+         exhaustively (FIG6's full REO state space takes minutes). *)
+      Oscillation.verify_witness ~max_steps:500 gadget oscillates_in { prefix; cycle }
+    | None -> (
+      match Oscillation.analyze gadget oscillates_in with
+      | Oscillation.Oscillates w -> Oscillation.verify_witness gadget oscillates_in w
+      | _ -> false)
   in
-  if slow && not deep then
-    {
-      fact = name;
-      evidence = Fmt.str "exhaustive check of %s (deep)" gadget_name;
-      status = Skipped "slow exhaustive check; pass ~deep:true";
-    }
-  else begin
-    let can_oscillate =
-      match scripted with
-      | Some (prefix, cycle) ->
-        (* A concrete fair oscillation schedule beats re-deriving one
-           exhaustively (FIG6's full REO state space takes minutes). *)
-        Oscillation.verify_witness ~max_steps:500 gadget oscillates_in { prefix; cycle }
-      | None -> (
-        match Oscillation.analyze gadget oscillates_in with
-        | Oscillation.Oscillates w -> Oscillation.verify_witness gadget oscillates_in w
-        | _ -> false)
-    in
-    let cannot =
-      match Oscillation.analyze gadget f.Facts.non_realizer with
-      | Oscillation.Converges -> true
-      | _ -> false
-    in
-    {
-      fact = name;
-      evidence =
-        Fmt.str "%s oscillates in %a (verified witness) but provably converges in %a"
-          gadget_name Model.pp oscillates_in Model.pp f.Facts.non_realizer;
-      status =
-        (if can_oscillate && cannot then Verified
-         else Failed (Fmt.str "oscillation %b / convergence %b" can_oscillate cannot));
-    }
-  end
+  let cannot =
+    match Oscillation.analyze gadget f.Facts.non_realizer with
+    | Oscillation.Converges -> true
+    | _ -> false
+  in
+  {
+    fact = name;
+    evidence =
+      Fmt.str "%s oscillates in %a (verified witness) but provably converges in %a"
+        gadget_name Model.pp oscillates_in Model.pp f.Facts.non_realizer;
+    status =
+      (if can_oscillate && cannot then Verified
+       else Failed (Fmt.str "oscillation %b / convergence %b" can_oscillate cannot));
+  }
 
 let poll1 inst c =
   let v = Spp.Gadgets.node inst c in
@@ -126,13 +113,13 @@ let check_refutation ~gadget ~entries ~level ~termination (f : Facts.negative) =
       | Refute.Unknown reason -> Failed reason);
   }
 
-let negatives ?(deep = false) () =
+let negatives () =
   List.map
     (fun (f : Facts.negative) ->
       match (f.Facts.why, Model.to_string f.Facts.target) with
       | w, _ when String.length w >= 8 && String.sub w 0 8 = "Thm. 3.8" ->
         check_oscillation_separation ~gadget:Spp.Gadgets.disagree ~gadget_name:"DISAGREE"
-          ~oscillates_in:(model "R1O") f ~deep
+          ~oscillates_in:(model "R1O") f
       | w, _ when String.length w >= 8 && String.sub w 0 8 = "Thm. 3.9" ->
         (* FIG6 oscillates in REO and REF: use the paper's scripted
            schedule (Ex. A.2) as the witness. *)
@@ -143,7 +130,7 @@ let negatives ?(deep = false) () =
         in
         let cycle = List.map (poll1 inst) [ 'v'; 'u'; 'a'; 'x'; 'y'; 'z'; 'd' ] in
         check_oscillation_separation ~gadget:inst ~gadget_name:"FIG6"
-          ~oscillates_in:f.Facts.target ~scripted:(prefix, cycle) f ~deep
+          ~oscillates_in:f.Facts.target ~scripted:(prefix, cycle) f
       | w, _ when String.length w >= 10 && String.sub w 0 10 = "Prop. 3.10" ->
         let inst = Spp.Gadgets.fig7 in
         check_refutation ~gadget:inst
@@ -186,17 +173,15 @@ let negatives ?(deep = false) () =
 let summary entries =
   let count p = List.length (List.filter p entries) in
   let verified = count (fun e -> e.status = Verified) in
-  let skipped = count (fun e -> match e.status with Skipped _ -> true | _ -> false) in
   let failed = count (fun e -> match e.status with Failed _ -> true | _ -> false) in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Fmt.str "%d facts audited: %d verified, %d skipped, %d failed\n"
-       (List.length entries) verified skipped failed);
+    (Fmt.str "%d facts audited: %d verified, %d failed\n" (List.length entries) verified
+       failed);
   List.iter
     (fun e ->
       match e.status with
       | Verified -> ()
-      | Skipped reason -> Buffer.add_string buf (Fmt.str "  SKIPPED %s (%s)\n" e.fact reason)
       | Failed reason -> Buffer.add_string buf (Fmt.str "  FAILED  %s (%s)\n" e.fact reason))
     entries;
   Buffer.contents buf

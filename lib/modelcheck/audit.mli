@@ -8,7 +8,7 @@
     means the fact base fed to the {!Realization.Closure} engine is not
     just transcribed from the paper but independently validated. *)
 
-type status = Verified | Skipped of string | Failed of string
+type status = Verified | Failed of string
 
 type entry = { fact : string; evidence : string; status : status }
 
@@ -17,9 +17,8 @@ val positives : ?seeds:int list -> unit -> entry list
     of at least the claimed level and property-checks it on DISAGREE and
     FIG6 schedules. *)
 
-val negatives : ?deep:bool -> unit -> entry list
-(** One entry per negative fact.  [deep] (default false) also runs the two
-    exhaustive checks of FIG6 under R1A and RMA (about 0.1 s and 0.3 s on
-    a 2-vCPU host); otherwise they are reported as skipped. *)
+val negatives : unit -> entry list
+(** One entry per negative fact, including the two exhaustive checks of
+    FIG6 under R1A and RMA (about 0.1 s and 0.3 s on a 2-vCPU host). *)
 
 val summary : entry list -> string

@@ -139,7 +139,6 @@ type wstats = {
   mutable s_truncated : int;
   mutable s_peak : int;
   mutable s_ample : int;
-  mutable s_canon : int;
   mutable s_out : int array;
   mutable pad0 : int;
   mutable pad1 : int;
@@ -154,7 +153,6 @@ let fresh_stats () =
     s_truncated = 0;
     s_peak = 0;
     s_ample = 0;
-    s_canon = 0;
     s_out = [||];
     pad0 = 0;
     pad1 = 0;
@@ -170,8 +168,7 @@ let merge_stats metrics ~interned stats_list =
       Metrics.add_truncated m (sum (fun w -> w.s_truncated));
       Metrics.observe_frontier m
         (List.fold_left (fun acc w -> max acc w.s_peak) 0 stats_list);
-      Metrics.add_ample m (sum (fun w -> w.s_ample));
-      Metrics.add_canonicalized m (sum (fun w -> w.s_canon)))
+      Metrics.add_ample m (sum (fun w -> w.s_ample)))
 
 (* A double-ended work queue under its own (rarely contended) lock.  The
    owner uses the back; thieves take batches from the front.  Slots are
@@ -328,10 +325,9 @@ module Driver (S : STATE) = struct
     next : 'r. S.t -> Activation.t -> (S.draft Step.successor -> 'r) -> 'r;
     ample :
       (S.t ->
-      (Enumerate.labeled * S.t Step.successor) list ->
+      (Enumerate.labeled * S.t Step.successor) list list ->
       (Enumerate.labeled * S.t Step.successor) list * bool)
       option;
-    canon : (S.t -> S.t) option;
   }
 
   type progress = {
@@ -389,49 +385,32 @@ module Driver (S : STATE) = struct
 
   (* Every successor comes out of [sp.next] already in normal form (for
      SPP, projected and collapsed at write time: DESIGN.md §3g), so
-     nothing here rescans a state.  Without reductions a successor is
+     nothing here rescans a state.  Without a reduction a successor is
      looked up as the draft [sp.next] hands over and sealed only when it
-     is new; POR's ample sets and the symmetry quotient work on sealed
-     states.  The row, appended to [rows], keeps the order of
-     [sp.successors].
+     is new; POR's ample sets work on sealed states.  The row, appended to
+     [rows], keeps the order of [sp.successors].
 
      Only one label per effect is stepped: a label whose group names an
      earlier representative ([rep.(k) < k]) has the same successor
      ({!Enumerate.group}), so it takes the representative's outcome, kept in
-     [stats.s_out] as [j lsl 1 lor canon] — the target id or -1 or
-     [pruned], and whether the symmetry quotient rewrote the successor.
-     Its counters tick as its own step would have: a hit on the target,
-     or the same truncation or pruning (neither bound loosens), and the
-     same rewrite. *)
+     [stats.s_out]: the target id or -1 or [pruned].  Its counters tick as
+     its own step would have: a hit on the target, or the same truncation
+     or pruning (neither bound loosens). *)
   let expand ~config sp stats ~intern ~push rows (i, st) =
-    let seal d = S.seal d ~digest:(S.draft_digest d) in
     let prune () =
       stats.s_pruned <- stats.s_pruned + 1;
       pruned
     in
-    let lookup st' =
-      let st' =
-        match sp.canon with
-        | None -> st'
-        | Some canon ->
-          let c = canon st' in
-          if not (c == st') && not (S.equal c st') then stats.s_canon <- stats.s_canon + 1;
-          c
-      in
-      intern.intern stats push S.equal keep st' (S.digest st')
-    in
     let add_state st' =
-      if S.max_occupancy st' > config.channel_bound then prune () else lookup st'
+      if S.max_occupancy st' > config.channel_bound then prune ()
+      else intern.intern stats push S.equal keep st' (S.digest st')
     in
     let add_draft (n : S.draft Step.successor) =
       let d = n.Step.after in
       if S.draft_occupancy d > config.channel_bound then prune ()
-      else if Option.is_some sp.canon then lookup (seal d)
       else intern.intern stats push S.draft_equal S.seal d (S.draft_digest d)
     in
-    let reuse out =
-      stats.s_canon <- stats.s_canon + (out land 1);
-      let j = out asr 1 in
+    let reuse j =
       if j >= 0 then stats.s_dedup <- stats.s_dedup + 1
       else if j = pruned then stats.s_pruned <- stats.s_pruned + 1
       else stats.s_truncated <- stats.s_truncated + 1;
@@ -444,9 +423,8 @@ module Driver (S : STATE) = struct
         let r = Array.unsafe_get rep k in
         if r < k then edge l (reuse stats.s_out.(r))
         else begin
-          let canon = stats.s_canon in
           let j = sp.next st l.Enumerate.entry add_draft in
-          stats.s_out.(k) <- (j lsl 1) lor (stats.s_canon - canon);
+          stats.s_out.(k) <- j;
           edge l j
         end;
         step_group rep (k + 1) rest
@@ -455,9 +433,11 @@ module Driver (S : STATE) = struct
     let before = Fair.Rows.edges rows in
     (match sp.ample with
     | Some ample ->
-      let sealed (n : S.draft Step.successor) = { n with Step.after = seal n.Step.after } in
+      let sealed (n : S.draft Step.successor) =
+        { n with Step.after = S.seal n.Step.after ~digest:(S.draft_digest n.Step.after) }
+      in
       let stepped =
-        List.concat_map
+        List.map
           (fun (g : Enumerate.group) ->
             let out = Array.make (Array.length g.Enumerate.rep) None in
             List.mapi
@@ -691,11 +671,9 @@ module Driver (S : STATE) = struct
       stats.s_pruned <- c.Snapshot.pruned_writes;
       stats.s_truncated <- c.Snapshot.truncated_interns;
       stats.s_peak <- c.Snapshot.peak_frontier;
-      stats.s_ample <- c.Snapshot.ample;
-      stats.s_canon <- c.Snapshot.canonicalized
+      stats.s_ample <- c.Snapshot.ample
     | None ->
-      let canon = Option.value sp.canon ~default:Fun.id in
-      let init = canon (sp.normalize sp.initial) in
+      let init = sp.normalize sp.initial in
       ignore (intern.intern stats push S.equal keep init (S.digest init)));
     let progress () =
       {
@@ -713,7 +691,6 @@ module Driver (S : STATE) = struct
             truncated_interns = stats.s_truncated;
             peak_frontier = stats.s_peak;
             ample = stats.s_ample;
-            canonicalized = stats.s_canon;
           };
       }
     in
@@ -758,8 +735,8 @@ module Driver (S : STATE) = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* SPP, the driver's first instance: POR's ample sets, the symmetry
-   canonicaliser and the snapshot codec are its hooks. *)
+(* SPP, the driver's first instance: POR's ample sets and the snapshot
+   codec are its hooks. *)
 
 module Spp_state = struct
   include State
@@ -878,14 +855,6 @@ let explore_with ?(config = default_config) ?(reduction = Reduce.No_reduction)
     invalid_arg "Explore: checkpoint every must be >= 1"
   | _ -> ());
   let deterministic = checkpoint <> None || resume <> None in
-  (* Orbit representatives are chosen by arena-id order, which is stable
-     within a process but not across one: a sym run resumed in a new
-     process would canonicalize differently and re-derive states the
-     snapshot already holds.  Refuse rather than corrupt. *)
-  if deterministic && reduction = Reduce.Sym then
-    invalid_arg
-      "Explore: sym reduction cannot be checkpointed or resumed (orbit \
-       representatives are process-local)";
   (* Checkpoint/resume are defined only for the deterministic sequential
      order (work-stealing numbering is nondeterministic).  An explicit
      request for parallelism alongside them is a contradiction the caller
@@ -933,8 +902,7 @@ let explore_with ?(config = default_config) ?(reduction = Reduce.No_reduction)
       normalize = normalize inst ~collapse;
       successors;
       next = (fun st entry k -> Step.with_next ~project:true ~collapse inst st entry k);
-      ample = (if reduction = Reduce.Por then Some (Reduce.ample inst) else None);
-      canon = (if reduction = Reduce.Sym then Some (Reduce.canonicalizer inst) else None);
+      ample = (if reduction = Reduce.Por then Some Reduce.ample else None);
     }
   in
   Metrics.timed ?m:metrics "explore" (fun () ->

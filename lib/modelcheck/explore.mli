@@ -139,14 +139,12 @@ module Driver (S : STATE) : sig
             need not outlive it *)
     ample :
       (S.t ->
-      (Enumerate.labeled * S.t Engine.Step.successor) list ->
+      (Enumerate.labeled * S.t Engine.Step.successor) list list ->
       (Enumerate.labeled * S.t Engine.Step.successor) list * bool)
       option;
-        (** partial-order reduction: the pairs to expand, and whether they
-            are a proper subset (counted as [ample_states]) *)
-    canon : (S.t -> S.t) option;
-        (** a symmetry quotient's orbit representative, applied before
-            interning (counted as [canonicalized] when it rewrites) *)
+        (** partial-order reduction: given every stepped pair, one list
+            per group of [successors], the pairs to expand, and whether
+            they are a proper subset (counted as [ample_states]) *)
   }
   (** One exploration's state space: everything protocol-specific. *)
 
@@ -290,12 +288,10 @@ val explore_with :
     phase.
 
     [?reduction] (default {!Reduce.No_reduction}, which leaves the legacy
-    exploration bit-identical) applies {!Reduce.Por} ample-set pruning or
-    the {!Reduce.Sym} symmetry quotient; both preserve the verdict and
-    the reachable assignment set (DESIGN.md).  Under [Por] the
-    [ample_states] metric counts states expanded through a proper ample
-    subset; under [Sym] the [canonicalized] metric counts successors
-    rewritten to another orbit representative.
+    exploration bit-identical) applies {!Reduce.Por} ample-set pruning,
+    which preserves the verdict and the reachable assignment set
+    (DESIGN.md).  The [ample_states] metric counts states expanded
+    through a proper ample subset.
 
     [?checkpoint] and [?resume] (a snapshot loaded by the caller with
     {!Engine.Snapshot.load}) are defined only for the deterministic
@@ -305,10 +301,8 @@ val explore_with :
 
     Raises [Invalid_argument] if: the snapshot's recorded
     [channel_bound]/[max_states]/[reduction] disagree with this run's;
-    [checkpoint.every < 1]; [Sym] is combined with checkpoint/resume
-    (orbit representatives are process-local, see {!Reduce.canonicalizer});
-    or an explicit [?domains] above 1 is combined with checkpoint or
-    resume.  When those options merely meet an environment-derived
-    ([DOMAINS]) parallelism default, the run is downgraded to one domain
-    and the downgrade is recorded in the metrics
+    [checkpoint.every < 1]; or an explicit [?domains] above 1 is combined
+    with checkpoint or resume.  When those options merely meet an
+    environment-derived ([DOMAINS]) parallelism default, the run is
+    downgraded to one domain and the downgrade is recorded in the metrics
     ([Engine.Metrics.downgrade]) rather than silently applied. *)

@@ -56,7 +56,7 @@ module Make (P : Engine.Protocol.S) = struct
 
   (* The protocol's state space for the shared driver.  A successor is the
      whole recorded step, collapsed and projected afterwards; no
-     partial-order or symmetry hook applies to a generic protocol. *)
+     partial-order hook applies to a generic protocol. *)
   let space inst ~model_of =
     let collapse =
       if collapsible inst model_of then E.State.collapse_last else Fun.id
@@ -79,7 +79,6 @@ module Make (P : Engine.Protocol.S) = struct
               consumes = o.E.Step.processed <> [];
             });
       ample = None;
-      canon = None;
     }
 
   (* Sequential, so the numbering is deterministic (the parity suite pins

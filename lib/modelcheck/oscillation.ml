@@ -31,13 +31,6 @@ let analyze ?config ?reduction ?domains ?metrics inst model =
   Metrics.timed ?m:metrics "analyze" (fun () -> analyze_compact ?metrics inst graph)
 
 let analyze_hetero ?config ?reduction ?domains ?metrics inst hetero =
-  (* The symmetry quotient requires one model everywhere: an automorphism
-     of the instance need not map a node to one running the same model, so
-     relabeled executions are not executions of the heterogeneous system. *)
-  (match reduction with
-  | Some Reduce.Sym ->
-    invalid_arg "Oscillation.analyze_hetero: sym reduction requires a homogeneous model"
-  | _ -> ());
   let models = List.map (Hetero.model_of hetero) (Instance.nodes inst) in
   let collapsible = List.for_all Explore.collapses models in
   let graph =

@@ -49,12 +49,12 @@ val analyze :
   verdict
 (** [reduction]/[domains]/[metrics] are forwarded to {!Explore.explore_compact};
     with [metrics] the graph analysis is additionally timed as an
-    "analyze" phase and counted ({!Engine.Metrics.fair_splits}).  Both reductions preserve the verdict of a clean
-    (unpruned, untruncated) exploration; when the exact run prunes at the
-    channel bound, a reduced run may additionally reach a definitive
-    verdict, because POR's representative executions drain messages
-    eagerly and can stay inside a bound the original schedule exceeded
-    (DESIGN.md). *)
+    "analyze" phase and counted ({!Engine.Metrics.fair_splits}).  POR
+    preserves the verdict of a clean (unpruned, untruncated) exploration;
+    when the exact run prunes at the channel bound, a reduced run may
+    additionally reach a definitive verdict, because POR's representative
+    executions drain messages eagerly and can stay inside a bound the
+    original schedule exceeded (DESIGN.md). *)
 
 val analyze_hetero :
   ?config:Explore.config ->
@@ -65,10 +65,8 @@ val analyze_hetero :
   Engine.Hetero.t ->
   verdict
 (** Exhaustive verdict when each node runs its own model (Sec. 5's open
-    mixed-model question).  [Reduce.Por] is sound here (the drain
-    conditions are per-node and model-independent); [Reduce.Sym] raises
-    [Invalid_argument] — an instance automorphism need not preserve the
-    node-to-model assignment. *)
+    mixed-model question).  [Reduce.Por] is sound here: the drain
+    conditions are per-node and model-independent. *)
 
 val verify_witness :
   ?max_steps:int -> Spp.Instance.t -> Engine.Model.t -> witness -> bool

@@ -94,9 +94,8 @@ let instance cfg = build ~order_paths:(fun rng paths -> shuffle rng paths) cfg
    [prefer_neighbor] each spoke prefers the route through that neighbor
    over its direct route — the rotational generalization of DISAGREE
    (k = 2) — otherwise the direct route wins and the instance trivially
-   converges.  The k rotations are instance automorphisms, so
-   [Instance.automorphisms] reports k - 1 non-identity symmetries for the
-   symmetry quotient to exploit. *)
+   converges.  Small and regular, it is the partial-order reduction tests'
+   RING3. *)
 let symmetric_ring ?(prefer_neighbor = true) k =
   if k < 2 then invalid_arg "Generator.symmetric_ring: need at least 2 spokes";
   let names =

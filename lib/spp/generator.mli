@@ -27,6 +27,5 @@ val symmetric_ring : ?prefer_neighbor:bool -> int -> Instance.t
     neighbor, every spoke preferring the route through that neighbor over
     its direct route ([prefer_neighbor], default true — the rotational
     generalization of DISAGREE, k = 2).  With [~prefer_neighbor:false] the
-    direct route is preferred and the instance trivially converges.  Its k
-    rotations make {!Instance.automorphisms} report k - 1 non-identity
-    symmetries.  Raises [Invalid_argument] when [k < 2]. *)
+    direct route is preferred and the instance trivially converges.
+    Raises [Invalid_argument] when [k < 2]. *)

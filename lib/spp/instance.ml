@@ -221,63 +221,6 @@ let best t v candidates =
   | None -> Path.epsilon
   | Some (p, _) -> p
 
-(* Dest-fixing graph automorphisms that also preserve the ranked
-   permitted-path structure: exactly the relabelings under which every
-   execution of the routing algorithm maps to a twisted execution, so
-   quotienting explored states by them is sound (DESIGN.md, "Symmetry
-   quotient").  Brute-force backtracking over node images with degree and
-   prefix-adjacency pruning; instances past [max_nodes] report no
-   symmetries rather than risk a combinatorial search (the generator's
-   symmetric families are all small). *)
-let automorphisms ?(max_nodes = 10) t =
-  let n = t.size in
-  if n > max_nodes then []
-  else begin
-    let deg = Array.map List.length t.adj in
-    let sigma = Array.make n (-1) in
-    let used = Array.make n false in
-    let results = ref [] in
-    let relabel_path sg p = Path.of_nodes (List.map (fun v -> sg.(v)) (Path.to_nodes p)) in
-    let sort_ranked =
-      List.sort (fun (p, r) (q, s) -> if r <> s then compare r s else Path.compare p q)
-    in
-    let full_ok sg =
-      List.for_all
-        (fun v ->
-          let image = sort_ranked (List.map (fun (p, r) -> (relabel_path sg p, r)) t.ranked.(v)) in
-          List.equal
-            (fun (p, r) (q, s) -> r = s && Path.equal p q)
-            image t.ranked.(sg.(v)))
-        (nodes t)
-    in
-    let rec go v =
-      if v = n then begin
-        if Array.exists (fun i -> sigma.(i) <> i) (Array.init n Fun.id) && full_ok sigma
-        then results := Array.copy sigma :: !results
-      end
-      else
-        for w = 0 to n - 1 do
-          if
-            (not used.(w))
-            && deg.(v) = deg.(w)
-            && List.length t.ranked.(v) = List.length t.ranked.(w)
-            && (v = t.dest) = (w = t.dest)
-            && List.for_all
-                 (fun u -> u >= v || are_adjacent t u v = are_adjacent t sigma.(u) w)
-                 (nodes t)
-          then begin
-            sigma.(v) <- w;
-            used.(w) <- true;
-            go (v + 1);
-            used.(w) <- false;
-            sigma.(v) <- -1
-          end
-        done
-    in
-    go 0;
-    List.rev !results
-  end
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>SPP instance (%d nodes, dest %s)@," t.size (name t t.dest);
   List.iter

@@ -104,17 +104,5 @@ val best : t -> Path.node -> Path.t list -> Path.t
 val channels : t -> (Path.node * Path.node) list
 (** All directed channels (u, v): two per undirected edge. *)
 
-(** {1 Symmetries} *)
-
-val automorphisms : ?max_nodes:int -> t -> Path.node array list
-(** All non-identity instance automorphisms: node permutations that fix the
-    destination, preserve adjacency, and map every node's ranked permitted
-    paths onto its image's (same set of (relabeled path, rank) pairs).
-    Exactly the relabelings under which the routing semantics is invariant,
-    so they are safe to quotient explored states by.  Deterministic order.
-    Returns [] for instances larger than [max_nodes] (default 10) instead
-    of attempting a combinatorial search; callers treat "no automorphisms
-    found" as "no reduction", never as an error. *)
-
 val pp : Format.formatter -> t -> unit
 val pp_path : t -> Format.formatter -> Path.t -> unit

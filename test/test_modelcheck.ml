@@ -362,18 +362,9 @@ let prop_graph_normal =
 exception Killed
 
 (* The same invariant for states that do not come out of the kernel:
-   symmetry representatives, and states resumed from a checkpoint. *)
-let test_normal_sym_and_resume () =
+   states resumed from a checkpoint. *)
+let test_normal_resume () =
   let config = { Explore.channel_bound = 3; max_states = 600 } in
-  List.iter
-    (fun inst ->
-      List.iter
-        (fun m ->
-          let name = Model.to_string m in
-          let g = Explore.explore ~config ~reduction:Reduce.Sym ~domains:1 inst m in
-          if not (all_normal inst m g) then Alcotest.failf "%s: sym state not normal" name)
-        Model.all)
-    [ Gadgets.disagree; Gadgets.bad_gadget ];
   let inst = Gadgets.fig6 in
   List.iter
     (fun name ->
@@ -874,8 +865,7 @@ let collide_space ?(reduction = Reduce.No_reduction) inst m =
     normalize = (fun st -> Explore.project_state inst (Explore.collapse_state m st));
     successors = Enumerate.groups inst m;
     next = (fun st entry k -> Step.with_next ~project:true ~collapse inst st entry k);
-    ample = (if reduction = Reduce.Por then Some (Reduce.ample inst) else None);
-    canon = (if reduction = Reduce.Sym then Some (Reduce.canonicalizer inst) else None);
+    ample = (if reduction = Reduce.Por then Some Reduce.ample else None);
   }
 
 let test_collision_chains () =
@@ -915,14 +905,10 @@ let test_collision_chains () =
           check (name ^ " stealing") want
             (DC.run ~pool:(3, 0) config (collide_space inst m))
             ~exact:false;
-          List.iter
-            (fun r ->
-              check
-                (name ^ " " ^ Reduce.to_string r)
-                (Explore.explore ~config ~reduction:r ~domains:1 inst m)
-                (DC.run config (collide_space ~reduction:r inst m))
-                ~exact:true)
-            [ Reduce.Por; Reduce.Sym ])
+          check (name ^ " por")
+            (Explore.explore ~config ~reduction:Reduce.Por ~domains:1 inst m)
+            (DC.run config (collide_space ~reduction:Reduce.Por inst m))
+            ~exact:true)
         Model.all)
     [ Gadgets.disagree; Gadgets.bad_gadget ]
 
@@ -998,7 +984,6 @@ let effect_counters m =
       ("edges", edges m);
       ("interned", states_interned m);
       ("ample", ample_states m);
-      ("canonicalized", canonicalized m);
     ]
 
 (* The default exploration against the reference, both over one memo so
@@ -1032,7 +1017,7 @@ let effect_parity ~config ~reduction tag inst m =
   Alcotest.(check bool) (tag ^ ": same labels") true
     (Array.for_all2 ( == ) g.Explore.csr.Fair.label r.Explore.csr.Fair.label);
   check_flags tag g r c rc;
-  if reduction <> Reduce.Sym && not g.Explore.truncated then begin
+  if not g.Explore.truncated then begin
     let p, pc = run ~domains:3 ~spill:0 groups
     and q, qc = run ~domains:3 ~spill:0 (step_every_label groups) in
     let tag = tag ^ " stealing" in
@@ -1042,21 +1027,15 @@ let effect_parity ~config ~reduction tag inst m =
       (List.equal State.equal ps qs && Stdlib.compare pe qe = 0)
   end
 
-let reductions = [ Reduce.No_reduction; Reduce.Por; Reduce.Sym ]
+let reductions = [ Reduce.No_reduction; Reduce.Por ]
 
-(* The symmetry quotient's canonicaliser is the slow part, so its runs
-   stop at a lower cap. *)
 let test_effect_parity_gadgets () =
+  let config = { Explore.channel_bound = 3; max_states = 3_000 } in
   List.iter
     (fun (name, inst) ->
       List.iter
         (fun m ->
-          List.iter
-            (fun reduction ->
-              let max_states = if reduction = Reduce.Sym then 600 else 3_000 in
-              effect_parity ~config:{ Explore.channel_bound = 3; max_states } ~reduction name
-                inst m)
-            reductions)
+          List.iter (fun reduction -> effect_parity ~config ~reduction name inst m) reductions)
         Model.all)
     (Gadgets.all_named ())
 
@@ -1067,7 +1046,7 @@ let test_effect_parity_fig6_deep () =
         (fun reduction ->
           effect_parity ~config:Explore.default_config ~reduction "FIG6" Gadgets.fig6
             (model name))
-        [ Reduce.No_reduction; Reduce.Por ])
+        reductions)
     [ "R1A"; "RMA" ]
 
 let test_effect_parity_generated () =
@@ -1171,8 +1150,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_kernel_parity;
           QCheck_alcotest.to_alcotest prop_graph_normal;
           QCheck_alcotest.to_alcotest prop_zero_reads_noop;
-          Alcotest.test_case "sym and resumed states normal" `Quick
-            test_normal_sym_and_resume;
+          Alcotest.test_case "resumed states normal" `Quick test_normal_resume;
         ] );
       ( "verdicts",
         [

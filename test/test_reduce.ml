@@ -1,7 +1,7 @@
 (* State-space reduction (Modelcheck.Reduce) and its integration with the
-   explorer: verdict/assignment parity of POR and the symmetry quotient
-   against the exact exploration, witness replay under POR, the
-   sequential-only mode guards, and the occupancy-cache invariant the reduction paths must maintain. *)
+   explorer: verdict/assignment parity of POR against the exact
+   exploration, witness replay under POR, the sequential-only mode guards,
+   and the occupancy-cache invariant of the step and channel mutators. *)
 
 open Spp
 open Engine
@@ -11,57 +11,23 @@ let model s = Option.get (Model.of_string s)
 let ring3 = Generator.symmetric_ring 3
 
 (* ------------------------------------------------------------------ *)
-(* Instance automorphisms: the group the symmetry quotient divides by. *)
+(* The [--reduction] spellings: two, and no symmetry quotient. *)
 
-let test_automorphism_counts () =
-  let count inst = List.length (Instance.automorphisms inst) in
-  (* DISAGREE: swapping the two contending nodes is the one symmetry. *)
-  Alcotest.(check int) "DISAGREE" 1 (count Gadgets.disagree);
-  (* k-spoke symmetric rings admit exactly the k rotations (minus id). *)
-  Alcotest.(check int) "RING3" 2 (count ring3);
-  Alcotest.(check int) "RING4" 3 (count (Generator.symmetric_ring 4));
-  (* FIG6's preference structure is asymmetric. *)
-  Alcotest.(check int) "FIG6" 0 (count Gadgets.fig6)
-
-let test_automorphisms_are_permutations () =
+let test_spellings () =
   List.iter
-    (fun inst ->
-      let n = Instance.size inst in
-      List.iter
-        (fun sigma ->
-          Alcotest.(check int) "arity" n (Array.length sigma);
-          let seen = Array.make n false in
-          Array.iter (fun v -> seen.(v) <- true) sigma;
-          Alcotest.(check bool) "bijective" true (Array.for_all Fun.id seen))
-        (Instance.automorphisms inst))
-    [ Gadgets.disagree; ring3 ]
+    (fun r ->
+      Alcotest.(check bool) (Reduce.to_string r) true
+        (Reduce.of_string (Reduce.to_string r) = Some r))
+    Reduce.[ No_reduction; Por ];
+  Alcotest.(check bool) "sym is not a reduction" true (Reduce.of_string "sym" = None)
 
 (* ------------------------------------------------------------------ *)
-(* Parity: both reductions must preserve the oscillation verdict and the
-   reachable path-assignment set.  The sym quotient only keeps one orbit
-   representative per class, so its assignment set is compared after
-   closing both sides under the automorphism group (mapping every
-   assignment to the least element of its orbit). *)
+(* Parity: POR must preserve the oscillation verdict and the reachable
+   path-assignment set. *)
 
-let relabel_path sigma p =
-  if Path.is_epsilon p then p
-  else Path.of_nodes (List.map (fun v -> sigma.(v)) (Path.to_nodes p))
-
-let relabel_assignment inst sigma a =
-  Assignment.of_list inst
-    (List.map (fun (v, p) -> (sigma.(v), relabel_path sigma p)) (Assignment.to_list a))
-
-let canon_assignment inst autos a =
-  List.fold_left
-    (fun best sigma ->
-      let b = relabel_assignment inst sigma a in
-      if Assignment.compare b best < 0 then b else best)
-    a autos
-
-let assignment_set ?canon inst (g : Explore.graph) =
-  let canon = Option.value canon ~default:Fun.id in
+let assignment_set inst (g : Explore.graph) =
   Array.to_list g.Explore.states
-  |> List.map (fun st -> canon (State.assignment inst st))
+  |> List.map (State.assignment inst)
   |> List.sort_uniq Assignment.compare
 
 (* Checks one (instance, model, reduction) against the exact run.  Only
@@ -72,12 +38,10 @@ let assignment_set ?canon inst (g : Explore.graph) =
    inside a channel bound the original schedule exceeded (DESIGN.md).
    When the exact run does report a pruning-proof oscillation under POR,
    the witness-replay test below still covers the reduced verdict. *)
-let check_parity name inst ~config m reduction =
+let check_parity name inst ~config m =
   let exact = Explore.explore ~config ~domains:1 inst m in
-  let reduced = Explore.explore ~config ~reduction ~domains:1 inst m in
-  let tag =
-    Printf.sprintf "%s/%s/%s" name (Model.to_string m) (Reduce.to_string reduction)
-  in
+  let reduced = Explore.explore ~config ~reduction:Reduce.Por ~domains:1 inst m in
+  let tag = Printf.sprintf "%s/%s/por" name (Model.to_string m) in
   let verdict g = Oscillation.verdict_name (Oscillation.analyze_graph inst g) in
   if (not exact.Explore.pruned) && not exact.Explore.truncated then begin
     Alcotest.(check string) (tag ^ " verdict") (verdict exact) (verdict reduced);
@@ -86,15 +50,7 @@ let check_parity name inst ~config m reduction =
       (Array.length reduced.Explore.states <= Array.length exact.Explore.states);
     Alcotest.(check bool) (tag ^ " clean flags") false
       (reduced.Explore.pruned || reduced.Explore.truncated);
-    let canon =
-      match reduction with
-      | Reduce.Sym ->
-        let autos = Instance.automorphisms inst in
-        Some (canon_assignment inst autos)
-      | _ -> None
-    in
-    let ea = assignment_set ?canon inst exact
-    and ra = assignment_set ?canon inst reduced in
+    let ea = assignment_set inst exact and ra = assignment_set inst reduced in
     Alcotest.(check int) (tag ^ " assignment set size") (List.length ea)
       (List.length ra);
     Alcotest.(check bool) (tag ^ " assignment sets equal") true
@@ -104,15 +60,9 @@ let check_parity name inst ~config m reduction =
 let test_parity_gadgets () =
   (* DISAGREE runs at the default bound; RING3's unreliable-model spaces
      grow quickly with the bound, and bound 3 already exercises multi-slot
-     channels, nontrivial orbits and the ample drain conditions. *)
+     channels and the ample drain conditions. *)
   List.iter
-    (fun (name, inst, config) ->
-      List.iter
-        (fun m ->
-          List.iter
-            (check_parity name inst ~config m)
-            [ Reduce.Por; Reduce.Sym ])
-        Model.all)
+    (fun (name, inst, config) -> List.iter (check_parity name inst ~config) Model.all)
     [
       ("DISAGREE", Gadgets.disagree, Explore.default_config);
       ("RING3", ring3, { Explore.channel_bound = 3; max_states = 100_000 });
@@ -127,18 +77,11 @@ let prop_parity_generated =
           { Generator.default with nodes = 4; seed; extra_edges = 1; max_paths_per_node = 2 }
       in
       let config = { Explore.channel_bound = 2; max_states = 20_000 } in
-      List.iter
-        (fun m ->
-          List.iter
-            (check_parity (Printf.sprintf "GEN%d" seed) inst ~config m)
-            [ Reduce.Por; Reduce.Sym ])
-        Model.all;
+      List.iter (check_parity (Printf.sprintf "GEN%d" seed) inst ~config) Model.all;
       true)
 
 (* POR prunes schedules, never states a witness needs: every oscillation
-   witness found through an ample-reduced graph must replay concretely.
-   (Sym witnesses are only valid up to relabeling — that contract lives in
-   Oscillation's docs and Conformance rejects sym for exactly this reason.) *)
+   witness found through an ample-reduced graph must replay concretely. *)
 let test_por_witness_replays () =
   List.iter
     (fun (name, inst) ->
@@ -175,20 +118,6 @@ let test_por_reduces_ring3 () =
     true
     (reduced * 2 <= exact)
 
-let test_sym_quotients_ring3 () =
-  let m = model "R1O" in
-  let metrics = Metrics.create () in
-  let exact = Explore.explore ~domains:1 ring3 m in
-  let reduced = Explore.explore ~reduction:Reduce.Sym ~domains:1 ~metrics ring3 m in
-  Alcotest.(check bool) "some interns canonicalized" true
-    (Metrics.canonicalized metrics > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "sym shrinks RING3/R1O (%d -> %d)"
-       (Array.length exact.Explore.states)
-       (Array.length reduced.Explore.states))
-    true
-    (Array.length reduced.Explore.states * 2 <= Array.length exact.Explore.states)
-
 (* ------------------------------------------------------------------ *)
 (* Sequential-only guards (checkpoint/resume):
    explicit parallelism is a typed error, environment-implied parallelism
@@ -220,10 +149,7 @@ let test_explicit_domains_rejected () =
       let ckpt = { Explore.path = Filename.concat dir "snap"; every = 5 } in
       Alcotest.(check bool) "domains>1 + checkpoint" true
         (invalid_arg_raised (fun () ->
-             Explore.explore ~domains:3 ~checkpoint:ckpt inst m));
-      Alcotest.(check bool) "sym + checkpoint" true
-        (invalid_arg_raised (fun () ->
-             Explore.explore ~reduction:Reduce.Sym ~checkpoint:ckpt inst m)))
+             Explore.explore ~domains:3 ~checkpoint:ckpt inst m)))
 
 let test_env_domains_downgraded () =
   let inst = Gadgets.disagree in
@@ -276,17 +202,15 @@ let test_checkpoint_records_reduction () =
         (Array.length resumed.Explore.states))
 
 (* ------------------------------------------------------------------ *)
-(* S2: the cached max-occupancy must survive every mutator, including the
-   relabeling the symmetry quotient applies to freshly generated states. *)
+(* The cached max-occupancy must survive every mutator: the step, and
+   direct channel pushes and drops. *)
 
 let prop_occupancy_cache_exact =
-  QCheck2.Test.make ~name:"max_occupancy cache survives mutators and relabeling"
-    ~count:30
+  QCheck2.Test.make ~name:"max_occupancy cache survives mutators" ~count:30
     QCheck2.Gen.(pair (int_range 0 9_999) (int_range 1 40))
     (fun (seed, steps) ->
       let inst = ring3 in
       let m = model "UMS" in
-      let autos = Instance.automorphisms inst in
       let sched = Scheduler.random inst m ~seed in
       let entries = Scheduler.prefix steps sched in
       let final =
@@ -295,11 +219,6 @@ let prop_occupancy_cache_exact =
             let st = (Step.apply inst st entry).Step.state in
             if not (State.debug_occupancy_ok st) then
               QCheck2.Test.fail_report "stale occupancy after a step";
-            List.iter
-              (fun sigma ->
-                if not (State.debug_occupancy_ok (Reduce.relabel inst sigma st))
-                then QCheck2.Test.fail_report "stale occupancy after relabel")
-              autos;
             st)
           (State.initial inst) entries
       in
@@ -319,17 +238,11 @@ let prop_occupancy_cache_exact =
 let () =
   Alcotest.run "reduce"
     [
-      ( "automorphisms",
-        [
-          Alcotest.test_case "counts" `Quick test_automorphism_counts;
-          Alcotest.test_case "are permutations" `Quick
-            test_automorphisms_are_permutations;
-        ] );
+      ("spellings", [ Alcotest.test_case "none and por only" `Quick test_spellings ]);
       ( "parity",
         Alcotest.test_case "gadgets, 24 models" `Slow test_parity_gadgets
         :: Alcotest.test_case "POR witnesses replay" `Quick test_por_witness_replays
         :: Alcotest.test_case "POR reduces RING3" `Quick test_por_reduces_ring3
-        :: Alcotest.test_case "sym quotients RING3" `Quick test_sym_quotients_ring3
         :: List.map QCheck_alcotest.to_alcotest [ prop_parity_generated ] );
       ( "sequential-only guards",
         [
