@@ -128,7 +128,7 @@ let run_gossip ~max_steps topo m kind =
   let inst = Protocols.Gossip.make topo in
   let sched =
     match kind with
-    | `Plain -> EG.round_robin inst m
+    | `Plain -> Scheduler.round_robin_of (EG.view inst) m
     | `Lossy -> EG.round_robin_lossy ~every:lossy_every inst m
   in
   let t0 = Unix.gettimeofday () in
@@ -151,7 +151,7 @@ let run_pushsum ~max_steps topo m kind =
   let inst = Protocols.Pushsum.linear topo in
   let sched =
     match kind with
-    | `Plain -> EPS.round_robin inst m
+    | `Plain -> Scheduler.round_robin_of (EPS.view inst) m
     | `Lossy -> EPS.round_robin_lossy ~every:lossy_every inst m
   in
   let initial = ps_mass inst (EPS.State.initial inst) in
@@ -240,48 +240,29 @@ type timed_row = {
   t_finish : int;
   t_messages : int;
   t_activations : int;
-  t_drops : int;
 }
 
 let run_timed budget =
+  let rows protocol topo sweep =
+    List.map
+      (fun (i, (r : _ Timed.result)) ->
+        {
+          t_protocol = protocol;
+          t_topology = topo.Protocols.Topo.name;
+          t_n = topo.Protocols.Topo.n;
+          t_interval = i;
+          t_converged = r.Timed.converged;
+          t_finish = r.Timed.finish_time;
+          t_messages = r.Timed.messages;
+          t_activations = r.Timed.activations;
+        })
+      sweep
+  in
   List.concat_map
     (fun topo ->
-      let name = topo.Protocols.Topo.name and n = topo.Protocols.Topo.n in
-      let gossip =
-        let inst = Protocols.Gossip.make topo in
-        List.map
-          (fun (i, (r : EG.Timed.result)) ->
-            {
-              t_protocol = "gossip";
-              t_topology = name;
-              t_n = n;
-              t_interval = i;
-              t_converged = r.EG.Timed.converged;
-              t_finish = r.EG.Timed.finish_time;
-              t_messages = r.EG.Timed.messages;
-              t_activations = r.EG.Timed.activations;
-              t_drops = r.EG.Timed.drops;
-            })
-          (EG.Timed.mrai_sweep ~intervals inst)
-      in
-      let pushsum =
-        let inst = Protocols.Pushsum.linear topo in
-        List.map
-          (fun (i, (r : EPS.Timed.result)) ->
-            {
-              t_protocol = "push-sum";
-              t_topology = name;
-              t_n = n;
-              t_interval = i;
-              t_converged = r.EPS.Timed.converged;
-              t_finish = r.EPS.Timed.finish_time;
-              t_messages = r.EPS.Timed.messages;
-              t_activations = r.EPS.Timed.activations;
-              t_drops = r.EPS.Timed.drops;
-            })
-          (EPS.Timed.mrai_sweep ~intervals inst)
-      in
-      gossip @ pushsum)
+      rows "gossip" topo (Timed.mrai_sweep ~intervals (EG.timed (Protocols.Gossip.make topo)))
+      @ rows "push-sum" topo
+          (Timed.mrai_sweep ~intervals (EPS.timed (Protocols.Pushsum.linear topo))))
     (topologies budget)
 
 (* ------------------------------------------------------------------ *)
@@ -337,7 +318,8 @@ let json_of_timed t =
       ("finish_time", Json.Num (float_of_int t.t_finish));
       ("messages", Json.Num (float_of_int t.t_messages));
       ("activations", Json.Num (float_of_int t.t_activations));
-      ("drops", Json.Num (float_of_int t.t_drops));
+      (* Timed reads carry no drop sets. *)
+      ("drops", Json.Num 0.);
     ]
 
 let to_json ~budget cases verdicts timed =

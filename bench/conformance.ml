@@ -6,7 +6,8 @@
 
 (* The committed sample corpus: one positive trial per realization level
    (expectations recorded from the actual verdict, so a drifting engine
-   fails replay, not generation) and the fast appendix refutations. *)
+   fails replay, not generation) and the appendix refutations of a finite
+   prefix. *)
 let write_samples dir =
   Conformance.Trial.force_routes ();
   let emit (e : Conformance.Corpus.t) =
@@ -44,7 +45,7 @@ let write_samples dir =
   List.iter
     (fun (n : Conformance.Trial.negative) ->
       match n.Conformance.Trial.check with
-      | Conformance.Trial.Refutation r when n.Conformance.Trial.cost = Conformance.Trial.Fast ->
+      | Conformance.Trial.Refutation r when r.termination = Modelcheck.Refute.Prefix ->
         let f = n.Conformance.Trial.fact in
         let name =
           Fmt.str "sample-refute-%s-%s-%s"
@@ -75,7 +76,6 @@ let write_samples dir =
 
 let () =
   let seeds = ref 5 in
-  let budget = ref Engine.Journal.Default in
   let domains = ref None in
   let emit = ref None in
   let replay = ref None in
@@ -86,8 +86,6 @@ let () =
   let flags =
     [
       Kit.int ~floor:0 "--seeds" seeds "N generated instances joining the gadget pool (default 5)";
-      Kit.budget budget Engine.Journal.budget_name Engine.Journal.budgets
-        "negative-fact cost classes to run";
       Kit.domains ~floor:1 domains;
       Kit.string "--emit" emit "DIR serialize shrunk counterexamples to DIR";
       Kit.string "--replay" replay "DIR re-check every corpus entry in DIR and exit";
@@ -110,7 +108,6 @@ let () =
     let cfg =
       {
         Conformance.Fuzz.seeds = !seeds;
-        budget = !budget;
         domains = Option.value !domains ~default:(Modelcheck.Explore.default_domains ());
         reduction = !reduction;
         emit_dir = !emit;

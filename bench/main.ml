@@ -103,7 +103,7 @@ let poll1 inst c =
   Activation.single v
     (List.map
        (fun ch -> Activation.read ~count:(Activation.Finite 1) ch)
-       (Model.required_channels inst v))
+       ((View.spp inst).required v))
 
 let ex_a2 () =
   section "EX A.2 (Fig. 6): REO/REF vs the polling models";
@@ -154,7 +154,7 @@ let ex_a4 () =
   section "EX A.4 (Fig. 8): Prop. 3.11 - REA not realizable with repetition in R1O";
   let inst = Gadgets.fig8 in
   let entries =
-    List.map (fun c -> Activation.poll_all inst (Gadgets.node inst c))
+    List.map (fun c -> Activation.poll_all (View.spp inst) (Gadgets.node inst c))
       [ 'd'; 'a'; 'u'; 'b'; 'u'; 's' ]
   in
   let tr = Executor.run_entries ~validate:(model "REA") inst entries in
@@ -175,7 +175,7 @@ let ex_a5 () =
   section "EX A.5 (Fig. 9): Props. 3.12/3.13 - REA not exactly realizable in R1S";
   let inst = Gadgets.fig9 in
   let entries =
-    List.map (fun c -> Activation.poll_all inst (Gadgets.node inst c))
+    List.map (fun c -> Activation.poll_all (View.spp inst) (Gadgets.node inst c))
       [ 'd'; 'b'; 'c'; 'x'; 's'; 'a'; 'c'; 's' ]
   in
   let tr = Executor.run_entries ~validate:(model "REA") inst entries in
@@ -202,7 +202,7 @@ let ex_a6 () =
   in
   let d_entry = Activation.single (Gadgets.node inst 'd') [ read_all 'x' 'd' ] in
   let entries = [ d_entry; both_from_d; both_cross; both_from_d; both_cross ] in
-  assert (List.for_all (Model.validates_multi inst (model "R1A")) entries);
+  assert (List.for_all (Model.validates_multi (View.spp inst) (model "R1A")) entries);
   let tr = Executor.run_entries inst entries in
   Format.printf "simultaneous-activation schedule:@.%s@." (Trace.paper_table tr);
   let r =
@@ -363,11 +363,11 @@ let mrai_experiment () =
       Format.printf "   %-6s %-12s %-12s %-10s %-12s@." "MRAI" "finish-time"
         "last-change" "messages" "activations";
       List.iter
-        (fun (interval, (r : Timed.result)) ->
+        (fun (interval, (r : _ Timed.result)) ->
           Format.printf "   %-6d %-12d %-12d %-10d %-12d%s@." interval r.Timed.finish_time
             r.Timed.last_change r.Timed.messages r.Timed.activations
             (if r.Timed.converged then "" else "  (did not converge)"))
-        (Timed.mrai_sweep ~link_delay:(Timed.spread_delays inst) inst);
+        (Timed.mrai_sweep ~link_delay:(Timed.spread_delays inst) (Timed.spp inst));
       let ev =
         Timed.run
           ~config:

@@ -1,6 +1,5 @@
 type config = {
   seeds : int;
-  budget : Engine.Journal.budget;
   domains : int;
   reduction : Modelcheck.Reduce.t;
   emit_dir : string option;
@@ -13,7 +12,6 @@ type config = {
 let default_config =
   {
     seeds = 5;
-    budget = Engine.Journal.Default;
     domains = Modelcheck.Explore.default_domains ();
     reduction = Modelcheck.Reduce.No_reduction;
     emit_dir = None;
@@ -33,7 +31,6 @@ type report = {
   positives_held : int;
   violations : (Trial.positive * Trial.violation) list;
   negatives : negative_result list;
-  negatives_out_of_budget : int;
   closure_contradiction : Realization.Closure.contradiction option;
 }
 
@@ -77,13 +74,6 @@ let trials ~seeds =
         Realization.Facts.positives)
     (instance_pool ~seeds)
 
-let in_budget budget (cost : Trial.cost) =
-  match ((budget : Engine.Journal.budget), cost) with
-  | _, Trial.Fast -> true
-  | (Default | Deep), Trial.Slow -> true
-  | Deep, Trial.Deep -> true
-  | Smoke, (Trial.Slow | Trial.Deep) | Default, Trial.Deep -> false
-
 let run cfg =
   Trial.force_routes ();
   let ts = Array.of_list (trials ~seeds:cfg.seeds) in
@@ -106,7 +96,7 @@ let run cfg =
       let fp =
         Journal.fingerprint
           ~reduction:(Modelcheck.Reduce.to_string cfg.reduction)
-          ~seeds:cfg.seeds ~budget:(Engine.Journal.budget_name cfg.budget) ()
+          ~seeds:cfg.seeds ()
       in
       let w, entries =
         Engine.Journal.open_ Journal.codec ~path ~fingerprint:fp ~resume:cfg.resume
@@ -177,8 +167,6 @@ let run cfg =
         let file = Corpus.emit dir name (Corpus.positive ~name ~expect:(Corpus.Expect_violated v) p) in
         cfg.log (Fmt.str "  wrote %s" file))
       violations);
-  let all_negs = Trial.negatives () in
-  let in_scope, out = List.partition (fun n -> in_budget cfg.budget n.Trial.cost) all_negs in
   let negatives =
     List.map
       (fun n ->
@@ -196,7 +184,7 @@ let run cfg =
         in
         cfg.log (Fmt.str "negative: %s -> %a" name Trial.pp_negative_verdict verdict);
         { neg = n; verdict })
-      in_scope
+      (Trial.negatives ())
   in
   Option.iter Engine.Journal.close journal;
   (* The symbolic closure is part of conformance too: a contradictory fact
@@ -213,7 +201,6 @@ let run cfg =
     positives_held = !held;
     violations;
     negatives;
-    negatives_out_of_budget = List.length out;
     closure_contradiction;
   }
 
@@ -242,11 +229,9 @@ let pp_report ppf r =
     List.length r.negatives - List.length (falsely_passed r) - List.length (skipped r)
   in
   Fmt.pf ppf
-    "negative facts: %d confirmed, %d skipped, %d falsely passed (%d out of budget)@."
-    confirmed
+    "negative facts: %d confirmed, %d skipped, %d falsely passed@." confirmed
     (List.length (skipped r))
-    (List.length (falsely_passed r))
-    r.negatives_out_of_budget;
+    (List.length (falsely_passed r));
   List.iter
     (fun nr ->
       Fmt.pf ppf "  %s -> %a@." (Trial.negative_name nr.neg) Trial.pp_negative_verdict

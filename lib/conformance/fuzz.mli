@@ -11,16 +11,11 @@
 
     Positive trials are embarrassingly parallel and checked on a small
     domain pool; violations are shrunk with {!Shrink} and optionally
-    serialized to a corpus directory.  Negative facts are then re-checked
-    within the budget's cost classes. *)
+    serialized to a corpus directory.  Every negative fact is then
+    re-checked. *)
 
 type config = {
   seeds : int;  (** number of generated instances joining the gadget pool *)
-  budget : Engine.Journal.budget;
-      (** the negative-fact cost classes checked: [Smoke] only
-          {!Trial.Fast} ones (what [@conformance-smoke] runs), [Default]
-          adds {!Trial.Slow} (seconds of model checking), [Deep] adds
-          {!Trial.Deep} (minutes: FIG6 under R1A/RMA) *)
   domains : int;  (** worker domains for the positive sweep *)
   reduction : Modelcheck.Reduce.t;
       (** state-space reduction for the negative checks' explorations *)
@@ -33,12 +28,13 @@ type config = {
   journal_every : int;  (** journal records between disk flushes (>= 1) *)
   resume : bool;
       (** prefill verdicts from an existing journal at [journal] (same
-          seeds/budget/fact base; a mismatched journal is discarded) *)
+          seeds, reduction and fact base; a mismatched journal is
+          discarded) *)
   log : string -> unit;  (** progress/violation lines; [ignore] to silence *)
 }
 
 val default_config : config
-(** 5 seeds, [Default] budget, {!Modelcheck.Explore.default_domains}
+(** 5 seeds, {!Modelcheck.Explore.default_domains}
     domains, no reduction, no emission, no journal, silent. *)
 
 type negative_result = {
@@ -51,8 +47,7 @@ type report = {
   positives_held : int;
   violations : (Trial.positive * Trial.violation) list;
       (** already shrunk to minimal counterexamples *)
-  negatives : negative_result list;  (** those within budget *)
-  negatives_out_of_budget : int;
+  negatives : negative_result list;
   closure_contradiction : Realization.Closure.contradiction option;
       (** a contradictory fact base, reported as a finding rather than
           crashing the sweep *)

@@ -4,12 +4,11 @@ type entry =
 
 let magic = "commrouting/journal/v1"
 
-let fingerprint ?(reduction = "none") ~seeds ~budget () =
+let fingerprint ?(reduction = "none") ~seeds () =
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf
-          "%s|seeds=%d|budget=%s|reduction=%s|positives=%d|negatives=%d" magic
-          seeds budget reduction
+       (Printf.sprintf "%s|seeds=%d|reduction=%s|positives=%d|negatives=%d" magic seeds
+          reduction
           (List.length Realization.Facts.positives)
           (List.length Realization.Facts.negatives)))
 

@@ -2,7 +2,7 @@
     of an {!Engine.Journal}.
 
     A sweep is thousands of independent trials; each finished (fact, seed)
-    trial is one record, so a killed [--budget deep] run restarts at the
+    trial is one record, so a killed run restarts at the
     first incomplete pair instead of from scratch:
 
     {v
@@ -23,7 +23,7 @@ type entry =
   | Negative of { name : string; verdict : Trial.negative_verdict }
       (** keyed by {!Trial.negative_name} *)
 
-val fingerprint : ?reduction:string -> seeds:int -> budget:string -> unit -> string
+val fingerprint : ?reduction:string -> seeds:int -> unit -> string
 (** Digest of the sweep configuration and the fact-base shape; journals
     written under a different fingerprint are ignored on load. *)
 

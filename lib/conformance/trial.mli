@@ -70,11 +70,6 @@ val pp_positive : Format.formatter -> positive -> unit
 
 (** {1 Negative trials} *)
 
-type cost =
-  | Fast  (** sub-second *)
-  | Slow  (** seconds (Prop. 3.10's fair-continuation search, FIG6/REA) *)
-  | Deep  (** minutes (FIG6 exhaustive under R1A/RMA) *)
-
 type negative_check =
   | Refutation of {
       inst_name : string;
@@ -93,15 +88,11 @@ type negative_check =
               when exhaustively rediscovering one would be slow *)
     }
 
-type negative = {
-  fact : Realization.Facts.negative;
-  check : negative_check;
-  cost : cost;
-}
+type negative = { fact : Realization.Facts.negative; check : negative_check }
 
 val negatives : unit -> negative list
 (** Every negative fact of {!Realization.Facts.negatives} paired with its
-    semantic check and a cost class. *)
+    semantic check. *)
 
 type negative_verdict =
   | Confirmed  (** the engine agrees the realization is impossible *)

@@ -62,7 +62,7 @@ let check_model inst model entry =
   match model with
   | None -> ()
   | Some m ->
-    if not (Model.validates inst m entry) then
+    if not (Model.validates (View.spp inst) m entry) then
       invalid_arg
         (Fmt.str "Executor: entry %a violates model %a" (Activation.pp inst) entry
            Model.pp m)

@@ -1,20 +1,12 @@
-open Spp
-
 type report = {
   unread_channels : Channel.id list;
   max_gap : (Channel.id * int) list;
 }
 
-let tracked inst =
-  List.filter_map
-    (fun (src, dst) ->
-      if dst = Instance.dest inst then None else Some (Channel.id ~src ~dst))
-    (Instance.channels inst)
-
 let reads_of (entry : Activation.t) = entry.Activation.reads
 
 let analyze inst entries =
-  let chans = tracked inst in
+  let chans = View.tracked (View.spp inst) in
   let last_read = Hashtbl.create 17 and gaps = Hashtbl.create 17 in
   List.iteri
     (fun i entry ->
@@ -83,4 +75,4 @@ let cycle_is_fair inst entries =
     let clean = List.filter (fun (r : Activation.read) -> r.Activation.count <> Activation.Finite 0) dropless in
     { processed = List.map one (dropping @ clean); dropped = List.map one dropping }
   in
-  replayed_cycle_is_fair ~tracked:(tracked inst) (List.map (fun e -> (e, counts e)) entries)
+  replayed_cycle_is_fair ~tracked:(View.tracked (View.spp inst)) (List.map (fun e -> (e, counts e)) entries)

@@ -2,14 +2,10 @@
 
 type report = {
   unread_channels : Channel.id list;
-      (** tracked channels never read in the prefix *)
+      (** tracked channels ({!View.tracked}) never read in the prefix *)
   max_gap : (Channel.id * int) list;
       (** per channel, the longest stretch of steps without a read *)
 }
-
-val tracked : Spp.Instance.t -> Channel.id list
-(** The channels a fair execution must read: every channel except those
-    into the destination, in instance order. *)
 
 val analyze : Spp.Instance.t -> Activation.t list -> report
 

@@ -13,9 +13,10 @@
     file, so a journal can make a resumed run skip work, never import
     results from a different configuration. *)
 
-(** The campaign budgets.  Every journal fingerprint hashes the budget
-    name, so the type lives beside the journal; what each class spends is
-    the campaign's choice. *)
+(** The campaign budgets of the hunt and the BGP sweep, whose journal
+    fingerprints hash the budget name, so the type lives beside the
+    journal; what each class spends is the campaign's choice.  The
+    conformance sweep has no budget: it always checks every fact. *)
 type budget = Smoke | Default | Deep
 
 val budgets : budget list

@@ -79,87 +79,45 @@ let msg_includes a b =
 let includes a b =
   rel_includes a.rel b.rel && nbr_includes a.nbr b.nbr && msg_includes a.msg b.msg
 
-let required_channels inst v =
-  if v = Spp.Instance.dest inst then []
-  else
-    List.map (fun u -> Channel.id ~src:u ~dst:v) (Spp.Instance.neighbors inst v)
-
-type violation =
-  | Ill_formed of Activation.error
-  | Not_single_node
-  | Wrong_channel_set
-  | Wrong_count of Channel.id
-  | Drop_on_reliable of Channel.id
-
-let pp_violation inst ppf = function
-  | Ill_formed e -> Activation.pp_error inst ppf e
-  | Not_single_node -> Fmt.string ppf "exactly one node must update per step"
-  | Wrong_channel_set -> Fmt.string ppf "channel set violates the neighbors dimension"
-  | Wrong_count c ->
-    Fmt.pf ppf "message count on %a violates the messages dimension" (Channel.pp_id inst) c
-  | Drop_on_reliable c ->
-    Fmt.pf ppf "message dropped on reliable channel %a" (Channel.pp_id inst) c
-
-(* Per-node checks shared by the single- and multi-node validators, and —
-   via [required] — by the protocol-generic engine ({!Generic}), whose
-   notion of "the channels node [v] must read" comes from the protocol
-   rather than from an {!Spp.Instance}.  [reads] are the reads whose
-   receiver is [v]. *)
-let node_violations_for ~required m (reads : Activation.read list) =
-  let errs = ref [] in
-  let add e = errs := e :: !errs in
-  (match m.nbr with
-  | N_one ->
-    (* A node with no readable in-channels (the SPP destination under the
-       untracked-inbox convention) activates with no reads as the
-       canonical form of its (no-op) channel processing. *)
-    if List.length reads <> 1 && not (required = [] && reads = []) then
-      add Wrong_channel_set
-  | N_multi -> ()
-  | N_every ->
-    let present = List.map (fun (r : Activation.read) -> r.chan) reads in
-    let sort = List.sort Channel.compare_id in
-    if sort required <> sort present then add Wrong_channel_set);
-  List.iter
-    (fun (r : Activation.read) ->
-      (match (m.msg, r.count) with
-      | M_one, Activation.Finite 1 -> ()
-      | M_one, _ -> add (Wrong_count r.chan)
-      | M_all, Activation.All -> ()
-      | M_all, _ -> add (Wrong_count r.chan)
-      | M_forced, (Activation.All | Activation.Finite _) ->
-        (match r.count with
-        | Activation.Finite n when n < 1 -> add (Wrong_count r.chan)
-        | _ -> ())
-      | M_some, _ -> ());
-      if m.rel = Reliable && not (Activation.IntSet.is_empty r.drops) then
-        add (Drop_on_reliable r.chan))
-    reads;
-  List.rev !errs
-
-let node_violations inst m v reads =
-  node_violations_for ~required:(required_channels inst v) m reads
-
-let violations inst m (a : Activation.t) =
-  let base = List.map (fun e -> Ill_formed e) (Activation.well_formed inst a) in
-  let single =
-    match a.Activation.active with
-    | [ v ] -> node_violations inst m v a.Activation.reads
-    | _ -> [ Not_single_node ]
+(* The neighbors and messages dimensions for one active node, given the
+   reads whose receiver it is and the channels it must read. *)
+let node_ok ~required m (reads : Activation.read list) =
+  let nbr_ok =
+    match m.nbr with
+    | N_one ->
+      (* A node with no required channel (the SPP destination) activates
+         with no reads as the canonical form of its no-op processing. *)
+      List.length reads = 1 || (required = [] && reads = [])
+    | N_multi -> true
+    | N_every ->
+      let sort = List.sort Channel.compare_id in
+      sort required = sort (List.map (fun (r : Activation.read) -> r.chan) reads)
   in
-  base @ single
+  nbr_ok
+  && List.for_all
+       (fun (r : Activation.read) ->
+         (match (m.msg, r.count) with
+         | M_one, Activation.Finite 1 | M_all, Activation.All | M_some, _ -> true
+         | M_one, _ | M_all, _ -> false
+         | M_forced, Activation.Finite n -> n >= 1
+         | M_forced, Activation.All -> true)
+         && (m.rel = Unreliable || Activation.IntSet.is_empty r.drops))
+       reads
 
-let validates inst m a = violations inst m a = []
+let validates ?model_of (view : View.t) m (a : Activation.t) =
+  let model_of = Option.value model_of ~default:(fun _ -> m) in
+  Activation.well_formed view a = []
+  &&
+  match a.active with
+  | [ v ] -> node_ok ~required:(view.required v) (model_of v) a.reads
+  | _ -> false
 
-let validates_multi inst m (a : Activation.t) =
-  Activation.well_formed inst a = []
-  && a.Activation.active <> []
+let validates_multi ?model_of (view : View.t) m (a : Activation.t) =
+  let model_of = Option.value model_of ~default:(fun _ -> m) in
+  Activation.well_formed view a = []
+  && a.active <> []
   && List.for_all
        (fun v ->
-         let reads =
-           List.filter
-             (fun (r : Activation.read) -> r.chan.Channel.dst = v)
-             a.Activation.reads
-         in
-         node_violations inst m v reads = [])
-       a.Activation.active
+         node_ok ~required:(view.required v) (model_of v)
+           (List.filter (fun (r : Activation.read) -> r.chan.Channel.dst = v) a.reads))
+       a.active

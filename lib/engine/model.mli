@@ -48,33 +48,17 @@ val includes : t -> t -> bool
 
 (** {1 Entry validation} *)
 
-val required_channels : Spp.Instance.t -> Spp.Path.node -> Channel.id list
-(** The channels a node must process under an E model: all its in-channels.
-    The destination's in-channels are omitted everywhere in this engine
-    because their contents can never affect any route choice (see
-    DESIGN.md). *)
+val validates :
+  ?model_of:(Spp.Path.node -> t) -> View.t -> t -> Activation.t -> bool
+(** The entry is well-formed ({!Activation.well_formed}), exactly one node
+    updates, and its reads satisfy the model's neighbors, messages and
+    reliability dimensions, where an E model must read the node's
+    [View.required] channels.  [model_of] gives each node its own model
+    (heterogeneous mixtures, {!Hetero}); it defaults to the given model
+    everywhere. *)
 
-type violation =
-  | Ill_formed of Activation.error
-  | Not_single_node
-  | Wrong_channel_set  (** X violates the neighbors dimension *)
-  | Wrong_count of Channel.id  (** f(c) violates the messages dimension *)
-  | Drop_on_reliable of Channel.id
-
-val pp_violation : Spp.Instance.t -> Format.formatter -> violation -> unit
-
-val node_violations_for :
-  required:Channel.id list -> t -> Activation.read list -> violation list
-(** The per-node dimension checks, parametric in the channels the node is
-    required to read — the SPP validators pass {!required_channels}, the
-    protocol-generic engine ({!Generic.Make}) passes the protocol's
-    [in_channels].  [reads] must be the reads whose receiver is the node
-    in question. *)
-
-val violations : Spp.Instance.t -> t -> Activation.t -> violation list
-val validates : Spp.Instance.t -> t -> Activation.t -> bool
-
-val validates_multi : Spp.Instance.t -> t -> Activation.t -> bool
+val validates_multi :
+  ?model_of:(Spp.Path.node -> t) -> View.t -> t -> Activation.t -> bool
 (** Like {!validates} but allowing several nodes to update per step (the
-    extension of Ex. A.6): each active node's reads must satisfy the
-    per-node dimensions. *)
+    extension of Ex. A.6): each active node's reads must satisfy its
+    model's per-node dimensions. *)

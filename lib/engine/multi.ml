@@ -1,35 +1,11 @@
-open Spp
-
 type regime = Synchronous | Unrestricted
 
 let validates inst regime model (entry : Activation.t) =
-  Model.validates_multi inst model entry
+  Model.validates_multi (View.spp inst) model entry
   &&
   match regime with
   | Unrestricted -> entry.Activation.active <> []
-  | Synchronous -> entry.Activation.active = Instance.nodes inst
-
-let all_nodes_entry inst ~count =
-  let reads =
-    List.concat_map
-      (fun v ->
-        List.map (fun c -> Activation.read ~count c) (Model.required_channels inst v))
-      (Instance.nodes inst)
-  in
-  Activation.entry ~active:(Instance.nodes inst) ~reads
-
-let synchronous inst model =
-  let count =
-    match model.Model.msg with
-    | Model.M_one -> Activation.Finite 1
-    | Model.M_some | Model.M_forced | Model.M_all -> Activation.All
-  in
-  let entry = all_nodes_entry inst ~count in
-  {
-    Scheduler.entries = Seq.forever (fun () -> entry);
-    period = Some 1;
-    description = Fmt.str "synchronous/%a" Model.pp model;
-  }
+  | Synchronous -> entry.Activation.active = Spp.Instance.nodes inst
 
 let synchronous_polling inst =
-  synchronous inst (Model.make Model.Reliable Model.N_every Model.M_all)
+  Scheduler.synchronous (View.spp inst) (Model.make Model.Reliable Model.N_every Model.M_all)

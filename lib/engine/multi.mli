@@ -3,11 +3,10 @@
     The taxonomy of Sec. 2.2 fixes |U| = 1; these helpers lift a model's
     per-node dimensions to steps that activate several nodes at once, in
     the two regimes the paper names: every node per step (synchronous) and
-    unrestricted non-empty sets.
-
-    Like {!Hetero}, this module is typed against {!Spp.Instance.t}, so a
-    non-path-vector protocol cannot reach it: the generic counterparts are
-    {!Generic.Make}'s [validates_multi] and [synchronous]. *)
+    unrestricted non-empty sets.  The per-node checks and the synchronous
+    schedule are the shared {!Model.validates_multi} and
+    {!Scheduler.synchronous}, which any protocol reaches through its
+    {!View}; this module applies them to an SPP instance. *)
 
 type regime = Synchronous | Unrestricted
 
@@ -20,7 +19,3 @@ val synchronous_polling : Spp.Instance.t -> Scheduler.t
     messages from all its channels (the multi-node REA).  Its rounds
     compute exactly the simultaneous best-response iteration of
     {!Spp.Solver.greedy}. *)
-
-val synchronous : Spp.Instance.t -> Model.t -> Scheduler.t
-(** Every node activates each step, reading all its channels with the
-    model's maximal message count. *)

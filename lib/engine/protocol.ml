@@ -17,9 +17,11 @@
      node's choice and announces to out-channels (phases 2-3);
    - a convergence predicate replacing SPP quiescence.
 
-   Everything else — the 24 [wxy] activation validators, fairness
-   bookkeeping, schedulers, channel queues, state digests, exploration —
-   is shared: see {!Generic.Make} and [Modelcheck.Gexplore.Make].
+   Everything else is shared.  The 24 [wxy] activation validators,
+   fairness bookkeeping, schedulers and the timed batch loop need only the
+   protocol's channel {!View} (its nodes, [in_channels] and node names),
+   which serves the SPP stack too; channel queues, state digests and
+   exploration are {!Generic.Make} and [Modelcheck.Gexplore.Make].
    Path-vector SPP is instance one ([Protocols.Path_vector]); gossip rumor
    spread and push-sum averaging are instances two and three. *)
 
@@ -39,10 +41,11 @@ module type S = sig
   val node_name : instance -> node -> string
 
   val in_channels : instance -> node -> Channel.id list
-  (** The channels node [v] can read, in canonical (ascending-source)
-      order.  An empty list exempts the node from the neighbors-dimension
-      read obligations — the SPP destination's untracked inbox is the
-      canonical example. *)
+  (** The channels node [v] can read, and must read under an E model, in
+      canonical (ascending-source) order: both [readable] and [required]
+      of the protocol's {!View}.  An empty list exempts the node from the
+      neighbors-dimension read obligations — the SPP destination's
+      untracked inbox is the canonical example. *)
 
   type local
   (** Per-node local state (route assignment + last-heard routes for

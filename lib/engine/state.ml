@@ -119,14 +119,6 @@ let queue_length t c =
   let i = chan_ix t.lay c in
   if i < 0 then 0 else t.d.(o_len t.lay + i)
 
-let queue_of l d i =
-  let off = ref (o_msg l) in
-  for j = 0 to i - 1 do
-    off := !off + d.(o_len l + j)
-  done;
-  let off = !off in
-  List.init d.(o_len l + i) (fun j -> d.(off + j))
-
 (* The map view, built on demand: pretty-printing, surgery, transforms
    and the whole-state reductions read it; no hot path does. *)
 let channels t =
@@ -350,45 +342,20 @@ let equal a b =
      && Array.length a.d = Array.length b.d
      && same a.d b.d 0 (Array.length a.d)
 
-(* [compare] is the order the map-based states had — the [Map.compare] of
-   π, then ρ, then the announcements, then the queues.  Over dense
-   slots, a map's bindings are the non-absent slots in slot order, and
-   slot order is key order. *)
-let compare_bindings len present_a present_b cmp_value =
-  let rec next present i = if i >= len || present i then i else next present (i + 1) in
-  let rec go i j =
-    let i = next present_a i and j = next present_b j in
-    if i >= len && j >= len then 0
-    else if i >= len then -1
-    else if j >= len then 1
-    else if i <> j then Int.compare i j
-    else
-      let c = cmp_value i in
-      if c <> 0 then c else go (i + 1) (j + 1)
-  in
-  go 0 0
-
+(* Length, then lexicographic over the flat arrays: the data [equal]
+   compares. *)
 let compare a b =
-  let l = a.lay in
-  let routes base len =
-    compare_bindings len
-      (fun i -> not (Arena.is_epsilon a.d.(base + i)))
-      (fun i -> not (Arena.is_epsilon b.d.(base + i)))
-      (fun i -> Arena.compare a.d.(base + i) b.d.(base + i))
-  in
-  let c = routes 0 l.n in
+  let n = Array.length a.d in
+  let c = Int.compare n (Array.length b.d) in
   if c <> 0 then c
   else
-    let c = routes (o_rho l) l.k in
-    if c <> 0 then c
-    else
-      let c = routes (o_ann l) l.n in
-      if c <> 0 then c
+    let rec go i =
+      if i >= n then 0
       else
-        compare_bindings l.k
-          (fun i -> a.d.(o_len l + i) > 0)
-          (fun i -> b.d.(o_len l + i) > 0)
-          (fun i -> List.compare Arena.compare (queue_of l a.d i) (queue_of b.lay b.d i))
+        let c = Int.compare (Array.unsafe_get a.d i) (Array.unsafe_get b.d i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
 
 let pp inst ppf t =
   let pp_path = Instance.pp_path inst in

@@ -88,8 +88,10 @@ val is_quiescent : Spp.Instance.t -> t -> bool
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
-(** A total order (id-wise, i.e. by intern order of the routes); not the
-    structural path order, but stable within a process. *)
+(** A total order consistent with {!equal}: by encoding length, then
+    lexicographic over the encoding (arena ids, i.e. the intern order of
+    the routes).  Not the structural path order, but stable within a
+    process. *)
 
 val digest : t -> int
 (** Constant-time content digest, computed once when the state is built.

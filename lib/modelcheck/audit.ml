@@ -36,7 +36,7 @@ let check_positive (f : Facts.positive) ~seeds =
                 let transformed = Transform.apply_path path inst entries in
                 if
                   not
-                    (List.for_all (Model.validates inst f.Facts.realizer) transformed
+                    (List.for_all (Model.validates (View.spp inst) f.Facts.realizer) transformed
                     && Seqcheck.check f.Facts.level ~original:(pi_seq inst entries)
                          ~realized:(pi_seq inst transformed))
                 then ok := false
@@ -92,7 +92,7 @@ let poll1 inst c =
   Activation.single v
     (List.map
        (fun ch -> Activation.read ~count:(Activation.Finite 1) ch)
-       (Model.required_channels inst v))
+       ((View.spp inst).required v))
 
 let check_refutation ~gadget ~entries ~level ~termination (f : Facts.negative) =
   let name =
@@ -141,7 +141,7 @@ let negatives () =
         check_refutation ~gadget:inst
           ~entries:
             (List.map
-               (fun c -> Activation.poll_all inst (Spp.Gadgets.node inst c))
+               (fun c -> Activation.poll_all (View.spp inst) (Spp.Gadgets.node inst c))
                [ 'd'; 'a'; 'u'; 'b'; 'u'; 's' ])
           ~level:Relation.Repetition ~termination:Refute.Prefix f
       | w, _ when String.length w >= 10 && String.sub w 0 10 = "Prop. 3.12" ->
@@ -149,7 +149,7 @@ let negatives () =
         check_refutation ~gadget:inst
           ~entries:
             (List.map
-               (fun c -> Activation.poll_all inst (Spp.Gadgets.node inst c))
+               (fun c -> Activation.poll_all (View.spp inst) (Spp.Gadgets.node inst c))
                [ 'd'; 'b'; 'c'; 'x'; 's'; 'a'; 'c'; 's' ])
           ~level:Relation.Exact ~termination:Refute.Prefix f
       | w, _ when String.length w >= 10 && String.sub w 0 10 = "Prop. 3.13" ->
@@ -159,7 +159,7 @@ let negatives () =
         check_refutation ~gadget:inst
           ~entries:
             (List.map
-               (fun c -> Activation.poll_all inst (Spp.Gadgets.node inst c))
+               (fun c -> Activation.poll_all (View.spp inst) (Spp.Gadgets.node inst c))
                [ 'd'; 'b'; 'c'; 'x'; 's'; 'a'; 'c'; 's' ])
           ~level:Relation.Exact ~termination:Refute.Prefix f
       | w, _ ->

@@ -229,7 +229,7 @@ let memo ?metrics ~nodes ~required ~(model_of : int -> Model.t) () =
 
 let groups_with ?metrics inst (model_of : Spp.Path.node -> Model.t) =
   let entries =
-    memo ?metrics ~nodes:(Instance.nodes inst) ~required:(Model.required_channels inst)
+    memo ?metrics ~nodes:(Instance.nodes inst) ~required:(View.spp inst).required
       ~model_of ()
   in
   fun state -> entries (Engine.State.queue_length state)

@@ -97,10 +97,6 @@ module Make (P : Engine.Protocol.S) = struct
 
   let verdict_name = Fair.verdict_name "diverges"
 
-  let tracked_channels inst =
-    List.sort_uniq Engine.Channel.compare_id
-      (List.concat_map (P.in_channels inst) (P.nodes inst))
-
   let observable_differs inst a b =
     List.exists
       (fun v ->
@@ -110,7 +106,7 @@ module Make (P : Engine.Protocol.S) = struct
 
   let analyze_graph inst graph =
     let converged = Array.map (E.State.converged inst) graph.states in
-    let fair = Fair.make ~tracked:(tracked_channels inst) graph.csr in
+    let fair = Fair.make ~tracked:(Engine.View.tracked (E.view inst)) graph.csr in
     let can_converge = Fair.reaching fair converged in
     let goal =
       {
@@ -145,8 +141,8 @@ module Make (P : Engine.Protocol.S) = struct
             let o = E.Step.apply inst st e in
             ( o.E.Step.state,
               { Engine.Fairness.processed = count o.E.Step.processed; dropped = count o.E.Step.dropped } ));
-        valid = E.validates inst model;
-        tracked = tracked_channels inst;
+        valid = Engine.Model.validates (E.view inst) model;
+        tracked = Engine.View.tracked (E.view inst);
         run = (fun ~max_steps sched -> (E.Executor.run ~max_steps inst sched).E.Executor.stop);
       }
 end

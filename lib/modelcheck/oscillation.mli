@@ -10,7 +10,7 @@
 
     This module supplies only what is SPP's: the goal (two states whose
     path assignments differ; the tracked channels are
-    {!Engine.Fairness.tracked}) and the step semantics a replay runs
+    {!Engine.View.tracked} of the SPP view) and the step semantics a replay runs
     ({!Engine.Step}, {!Engine.Executor}).  The search, the verdict rule
     and its reason strings ({!Fair.decide}) and the witness check
     ({!Fair.replays}) are shared with {!Gexplore}. *)

@@ -81,7 +81,7 @@ let fair_constant_continuation config inst successors start =
   !quiescent_found
   ||
   let fair =
-    Fair.make ~tracked:(Fairness.tracked inst)
+    Fair.make ~tracked:(View.tracked (View.spp inst))
       (Fair.Rows.csr ~n:!n_states [ rows ])
   in
   (* Every state shares the assignment, so no cycle changes it: accept any

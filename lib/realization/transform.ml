@@ -152,7 +152,7 @@ let widen_multi_to_every inst entries =
           (fun (r : Activation.read) -> Channel.equal_id r.Activation.chan c)
           entry.Activation.reads
       in
-      let required = Model.required_channels inst v in
+      let required = (View.spp inst).required v in
       let padding =
         List.filter_map
           (fun c ->

@@ -19,15 +19,15 @@ let poll1 inst c =
   Activation.single v
     (List.map
        (fun ch -> Activation.read ~count:(Activation.Finite 1) ch)
-       (Model.required_channels inst v))
+       ((View.spp inst).required v))
 
-let poll_all inst c = Activation.poll_all inst (Spp.Gadgets.node inst c)
+let poll_all inst c = Activation.poll_all (View.spp inst) (Spp.Gadgets.node inst c)
 
 let show name inst model_name entries =
   Fmt.pr "== %s under %s ==@." name model_name;
   List.iteri
     (fun i e ->
-      if not (Model.validates inst (model model_name) e) then
+      if not (Model.validates (View.spp inst) (model model_name) e) then
         Fmt.pr "ILLEGAL ENTRY %d@." (i + 1))
     entries;
   Fmt.pr "%s@." (Trace.paper_table (Executor.run_entries inst entries))

@@ -56,7 +56,7 @@ let test_roundtrip_negative () =
     List.find
       (fun (n : Trial.negative) ->
         match n.Trial.check with
-        | Trial.Refutation _ -> n.Trial.cost = Trial.Fast
+        | Trial.Refutation r -> r.termination = Modelcheck.Refute.Prefix
         | Trial.Separation _ -> false)
       (Trial.negatives ())
   in

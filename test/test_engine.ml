@@ -19,7 +19,7 @@ let poll1 inst c =
   single inst c
     (List.map
        (fun ch -> Activation.read ~count:(Activation.Finite 1) ch)
-       (Model.required_channels inst v))
+       ((View.spp inst).required v))
 
 let model s =
   match Model.of_string s with Some m -> m | None -> Alcotest.failf "bad model %s" s
@@ -81,28 +81,28 @@ let test_model_validation () =
   let x = Gadgets.node inst 'x' in
   (* REA accepts a full poll *)
   Alcotest.(check bool) "REA poll ok" true
-    (Model.validates inst (model "REA") (Activation.poll_all inst x));
+    (Model.validates (View.spp inst) (model "REA") (Activation.poll_all (View.spp inst) x));
   (* REA rejects a partial poll *)
   Alcotest.(check bool) "REA partial rejected" false
-    (Model.validates inst (model "REA") (single inst 'x' [ read_all inst 'd' 'x' ]));
+    (Model.validates (View.spp inst) (model "REA") (single inst 'x' [ read_all inst 'd' 'x' ]));
   (* R1O accepts exactly one single-message read *)
   Alcotest.(check bool) "R1O ok" true
-    (Model.validates inst (model "R1O") (single inst 'x' [ read1 inst 'y' 'x' ]));
+    (Model.validates (View.spp inst) (model "R1O") (single inst 'x' [ read1 inst 'y' 'x' ]));
   Alcotest.(check bool) "R1O wrong count" false
-    (Model.validates inst (model "R1O") (single inst 'x' [ read_all inst 'y' 'x' ]));
+    (Model.validates (View.spp inst) (model "R1O") (single inst 'x' [ read_all inst 'y' 'x' ]));
   Alcotest.(check bool) "R1O two channels" false
-    (Model.validates inst (model "R1O")
+    (Model.validates (View.spp inst) (model "R1O")
        (single inst 'x' [ read1 inst 'y' 'x'; read1 inst 'd' 'x' ]));
   (* Drops are rejected on reliable channels, accepted on unreliable ones *)
   let dropping =
     single inst 'x' [ Activation.read ~count:(Activation.Finite 1) ~drops:[ 1 ] (chan inst 'y' 'x') ]
   in
-  Alcotest.(check bool) "R1O rejects drop" false (Model.validates inst (model "R1O") dropping);
-  Alcotest.(check bool) "U1O accepts drop" true (Model.validates inst (model "U1O") dropping);
+  Alcotest.(check bool) "R1O rejects drop" false (Model.validates (View.spp inst) (model "R1O") dropping);
+  Alcotest.(check bool) "U1O accepts drop" true (Model.validates (View.spp inst) (model "U1O") dropping);
   (* M_forced rejects zero-message reads, M_some accepts them *)
   let zero = single inst 'x' [ Activation.read ~count:(Activation.Finite 0) (chan inst 'y' 'x') ] in
-  Alcotest.(check bool) "RMF rejects f=0" false (Model.validates inst (model "RMF") zero);
-  Alcotest.(check bool) "RMS accepts f=0" true (Model.validates inst (model "RMS") zero);
+  Alcotest.(check bool) "RMF rejects f=0" false (Model.validates (View.spp inst) (model "RMF") zero);
+  Alcotest.(check bool) "RMS accepts f=0" true (Model.validates (View.spp inst) (model "RMS") zero);
   (* Multi-node entries are rejected by the single-node validator *)
   let multi =
     Activation.entry
@@ -110,9 +110,9 @@ let test_model_validation () =
       ~reads:[ read_all inst 'y' 'x'; read_all inst 'x' 'y' ]
   in
   Alcotest.(check bool) "single-node validator" false
-    (Model.validates inst (model "RMA") multi);
+    (Model.validates (View.spp inst) (model "RMA") multi);
   Alcotest.(check bool) "multi-node validator" true
-    (Model.validates_multi inst (model "R1A") multi)
+    (Model.validates_multi (View.spp inst) (model "R1A") multi)
 
 let test_activation_well_formed () =
   let inst = Gadgets.disagree in
@@ -121,12 +121,12 @@ let test_activation_well_formed () =
       [ Activation.read ~count:(Activation.Finite 1) ~drops:[ 2 ] (chan inst 'y' 'x') ]
   in
   Alcotest.(check bool) "drop index beyond f" true
-    (Activation.well_formed inst bad_drop <> []);
+    (Activation.well_formed (View.spp inst) bad_drop <> []);
   let dup = single inst 'x' [ read1 inst 'y' 'x'; read1 inst 'y' 'x' ] in
-  Alcotest.(check bool) "duplicate channel" true (Activation.well_formed inst dup <> []);
+  Alcotest.(check bool) "duplicate channel" true (Activation.well_formed (View.spp inst) dup <> []);
   let foreign = single inst 'x' [ read1 inst 'd' 'y' ] in
   Alcotest.(check bool) "reader not active" true
-    (Activation.well_formed inst foreign <> [])
+    (Activation.well_formed (View.spp inst) foreign <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Step semantics *)
@@ -330,7 +330,7 @@ let test_fig6_reo_entries_validate () =
   List.iter
     (fun e ->
       Alcotest.(check bool) "validates in REO" true
-        (Model.validates inst (model "REO") e))
+        (Model.validates (View.spp inst) (model "REO") e))
     (fig6_reo_entries inst)
 
 let test_fig6_reo_oscillates () =
@@ -401,13 +401,13 @@ let test_fig7_r1o_replay () =
 
 let test_fig8_rea_replay () =
   let inst = Gadgets.fig8 in
-  let entries = List.map (fun c -> Activation.poll_all inst (Gadgets.node inst c))
+  let entries = List.map (fun c -> Activation.poll_all (View.spp inst) (Gadgets.node inst c))
       [ 'd'; 'a'; 'u'; 'b'; 'u'; 's' ]
   in
   List.iter
     (fun e ->
       Alcotest.(check bool) "validates in REA" true
-        (Model.validates inst (model "REA") e))
+        (Model.validates (View.spp inst) (model "REA") e))
     entries;
   let rows = run_rows inst entries in
   check_rows "Ex. A.4 REA"
@@ -442,7 +442,7 @@ let test_fig8_r1o_subsequence_insertion () =
 
 let test_fig9_rea_replay () =
   let inst = Gadgets.fig9 in
-  let entries = List.map (fun c -> Activation.poll_all inst (Gadgets.node inst c))
+  let entries = List.map (fun c -> Activation.poll_all (View.spp inst) (Gadgets.node inst c))
       [ 'd'; 'b'; 'c'; 'x'; 's'; 'a'; 'c'; 's' ]
   in
   let rows = run_rows inst entries in
@@ -471,7 +471,7 @@ let test_disagree_multi_node_oscillation () =
   List.iter
     (fun e ->
       Alcotest.(check bool) "R1A-multi validates" true
-        (Model.validates_multi inst (model "R1A") e))
+        (Model.validates_multi (View.spp inst) (model "R1A") e))
     [ both_from_d; both_cross; d_entry ];
   let sched = Scheduler.prefixed [ d_entry ] [ both_from_d; both_cross ] in
   let r = Executor.run ~max_steps:200 inst sched in
@@ -500,7 +500,7 @@ let test_round_robin_validates_everywhere () =
           let sched = Scheduler.round_robin inst m in
           List.iter
             (fun e ->
-              if not (Model.validates inst m e) then
+              if not (Model.validates (View.spp inst) m e) then
                 Alcotest.failf "round-robin %s entry invalid: %a" (Model.to_string m)
                   (Activation.pp inst) e)
             (Scheduler.prefix (Option.get sched.Scheduler.period) sched))
@@ -525,7 +525,7 @@ let test_random_scheduler_validates () =
       let sched = Scheduler.random inst m ~seed:7 in
       List.iter
         (fun e ->
-          if not (Model.validates inst m e) then
+          if not (Model.validates (View.spp inst) m e) then
             Alcotest.failf "random %s entry invalid: %a" (Model.to_string m)
               (Activation.pp inst) e)
         (Scheduler.prefix 300 sched))
@@ -583,7 +583,7 @@ let contains_substring haystack needle =
 
 let test_paper_table_rendering () =
   let inst = Gadgets.fig8 in
-  let entries = List.map (fun c -> Activation.poll_all inst (Gadgets.node inst c))
+  let entries = List.map (fun c -> Activation.poll_all (View.spp inst) (Gadgets.node inst c))
       [ 'd'; 'a'; 'u' ]
   in
   let table = Trace.paper_table (Executor.run_entries inst entries) in

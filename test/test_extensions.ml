@@ -11,6 +11,11 @@ let model s = Option.get (Model.of_string s)
 (* ------------------------------------------------------------------ *)
 (* Hetero *)
 
+(* The shared validator with a per-node model; the uniform model argument
+   is then unused. *)
+let hetero_validates inst hetero =
+  Model.validates ~model_of:(Hetero.model_of hetero) (View.spp inst) (model "REA")
+
 let test_hetero_validation () =
   let inst = Gadgets.disagree in
   let x = Gadgets.node inst 'x' and y = Gadgets.node inst 'y' in
@@ -21,15 +26,15 @@ let test_hetero_validation () =
     Activation.single x
       [ Activation.read ~count:(Activation.Finite 1) (Channel.id ~src:y ~dst:x) ]
   in
-  Alcotest.(check bool) "x may act on one message" true (Hetero.validates inst hetero r1o_entry);
-  let polling_entry = Activation.poll_all inst y in
-  Alcotest.(check bool) "y must poll" true (Hetero.validates inst hetero polling_entry);
+  Alcotest.(check bool) "x may act on one message" true (hetero_validates inst hetero r1o_entry);
+  let polling_entry = Activation.poll_all (View.spp inst) y in
+  Alcotest.(check bool) "y must poll" true (hetero_validates inst hetero polling_entry);
   let y_r1o =
     Activation.single y
       [ Activation.read ~count:(Activation.Finite 1) (Channel.id ~src:x ~dst:y) ]
   in
   Alcotest.(check bool) "y may not act on one message" false
-    (Hetero.validates inst hetero y_r1o)
+    (hetero_validates inst hetero y_r1o)
 
 let test_hetero_round_robin () =
   let inst = Gadgets.fig6 in
@@ -37,10 +42,12 @@ let test_hetero_round_robin () =
     Hetero.of_list ~default:(model "REA")
       [ (Gadgets.node inst 'u', model "R1O"); (Gadgets.node inst 'v', model "RMS") ]
   in
-  let sched = Hetero.round_robin inst hetero in
+  let sched =
+    Scheduler.round_robin_of ~model_of:(Hetero.model_of hetero) (View.spp inst) (model "REA")
+  in
   List.iter
     (fun e ->
-      if not (Hetero.validates inst hetero e) then
+      if not (hetero_validates inst hetero e) then
         Alcotest.failf "invalid heterogeneous entry %a" (Activation.pp inst) e)
     (Scheduler.prefix (Option.get sched.Scheduler.period) sched);
   Alcotest.(check bool) "fair" true
@@ -94,7 +101,7 @@ let test_multi_validation () =
   Alcotest.(check bool) "also valid unrestricted" true
     (Multi.validates inst Multi.Unrestricted (model "REA") entry);
   (* A single-node entry is not synchronous. *)
-  let single = Activation.poll_all inst (Gadgets.node inst 'x') in
+  let single = Activation.poll_all (View.spp inst) (Gadgets.node inst 'x') in
   Alcotest.(check bool) "single not synchronous" false
     (Multi.validates inst Multi.Synchronous (model "REA") single);
   Alcotest.(check bool) "single ok unrestricted" true

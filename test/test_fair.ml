@@ -50,7 +50,7 @@ let oracle_verdict inst (g : Explore.graph) =
     Fair_oracle.find
       ~differs:(fun a b -> pi_differs inst states.(a) states.(b))
       ~stuck_ok:(fun _ -> false)
-      ~tracked:(Fairness.tracked inst)
+      ~tracked:(View.tracked (View.spp inst))
       adjacency
   with
   | Some _ -> "oscillates"
@@ -120,7 +120,7 @@ let gossip_oracle inst (g : GG.graph) =
         && (not g.GG.pruned)
         && (not g.GG.truncated)
         && not can_converge.(i))
-      ~tracked:(GG.tracked_channels inst) adjacency
+      ~tracked:(View.tracked (GG.E.view inst)) adjacency
   with
   | Some _ -> "diverges"
   | None -> if g.GG.pruned || g.GG.truncated then "unknown" else "converges"
@@ -371,7 +371,7 @@ let prop_per_edge =
 let per_edge_verdict inst (g : Explore.graph) =
   let states = g.Explore.states in
   let fair =
-    Fair_per_edge.make ~n:(Array.length states) ~tracked:(Fairness.tracked inst)
+    Fair_per_edge.make ~n:(Array.length states) ~tracked:(View.tracked (View.spp inst))
       ~out:(fun i f ->
         List.iter
           (fun (e : Explore.edge) -> f e.Explore.dst e.Explore.label)
@@ -503,7 +503,7 @@ let test_compact_parity () =
    within 5 words per edge; per-edge records or masks would exceed it. *)
 let test_memory_guard () =
   let g = Explore.explore_compact ~domains:1 Gadgets.fig6 (model "RMA") in
-  let fair = Fair.make ~tracked:(Fairness.tracked Gadgets.fig6) g.Explore.csr in
+  let fair = Fair.make ~tracked:(View.tracked (View.spp Gadgets.fig6)) g.Explore.csr in
   let edges = Array.length g.Explore.csr.Fair.dst in
   let words = Obj.reachable_words (Obj.repr (g.Explore.csr, fair)) in
   Alcotest.(check bool) "deep graph" true (edges > 300_000);

@@ -487,7 +487,7 @@ let resumes_first_only name codec ~fingerprint entries ~bad =
 
 let test_journal_stops_at_undecodable () =
   resumes_first_only "conformance" Conformance.Journal.codec
-    ~fingerprint:(Conformance.Journal.fingerprint ~seeds:1 ~budget:"smoke" ())
+    ~fingerprint:(Conformance.Journal.fingerprint ~seeds:1 ())
     Conformance.Journal.
       [
         Positive { index = 0; held = true };

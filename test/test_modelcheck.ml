@@ -25,7 +25,7 @@ let test_enumerate_counts () =
   List.iter
     (fun (l : Enumerate.labeled) ->
       Alcotest.(check bool) "validates" true
-        (Model.validates inst (model "R1O") l.Enumerate.entry))
+        (Model.validates (View.spp inst) (model "R1O") l.Enumerate.entry))
     r1o
 
 let test_enumerate_drop_variants () =
@@ -33,7 +33,7 @@ let test_enumerate_drop_variants () =
      clean read and an all-dropped read. *)
   let inst = Gadgets.disagree in
   let d = Gadgets.node inst 'd' in
-  let o = Step.apply inst (State.initial inst) (Activation.poll_all inst d) in
+  let o = Step.apply inst (State.initial inst) (Activation.poll_all (View.spp inst) d) in
   let st = o.Step.state in
   let u1o = Enumerate.successors inst (model "U1O") st in
   let x = Gadgets.node inst 'x' in
@@ -52,13 +52,13 @@ let test_enumerate_drop_variants () =
 let test_enumerate_entries_validate () =
   let inst = Gadgets.disagree in
   let d = Gadgets.node inst 'd' in
-  let o = Step.apply inst (State.initial inst) (Activation.poll_all inst d) in
+  let o = Step.apply inst (State.initial inst) (Activation.poll_all (View.spp inst) d) in
   let st = o.Step.state in
   List.iter
     (fun m ->
       List.iter
         (fun (l : Enumerate.labeled) ->
-          if not (Model.validates inst m l.Enumerate.entry) then
+          if not (Model.validates (View.spp inst) m l.Enumerate.entry) then
             Alcotest.failf "%s: invalid canonical entry %a" (Model.to_string m)
               (Activation.pp inst) l.Enumerate.entry)
         (Enumerate.successors inst m st))
@@ -98,10 +98,10 @@ let memo_inputs (seed, nodes, hetero, model_ix, lens) =
 
 let direct inst model_of length =
   Enumerate.successors_core ~nodes:(Instance.nodes inst)
-    ~required:(Model.required_channels inst) ~length ~model_of
+    ~required:((View.spp inst).required) ~length ~model_of
 
 let groups_of inst model_of =
-  Enumerate.memo ~nodes:(Instance.nodes inst) ~required:(Model.required_channels inst)
+  Enumerate.memo ~nodes:(Instance.nodes inst) ~required:((View.spp inst).required)
     ~model_of ()
 
 let memo_of inst model_of =
@@ -309,7 +309,7 @@ let prop_zero_reads_noop =
                     (List.exists
                        (fun (r : Activation.read) -> Channel.equal_id r.Activation.chan c)
                        stripped))
-                (Model.required_channels inst v)
+                ((View.spp inst).required v)
               |> List.mapi (fun k c ->
                      if length c > 0 then Activation.read ~count:(Activation.Finite 0) c
                      else
@@ -486,7 +486,7 @@ let test_witness_is_fair_cycle () =
     (* Every witness entry is a legal R1O entry. *)
     List.iter
       (fun e ->
-        Alcotest.(check bool) "entry valid" true (Model.validates inst (model "R1O") e))
+        Alcotest.(check bool) "entry valid" true (Model.validates (View.spp inst) (model "R1O") e))
       (w.Oscillation.prefix @ w.Oscillation.cycle)
   | v -> Alcotest.failf "expected oscillation, got %a" Oscillation.pp_verdict v
 
@@ -508,7 +508,7 @@ let poll1 inst c =
   Activation.single v
     (List.map
        (fun ch -> Activation.read ~count:(Activation.Finite 1) ch)
-       (Model.required_channels inst v))
+       ((View.spp inst).required v))
 
 let target_of inst entries =
   Engine.Trace.assignments ~include_initial:true (Executor.run_entries inst entries)
@@ -546,7 +546,7 @@ let test_prop_3_11 () =
      in R1O; the paper's subsequence realization (inserting suad) exists. *)
   let inst = Gadgets.fig8 in
   let entries =
-    List.map (fun c -> Activation.poll_all inst (Gadgets.node inst c))
+    List.map (fun c -> Activation.poll_all (View.spp inst) (Gadgets.node inst c))
       [ 'd'; 'a'; 'u'; 'b'; 'u'; 's' ]
   in
   let target = target_of inst entries in
@@ -568,7 +568,7 @@ let test_props_3_12_3_13 () =
      (Prop. 3.12); the same sequence is an REO sequence (Prop. 3.13). *)
   let inst = Gadgets.fig9 in
   let entries =
-    List.map (fun c -> Activation.poll_all inst (Gadgets.node inst c))
+    List.map (fun c -> Activation.poll_all (View.spp inst) (Gadgets.node inst c))
       [ 'd'; 'b'; 'c'; 'x'; 's'; 'a'; 'c'; 's' ]
   in
   let target = target_of inst entries in
@@ -581,7 +581,7 @@ let test_refute_positive_sanity () =
   (* A sequence induced by a model is trivially realizable in that model. *)
   let inst = Gadgets.disagree in
   let entries =
-    List.map (fun c -> Activation.poll_all inst (Gadgets.node inst c)) [ 'd'; 'x'; 'y' ]
+    List.map (fun c -> Activation.poll_all (View.spp inst) (Gadgets.node inst c)) [ 'd'; 'x'; 'y' ]
   in
   let target = target_of inst entries in
   check_refute "REA realizes its own trace" "realizable"

@@ -74,8 +74,8 @@ let test_pv_witness_verifies () =
       | v -> Alcotest.failf "DISAGREE %s: expected divergence, got %s" mname (verdict_name v))
     [ "R1O"; "RMS"; "U1S" ]
 
-(* The generic executor agrees with the legacy one on identical round-robin
-   schedules (the generic cycle mirrors Scheduler.round_robin exactly). *)
+(* The generic executor agrees with the legacy one on the shared round-robin
+   schedule over each stack's view. *)
 let test_pv_executor_matches_legacy () =
   List.iter
     (fun inst ->
@@ -84,13 +84,87 @@ let test_pv_executor_matches_legacy () =
           let m = model mname in
           let legacy = Executor.run ~max_steps:2000 inst (Scheduler.round_robin inst m) in
           let generic =
-            GPV.E.Executor.run ~max_steps:2000 inst (GPV.E.round_robin inst m)
+            GPV.E.Executor.run ~max_steps:2000 inst (Scheduler.round_robin_of (GPV.E.view inst) m)
           in
           let l_conv = legacy.Executor.stop = Executor.Converged in
           let g_conv = generic.GPV.E.Executor.stop = GPV.E.Executor.Converged in
           Alcotest.(check bool) (mname ^ " converged") l_conv g_conv)
         [ "R1O"; "REA"; "RMS"; "UMS" ])
     [ Gadgets.disagree; Gadgets.good_gadget; Gadgets.shortest_paths ~n:4 ]
+
+(* ------------------------------------------------------------------ *)
+(* Cross-stack parity of the activation layer: the SPP view and
+   [Generic.Make (Path_vector)]'s differ only at the destination, which
+   under a 1 model reads each channel into it in SPP and has no channel in
+   the generic view.  Everywhere else the shared schedules, validators and
+   timed loop must give the same answers over both stacks. *)
+
+let off_dest inst entries =
+  List.filter (fun (e : Activation.t) -> e.Activation.active <> [ Instance.dest inst ]) entries
+
+let test_stack_parity_timed () =
+  List.iter
+    (fun (name, inst) ->
+      List.iter
+        (fun (delays, link_delay) ->
+          List.iter
+            (fun i ->
+              let cfg =
+                { Timed.default with mrai = (fun _ -> i); link_delay; horizon = 2_000 }
+              in
+              let s = Timed.batch cfg (Timed.spp inst)
+              and g = Timed.batch cfg (GPV.E.timed inst) in
+              let tag = Printf.sprintf "%s %s mrai=%d" name delays i in
+              Alcotest.(check bool) (tag ^ " converged") s.Timed.converged g.Timed.converged;
+              Alcotest.(check (list int))
+                (tag ^ " finish, last change, messages, activations")
+                [ s.Timed.finish_time; s.last_change; s.messages; s.activations ]
+                [ g.Timed.finish_time; g.last_change; g.messages; g.activations ])
+            [ 1; 2; 4; 8 ])
+        [ ("unit", Timed.default.link_delay); ("spread", Timed.spread_delays inst) ])
+    (Gadgets.all_named ())
+
+let entries_t = Alcotest.testable (fun ppf _ -> Fmt.string ppf "<entries>") ( = )
+
+let test_stack_parity_schedules () =
+  List.iter
+    (fun (name, inst) ->
+      let spp = View.spp inst and pv = GPV.E.view inst in
+      List.iter
+        (fun m ->
+          let tag = Printf.sprintf "%s/%s" name (Model.to_string m) in
+          Alcotest.check entries_t (tag ^ " round-robin cycle off the destination")
+            (off_dest inst (Scheduler.round_robin_cycle spp m))
+            (off_dest inst (Scheduler.round_robin_cycle pv m));
+          Alcotest.check entries_t (tag ^ " synchronous entry")
+            (Scheduler.prefix 1 (Scheduler.synchronous spp m))
+            (Scheduler.prefix 1 (Scheduler.synchronous pv m)))
+        Model.all)
+    (Gadgets.all_named ())
+
+let test_stack_parity_validators () =
+  List.iter
+    (fun (name, inst) ->
+      let spp = View.spp inst and pv = GPV.E.view inst in
+      let entries =
+        off_dest inst
+          (List.concat_map
+             (fun m ->
+               Scheduler.round_robin_cycle spp m @ Scheduler.prefix 1 (Scheduler.synchronous spp m))
+             Model.all)
+      in
+      List.iter
+        (fun m ->
+          List.iter
+            (fun e ->
+              let tag = Printf.sprintf "%s/%s" name (Model.to_string m) in
+              Alcotest.(check bool) (tag ^ " validates")
+                (Model.validates spp m e) (Model.validates pv m e);
+              Alcotest.(check bool) (tag ^ " validates_multi")
+                (Model.validates_multi spp m e) (Model.validates_multi pv m e))
+            entries)
+        Model.all)
+    (Gadgets.all_named ())
 
 (* ------------------------------------------------------------------ *)
 (* Gossip. *)
@@ -143,7 +217,7 @@ let test_gossip_verdicts () =
         Alcotest.(check bool)
           (Model.to_string m ^ " round robin converges")
           true
-          (EG.Executor.converges ~max_steps:2000 inst (EG.round_robin inst m))
+          (EG.Executor.converges ~max_steps:2000 inst (Scheduler.round_robin_of (EG.view inst) m))
       | Model.Unreliable, GG.Oscillates w ->
         Alcotest.(check bool)
           (Model.to_string m ^ " witness replays")
@@ -166,7 +240,7 @@ let test_gossip_cycle_detected () =
       Activation.single 2 [ Activation.read ~drops:[ 1 ] (Channel.id ~src:0 ~dst:2) ];
     ]
   in
-  let sched = Scheduler.prefixed prefix (EG.round_robin_cycle inst m) in
+  let sched = Scheduler.prefixed prefix (Scheduler.round_robin_cycle (EG.view inst) m) in
   let run = EG.Executor.run ~max_steps:200 inst sched in
   (match run.EG.Executor.stop with
   | EG.Executor.Cycle _ -> ()
@@ -178,9 +252,9 @@ let test_gossip_cycle_detected () =
 let test_gossip_timed () =
   let inst = Protocols.Gossip.make (Protocols.Topo.star 5) in
   List.iter
-    (fun (i, (r : EG.Timed.result)) ->
-      Alcotest.(check bool) (Printf.sprintf "mrai=%d converged" i) true r.EG.Timed.converged)
-    (EG.Timed.mrai_sweep ~intervals:[ 1; 2; 4 ] inst)
+    (fun (i, (r : _ Timed.result)) ->
+      Alcotest.(check bool) (Printf.sprintf "mrai=%d converged" i) true r.Timed.converged)
+    (Timed.mrai_sweep ~intervals:[ 1; 2; 4 ] (EG.timed inst))
 
 (* Gossip through the shared driver with work stealing forced on (spill 0
    engages the pool at once, even on one core): the state set, the
@@ -247,7 +321,7 @@ let test_pushsum_mass_reliable () =
               Float.abs (ps_mass inst r.EPS.Executor.outcome.EPS.Step.state -. initial)
             in
             if dev > !worst then worst := dev)
-          inst (EPS.round_robin inst m)
+          inst (Scheduler.round_robin_of (EPS.view inst) m)
       in
       ignore run;
       Alcotest.(check bool)
@@ -284,7 +358,7 @@ let test_pushsum_drop_reconciliation () =
    round robin. *)
 let test_pushsum_converges () =
   let inst = Protocols.Pushsum.linear ~eps:1e-3 (Protocols.Topo.ring 5) in
-  let run = EPS.Executor.run ~max_steps:5000 inst (EPS.round_robin inst (model "REA")) in
+  let run = EPS.Executor.run ~max_steps:5000 inst (Scheduler.round_robin_of (EPS.view inst) (model "REA")) in
   (match run.EPS.Executor.stop with
   | EPS.Executor.Converged -> ()
   | s -> Alcotest.failf "push-sum REA: expected convergence, got %a" EPS.Executor.pp_stop s);
@@ -322,14 +396,14 @@ let test_generic_round_robin_validates () =
   let inst = Protocols.Gossip.make (Protocols.Topo.ring 3) in
   List.iter
     (fun m ->
-      let sched = EG.round_robin inst m in
+      let sched = Scheduler.round_robin_of (EG.view inst) m in
       let entries =
         Scheduler.prefix (Option.get sched.Scheduler.period) sched
       in
       Alcotest.(check bool)
         (Model.to_string m ^ " round robin validates")
         true
-        (List.for_all (EG.validates inst m) entries))
+        (List.for_all (Model.validates (EG.view inst) m) entries))
     Model.all
 
 let test_generic_lossy_validates_unreliable_only () =
@@ -339,10 +413,10 @@ let test_generic_lossy_validates_unreliable_only () =
   let entries = Scheduler.prefix (Option.get sched.Scheduler.period) sched in
   Alcotest.(check bool)
     "lossy validates under UMA" true
-    (List.for_all (EG.validates inst uma) entries);
+    (List.for_all (Model.validates (EG.view inst) uma) entries);
   Alcotest.(check bool)
     "some lossy entry violates RMA" true
-    (List.exists (fun e -> not (EG.validates inst rma e)) entries);
+    (List.exists (fun e -> not (Model.validates (EG.view inst) rma e)) entries);
   Alcotest.check_raises "lossy refuses reliable models"
     (Invalid_argument "Generic.round_robin_lossy: drops require an unreliable model")
     (fun () -> ignore (EG.round_robin_lossy ~every:2 inst rma))
@@ -350,14 +424,14 @@ let test_generic_lossy_validates_unreliable_only () =
 let test_generic_synchronous_validates_multi () =
   let inst = Protocols.Gossip.make (Protocols.Topo.ring 3) in
   let m = model "REA" in
-  let sched = EG.synchronous inst m in
+  let sched = Scheduler.synchronous (EG.view inst) m in
   let entries = Scheduler.prefix 1 sched in
   Alcotest.(check bool)
     "synchronous validates (multi)" true
-    (List.for_all (EG.validates_multi inst m) entries);
+    (List.for_all (Model.validates_multi (EG.view inst) m) entries);
   Alcotest.(check bool)
     "synchronous is not single-node valid" true
-    (List.exists (fun e -> not (EG.validates inst m e)) entries);
+    (List.exists (fun e -> not (Model.validates (EG.view inst) m e)) entries);
   let run = EG.Executor.run ~max_steps:50 inst sched in
   Alcotest.(check bool)
     "synchronous gossip converges" true
@@ -367,11 +441,11 @@ let test_generic_synchronous_validates_multi () =
 let test_generic_hetero_model_of () =
   let inst = Protocols.Gossip.make (Protocols.Topo.ring 3) in
   let model_of v = if v = 0 then model "R1O" else model "REA" in
-  let sched = EG.round_robin ~model_of inst (model "REA") in
+  let sched = Scheduler.round_robin_of ~model_of (EG.view inst) (model "REA") in
   let entries = Scheduler.prefix (Option.get sched.Scheduler.period) sched in
   Alcotest.(check bool)
     "heterogeneous cycle validates per node" true
-    (List.for_all (EG.validates ~model_of inst (model "REA")) entries);
+    (List.for_all (Model.validates ~model_of (EG.view inst) (model "REA")) entries);
   let run = EG.Executor.run ~max_steps:200 inst sched in
   Alcotest.(check bool)
     "heterogeneous gossip converges" true
@@ -383,11 +457,11 @@ let test_generic_well_formed () =
   (* 0 and 2 are ring neighbors; (0,2) is a real channel, (1,0) read by a
      non-active node and an unknown (3,0) channel are not well-formed. *)
   let e1 = Activation.single 2 [ Activation.read bogus ] in
-  Alcotest.(check bool) "adjacent channel ok" true (EG.well_formed inst e1 = []);
+  Alcotest.(check bool) "adjacent channel ok" true (Activation.well_formed (EG.view inst) e1 = []);
   let e2 = Activation.single 2 [ Activation.read (Channel.id ~src:1 ~dst:0) ] in
-  Alcotest.(check bool) "reader not active" true (EG.well_formed inst e2 <> []);
+  Alcotest.(check bool) "reader not active" true (Activation.well_formed (EG.view inst) e2 <> []);
   let e3 = Activation.single 0 [ Activation.read (Channel.id ~src:3 ~dst:0) ] in
-  Alcotest.(check bool) "unknown channel" true (EG.well_formed inst e3 <> [])
+  Alcotest.(check bool) "unknown channel" true (Activation.well_formed (EG.view inst) e3 <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Tampered witnesses.  Each case breaks one clause of the replay check
@@ -446,7 +520,7 @@ let test_tamper_unread () =
   let inst = Gadgets.disagree in
   rejects_tampered inst (model "R1O") (fun w ->
       let readers c = List.length (List.filter (reads_chan c) w.Fair.cycle) in
-      match List.find_opt (fun c -> readers c = 1) (Fairness.tracked inst) with
+      match List.find_opt (fun c -> readers c = 1) (View.tracked (View.spp inst)) with
       | Some c -> { w with Fair.cycle = List.filter (fun e -> not (reads_chan c e)) w.Fair.cycle }
       | None -> Alcotest.fail "no tracked channel with a single reader")
 
@@ -528,6 +602,13 @@ let () =
           Alcotest.test_case "FIG6 R1A/RMA deep" `Slow test_pv_parity_fig6_deep;
           Alcotest.test_case "witness replay" `Quick test_pv_witness_verifies;
           Alcotest.test_case "executor agreement" `Quick test_pv_executor_matches_legacy;
+        ] );
+      ( "stack-parity",
+        [
+          Alcotest.test_case "timed batch runs" `Quick test_stack_parity_timed;
+          Alcotest.test_case "round-robin and synchronous schedules" `Quick
+            test_stack_parity_schedules;
+          Alcotest.test_case "validators" `Quick test_stack_parity_validators;
         ] );
       ( "gossip",
         [

@@ -172,13 +172,13 @@ let check_transform_once inst ~source ~target ~seed ~n =
     let entries = prefix_of_model inst source ~seed ~n in
     List.iter
       (fun e ->
-        if not (Model.validates inst source e) then
+        if not (Model.validates (View.spp inst) source e) then
           Alcotest.failf "source entry invalid in %s" (Model.to_string source))
       entries;
     let transformed = Transform.apply_path path inst entries in
     List.iter
       (fun e ->
-        if not (Model.validates inst target e) then
+        if not (Model.validates (View.spp inst) target e) then
           Alcotest.failf "transformed entry invalid in %s: %a" (Model.to_string target)
             (Activation.pp inst) e)
       transformed;

@@ -255,7 +255,7 @@ let test_corpus_emit_makes_dirs () =
 
 let test_journal_resume_and_partial_line () =
   let path = tmp "journal.txt" in
-  let fp = Conformance.Journal.fingerprint ~seeds:3 ~budget:"default" () in
+  let fp = Conformance.Journal.fingerprint ~seeds:3 () in
   let entries =
     [
       Conformance.Journal.Positive { index = 0; held = true };
@@ -285,7 +285,7 @@ let test_journal_resume_and_partial_line () =
   Engine.Journal.close w;
   Alcotest.(check int) "append after compaction" 4 (List.length prior);
   (* A journal written under a different configuration is ignored. *)
-  let other = Conformance.Journal.fingerprint ~seeds:99 ~budget:"deep" () in
+  let other = Conformance.Journal.fingerprint ~seeds:99 () in
   let w, prior =
     Engine.Journal.open_ Conformance.Journal.codec ~path ~fingerprint:other ~resume:true ~flush_every:1
   in

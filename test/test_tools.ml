@@ -129,7 +129,7 @@ let test_timed_batch_converges () =
   let inst = Gadgets.good_gadget in
   let r = Timed.run inst in
   Alcotest.(check bool) "converged" true r.Timed.converged;
-  Alcotest.(check bool) "solution" true (Assignment.is_solution inst r.Timed.assignment);
+  Alcotest.(check bool) "solution" true (Assignment.is_solution inst (State.assignment inst r.Timed.final));
   Alcotest.(check bool) "finished after last change" true
     (r.Timed.finish_time >= r.Timed.last_change)
 
@@ -137,7 +137,7 @@ let test_timed_event_converges () =
   let inst = Gadgets.good_gadget in
   let r = Timed.run ~config:{ Timed.default with Timed.mode = Timed.Event_driven } inst in
   Alcotest.(check bool) "converged" true r.Timed.converged;
-  Alcotest.(check bool) "solution" true (Assignment.is_solution inst r.Timed.assignment)
+  Alcotest.(check bool) "solution" true (Assignment.is_solution inst (State.assignment inst r.Timed.final))
 
 let test_timed_gr_instance () =
   let topo = Bgp.Topology.generate Bgp.Topology.default_config in
@@ -146,7 +146,7 @@ let test_timed_gr_instance () =
     (fun mode ->
       let r = Timed.run ~config:{ Timed.default with Timed.mode = mode } inst in
       Alcotest.(check bool) "converged" true r.Timed.converged;
-      Alcotest.(check bool) "solution" true (Assignment.is_solution inst r.Timed.assignment))
+      Alcotest.(check bool) "solution" true (Assignment.is_solution inst (State.assignment inst r.Timed.final)))
     [ Timed.Batch; Timed.Event_driven ]
 
 let test_timed_mrai_reduces_messages () =
@@ -155,7 +155,7 @@ let test_timed_mrai_reduces_messages () =
      between the two extremes. *)
   let topo = Bgp.Topology.generate { Bgp.Topology.default_config with seed = 77 } in
   let inst = Bgp.Policy.compile topo ~dest:(Bgp.Topology.size topo - 1) in
-  match Timed.mrai_sweep ~intervals:[ 1; 16 ] inst with
+  match Timed.mrai_sweep ~intervals:[ 1; 16 ] (Timed.spp inst) with
   | [ (1, fast); (16, slow) ] ->
     Alcotest.(check bool) "both converge" true (fast.Timed.converged && slow.Timed.converged);
     Alcotest.(check bool) "batching sends no more messages" true
@@ -175,7 +175,7 @@ let test_timed_disagree_event_driven () =
      state semantics. *)
   if r.Timed.converged then
     Alcotest.(check bool) "solution when converged" true
-      (Assignment.is_solution inst r.Timed.assignment)
+      (Assignment.is_solution inst (State.assignment inst r.Timed.final))
 
 
 (* ------------------------------------------------------------------ *)
